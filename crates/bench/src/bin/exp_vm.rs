@@ -21,7 +21,9 @@
 //! (c) the live run is byte-identical when repeated with the same seed
 //!     (trace, metrics and time-series exports all match).
 //!
-//! Usage: `exp_vm [seed]` (default 7, the CI matrix passes 1-3).
+//! Usage: `exp_vm [seed]` (default 7, the CI matrix passes 1-3). With
+//! `E15_DUMP` set, both arms' trace, metrics and time-series exports
+//! are written to `/tmp/e15_{cold,live}_{trace.jsonl,metrics.jsonl,ts.csv}`.
 
 use std::time::Instant;
 
@@ -134,9 +136,14 @@ fn main() {
     let live_secs = t.elapsed().as_secs_f64();
 
     if dump {
-        std::fs::write("/tmp/e15_cold_ts.csv", cold.obs.export_timeseries_csv()).unwrap();
-        std::fs::write("/tmp/e15_live_ts.csv", live.obs.export_timeseries_csv()).unwrap();
-        std::fs::write("/tmp/e15_live_trace.jsonl", live.obs.export_trace_jsonl()).unwrap();
+        for (arm, r) in [("cold", &cold), ("live", &live)] {
+            let write = |kind: &str, body: String| {
+                std::fs::write(format!("/tmp/e15_{arm}_{kind}"), body).unwrap();
+            };
+            write("ts.csv", r.obs.export_timeseries_csv());
+            write("trace.jsonl", r.obs.export_trace_jsonl());
+            write("metrics.jsonl", r.obs.export_metrics_jsonl());
+        }
     }
 
     let hot = (HOT * 2) as usize;

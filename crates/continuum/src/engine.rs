@@ -156,16 +156,6 @@ enum EventKind {
         task: TaskInstance,
         reason: &'static str,
     },
-    /// Periodic VM progress slice for a bodied task resident on `node`
-    /// (only armed with a VM runtime installed; re-arms itself while
-    /// the task stays resident). `epoch` invalidates slices armed for
-    /// an earlier residency of the same task — e.g. before a migration
-    /// away and back — so at most one timer chain drives each image.
-    VmSlice {
-        node: NodeId,
-        task: TaskId,
-        epoch: u64,
-    },
 }
 
 /// Which data structures back the engine hot path.
@@ -620,30 +610,18 @@ pub struct SimCore {
 }
 
 /// Configuration of the portable task-body runtime: a library of
-/// deterministic stack-bytecode [`Program`]s plus the cadence at which
-/// resident interpreter images are advanced alongside the scalar
-/// service model. Installed with [`SimCore::set_vm`].
+/// deterministic stack-bytecode [`Program`]s. Installed with
+/// [`SimCore::set_vm`].
 #[derive(Debug, Clone)]
 pub struct VmConfig {
     /// Program library; [`crate::task::TaskBody::program`] indexes it.
     pub programs: Vec<Program>,
-    /// Interval between VM progress slices for each resident bodied
-    /// task. Shorter slices track progress more finely (tighter
-    /// checkpoints, more `vm_steps_total` resolution) at the price of
-    /// more event-queue traffic; the default is 5 ms.
-    pub slice: SimDuration,
 }
 
 impl VmConfig {
-    /// Runtime over `programs` with the default 5 ms slice.
+    /// Runtime over `programs`.
     pub fn new(programs: Vec<Program>) -> Self {
-        VmConfig { programs, slice: SimDuration::from_millis(5) }
-    }
-
-    /// Overrides the slice interval (clamped to ≥ 1 µs at install).
-    pub fn with_slice(mut self, slice: SimDuration) -> Self {
-        self.slice = slice;
-        self
+        VmConfig { programs }
     }
 }
 
@@ -662,7 +640,6 @@ fn isa_of(kind: NodeKind) -> IsaClass {
 #[derive(Debug)]
 struct VmRuntime {
     programs: Vec<Program>,
-    slice: SimDuration,
     /// Interpreter images of bodied tasks resident at some node,
     /// keyed by raw task id.
     images: HashMap<u64, VmImage>,
@@ -672,21 +649,17 @@ struct VmRuntime {
     /// Final step tallies of completed bodied tasks, kept so
     /// step-conservation invariants stay checkable after completion.
     retired_steps: HashMap<u64, u64>,
-    /// Residency-epoch source for slice-timer invalidation.
-    next_epoch: u64,
 }
 
-/// One live interpreter image.
+/// One resident interpreter image. It keeps the state the task arrived
+/// with on its current host; node-local service progress, in cycles,
+/// adds on top of that state's ledger.
 #[derive(Debug)]
 struct VmImage {
     prog: u32,
-    epoch: u64,
-    /// Global cycle ledger at arrival on the current host; node-local
-    /// service progress adds on top of this.
-    arrival_cycles: u64,
-    /// Steps already counted into `vm_steps_total`.
-    counted_steps: u64,
     table: CostTable,
+    /// Steps from `vm` to halt, fixed by the admission scratch run.
+    steps_to_halt: u64,
     vm: VmState,
 }
 
@@ -1036,6 +1009,7 @@ impl SimCore {
         }
         self.tasks.mark_finished(raw);
         self.tasks.clear_attempts(raw);
+        self.vm_evict(node, task);
         let now = self.now;
         if let Some((_, next)) =
             self.nodes.get_mut(node.index()).and_then(|st| st.cancel(now, task))
@@ -1068,7 +1042,6 @@ impl SimCore {
             // Not at the node yet: drop it on arrival.
             self.tasks.mark_cancel_pending(raw);
         }
-        self.vm_drop(raw);
         true
     }
 
@@ -1077,10 +1050,12 @@ impl SimCore {
     /// service model. At each arrival of a bodied task
     /// ([`TaskInstance::body`]), the engine re-prices `work_mc` from
     /// the program's remaining per-opcode cost under the hosting
-    /// node's ISA class and DVFS state, keeps an interpreter image in
-    /// step with service progress (cost slices against the event
-    /// queue), and can snapshot the image into a canonical
-    /// [`Checkpoint`] for live migration ([`SimCore::migrate_task`]).
+    /// node's ISA class and DVFS state. The interpreter image is not
+    /// stepped while the task is served: it is advanced to the cycles
+    /// actually served only when the residency ends early — a live
+    /// [`Checkpoint`] for migration ([`SimCore::migrate_task`]), or a
+    /// kill (crash, attempt timeout, cancel, cold migration) — and a
+    /// completion retires the step tally fixed at arrival.
     ///
     /// Without this call — the default — bodied tasks execute as plain
     /// scalar-cost tasks and every export is byte-identical to a run
@@ -1088,11 +1063,9 @@ impl SimCore {
     pub fn set_vm(&mut self, cfg: VmConfig) {
         self.vm = Some(VmRuntime {
             programs: cfg.programs,
-            slice: cfg.slice.max(SimDuration::from_micros(1)),
             images: HashMap::new(),
             pending: HashMap::new(),
             retired_steps: HashMap::new(),
-            next_epoch: 0,
         });
     }
 
@@ -1101,10 +1074,12 @@ impl SimCore {
         self.vm.is_some()
     }
 
-    /// Interpreter steps `task`'s body has executed so far: the live
-    /// image's tally while resident, the final tally after completion.
-    /// `None` for scalar tasks, un-arrived bodies, or without a VM
-    /// runtime.
+    /// Interpreter steps `task`'s body had retired as of its last
+    /// checkpoint, kill or completion. Images are not stepped during
+    /// service, so a resident task reports the tally it arrived with
+    /// (0 after a cold start, the checkpoint's after a resume), and a
+    /// completed one its final tally. `None` for scalar tasks, bodies
+    /// in transit or killed, or without a VM runtime.
     pub fn vm_steps_of(&self, task: TaskId) -> Option<u64> {
         let vm = self.vm.as_ref()?;
         let raw = task.as_raw();
@@ -1133,10 +1108,10 @@ impl SimCore {
 
     /// Resolves a bodied task at arrival: resumes the in-transit
     /// checkpoint if one is pending (live migration) or boots a fresh
-    /// image, re-prices `work_mc` from the program's remaining cost
-    /// under this node's ISA class and current DVFS operating point,
-    /// and arms the slice timer. Unknown program indices leave the
-    /// task on the scalar path.
+    /// image, and re-prices `work_mc` from the program's remaining cost
+    /// under this node's ISA class and current DVFS operating point.
+    /// That one scratch run also fixes the steps a completion retires.
+    /// Unknown program indices leave the task on the scalar path.
     fn vm_admit(&mut self, node: NodeId, task: &mut TaskInstance) {
         let Some(body) = task.body else { return };
         let Some((kind, freq)) =
@@ -1154,110 +1129,57 @@ impl SimCore {
             vm.pending.remove(&raw).and_then(|cp| VmState::from_checkpoint(&cp, program).ok());
         let is_resume = resumed.is_some();
         let state = resumed.unwrap_or_else(|| VmState::new(program, body.seed));
-        task.work_mc = state.remaining_cycles(program, &table) as f64 / 1e6;
-        let epoch = vm.next_epoch;
-        vm.next_epoch += 1;
-        let image = VmImage {
-            prog: body.program,
-            epoch,
-            arrival_cycles: state.consumed_cycles(),
-            counted_steps: state.steps(),
-            table,
-            vm: state,
-        };
-        vm.images.insert(raw, image);
-        let slice = vm.slice;
+        let (steps_to_halt, cycles) = state.cost_to_halt(program, &table);
+        task.work_mc = cycles as f64 / 1e6;
+        vm.images.insert(raw, VmImage { prog: body.program, table, steps_to_halt, vm: state });
         if is_resume {
             self.obs.trace(
                 self.now.as_micros(),
                 TraceKind::TaskResume { node: node.as_raw(), task: raw },
             );
         }
-        self.push(self.now + slice, EventKind::VmSlice { node, task: task.id, epoch });
     }
 
-    /// Advances `task`'s interpreter image to `done_mc` megacycles of
-    /// node-local service progress, returning the newly executed steps
-    /// (not yet counted into `vm_steps_total`).
-    fn vm_advance(&mut self, raw: u64, done_mc: f64) -> u64 {
-        let Some(vm) = self.vm.as_mut() else { return 0 };
-        let Some(img) = vm.images.get_mut(&raw) else { return 0 };
-        let Some(program) = vm.programs.get(img.prog as usize) else { return 0 };
-        let target = img.arrival_cycles.saturating_add((done_mc * 1e6).round() as u64);
-        img.vm.advance_to(program, &img.table, target);
-        let delta = img.vm.steps() - img.counted_steps;
-        img.counted_steps = img.vm.steps();
-        delta
-    }
-
-    /// Handles one VM slice tick: advance the image in step with the
-    /// node's scalar service progress and re-arm while the task stays
-    /// resident. Stale epochs (earlier residency) and departed tasks
-    /// end the timer chain.
-    fn vm_slice_tick(&mut self, node: NodeId, task: TaskId, epoch: u64) {
-        let raw = task.as_raw();
-        let now = self.now;
-        let current = self.vm.as_ref().and_then(|vm| vm.images.get(&raw)).map(|img| img.epoch);
-        if current != Some(epoch) {
-            return;
-        }
-        let Some(st) = self.nodes.get(node.index()) else { return };
-        let progress = st.running().iter().find(|r| r.task.id == task).map(|r| {
-            let elapsed = now.saturating_since(r.progress_at).as_micros() as f64;
-            let left = (r.remaining_mc - elapsed * r.speed_mc_per_us).max(0.0);
-            (r.task.work_mc - left).max(0.0)
-        });
-        let resident = progress.is_some() || st.queued().any(|t| t.id == task);
-        if let Some(done_mc) = progress {
-            let delta = self.vm_advance(raw, done_mc);
-            if delta > 0 {
-                self.obs.counter_add("vm_steps_total", "", delta);
-            }
-        }
-        if resident {
-            let slice = self.vm.as_ref().expect("image checked").slice;
-            self.push(now + slice, EventKind::VmSlice { node, task, epoch });
-        }
-        // Not resident at `node` any more (finished, cancelled, lost or
-        // migrated): the terminal paths own the image; the timer dies.
-    }
-
-    /// Finalizes a bodied task at completion: runs the image to halt
-    /// (the scalar model just served exactly the remaining priced
-    /// cycles), counts the tail steps and retires the tally.
+    /// Retires a bodied task at completion: the scalar model just
+    /// served exactly the cycles priced at arrival, so the image ends
+    /// at the tally its admission run fixed — nothing is interpreted.
     fn vm_finalize(&mut self, raw: u64) {
         let Some(vm) = self.vm.as_mut() else { return };
-        let Some(mut img) = vm.images.remove(&raw) else { return };
-        let Some(program) = vm.programs.get(img.prog as usize) else { return };
-        img.vm.run_to_halt(program, &img.table);
-        let delta = img.vm.steps() - img.counted_steps;
-        vm.retired_steps.insert(raw, img.vm.steps());
-        if delta > 0 {
-            self.obs.counter_add("vm_steps_total", "", delta);
+        let Some(img) = vm.images.remove(&raw) else { return };
+        vm.retired_steps.insert(raw, img.vm.steps() + img.steps_to_halt);
+        if img.steps_to_halt > 0 {
+            self.obs.counter_add("vm_steps_total", "", img.steps_to_halt);
         }
     }
 
-    /// Drops any interpreter state of `task` (image and in-transit
-    /// checkpoint). Called on the terminal and loss paths; a later
-    /// retry re-arrival then boots a fresh image — cold restart.
-    fn vm_drop(&mut self, raw: u64) {
-        if let Some(vm) = self.vm.as_mut() {
-            vm.images.remove(&raw);
-            vm.pending.remove(&raw);
-        }
-    }
-
-    /// Advances the image to the given service progress and snapshots
-    /// it into a checkpoint, consuming the image. `None` when the task
-    /// has no live image (scalar task, or VM not installed).
-    fn vm_checkpoint(&mut self, raw: u64, done_mc: f64) -> Option<Checkpoint> {
-        let delta = self.vm_advance(raw, done_mc);
-        if delta > 0 {
-            self.obs.counter_add("vm_steps_total", "", delta);
-        }
+    /// Ends `task`'s interpreter residency ahead of completion — a
+    /// kill, or a live checkpoint — and must run before `node` lets go
+    /// of the task. The image is advanced to the cycles `node` actually
+    /// served (none while queued), the steps that retires are counted
+    /// into `vm_steps_total`, and the image and any in-transit
+    /// checkpoint are dropped. Returns the advanced image as a
+    /// checkpoint, or `None` when the task had no resident image.
+    fn vm_evict(&mut self, node: NodeId, task: TaskId) -> Option<Checkpoint> {
+        self.vm.as_ref()?;
+        let raw = task.as_raw();
+        let now = self.now;
+        let served_mc = self.nodes.get(node.index()).and_then(|st| {
+            let r = st.running().iter().find(|r| r.task.id == task)?;
+            Some((r.task.work_mc - r.remaining_mc_at(now)).max(0.0))
+        });
         let vm = self.vm.as_mut()?;
-        let img = vm.images.remove(&raw)?;
+        vm.pending.remove(&raw);
+        let mut img = vm.images.remove(&raw)?;
         let program = vm.programs.get(img.prog as usize)?;
+        if let Some(mc) = served_mc {
+            let arrival_steps = img.vm.steps();
+            let target = img.vm.consumed_cycles().saturating_add((mc * 1e6).round() as u64);
+            img.vm.advance_to(program, &img.table, target);
+            let retired = img.vm.steps() - arrival_steps;
+            if retired > 0 {
+                self.obs.counter_add("vm_steps_total", "", retired);
+            }
+        }
         Some(img.vm.checkpoint(program))
     }
 
@@ -1301,16 +1223,13 @@ impl SimCore {
         }
         let path = self.network.route(from, to).ok()?;
         let now = self.now;
-        let st = self.nodes.get_mut(from.index())?;
-        let done_mc = st.running().iter().find(|r| r.task.id == task).map(|r| {
-            let elapsed = now.saturating_since(r.progress_at).as_micros() as f64;
-            let left = (r.remaining_mc - elapsed * r.speed_mc_per_us).max(0.0);
-            (r.task.work_mc - left).max(0.0)
-        });
-        if done_mc.is_none() && !st.queued().any(|t| t.id == task) {
+        let st = self.nodes.get(from.index())?;
+        if !st.running().iter().any(|r| r.task.id == task) && !st.queued().any(|t| t.id == task) {
             return None;
         }
-        let (inst, next) = st.cancel(now, task)?;
+        // Live moves ship the advanced image; cold moves discard it.
+        let checkpoint = self.vm_evict(from, task).filter(|_| live);
+        let (inst, next) = self.nodes.get_mut(from.index())?.cancel(now, task)?;
         self.sync_hot(from);
         self.tasks.take_queued(raw);
         if let Some((next_id, ep, service, mode)) = next {
@@ -1333,11 +1252,6 @@ impl SimCore {
             self.note_start(from, next_id);
             self.push(now, EventKind::NotifyStarted { node: from, task: next_id, mode });
         }
-        let checkpoint = if live && inst.body.is_some() {
-            self.vm_checkpoint(raw, done_mc.unwrap_or(0.0))
-        } else {
-            None
-        };
         let wire_bytes = match &checkpoint {
             Some(cp) => {
                 let bytes = cp.byte_len();
@@ -1351,9 +1265,8 @@ impl SimCore {
                 bytes
             }
             None => {
-                // Cold restart: drop any interpreter state and ship
-                // the input again; the source attempt ends cancelled.
-                self.vm_drop(raw);
+                // Cold restart: ship the input again; the source
+                // attempt ends cancelled and its progress is wasted.
                 self.obs.counter_inc("task_migrations_cold", "");
                 self.obs.counter_add("migration_bytes", "cold", inst.input_bytes);
                 self.obs.trace(
@@ -1646,7 +1559,7 @@ impl SimCore {
                 let raw = task.id.as_raw();
                 if self.tasks.take_cancel_pending(raw) {
                     // Cancelled (replica dedup) while in transfer.
-                    self.vm_drop(raw);
+                    self.vm_evict(node, task.id);
                     self.obs.trace(
                         now.as_micros(),
                         TraceKind::TaskCancelled { node: node.as_raw(), task: raw },
@@ -1656,7 +1569,7 @@ impl SimCore {
                 if self.tasks.take_timeout_pending(raw) {
                     // Timed out while in transfer: the attempt ends
                     // here and the retry/give-up decision is taken now.
-                    self.vm_drop(raw);
+                    self.vm_evict(node, task.id);
                     self.obs.trace(
                         now.as_micros(),
                         TraceKind::TaskCancelled { node: node.as_raw(), task: raw },
@@ -1668,7 +1581,7 @@ impl SimCore {
                 if !st.is_up() {
                     // Any in-transit checkpoint dies with the arrival:
                     // a retry re-placement restarts cold.
-                    self.vm_drop(raw);
+                    self.vm_evict(node, task.id);
                     self.obs.counter_inc("sim_tasks_lost", "");
                     self.obs.trace(
                         now.as_micros(),
@@ -1768,6 +1681,22 @@ impl SimCore {
             }
             EventKind::NodeDown(node) => {
                 let now = self.now;
+                if self.vm.is_some() {
+                    // Interpreter state dies with the host, after its
+                    // progress so far is counted; a retry re-placement
+                    // restarts the body cold.
+                    let resident: Vec<TaskId> =
+                        self.nodes.get(node.index()).map_or_else(Vec::new, |st| {
+                            st.running()
+                                .iter()
+                                .map(|r| r.task.id)
+                                .chain(st.queued().map(|t| t.id))
+                                .collect()
+                        });
+                    for task in resident {
+                        self.vm_evict(node, task);
+                    }
+                }
                 let Some(st) = self.nodes.get_mut(node.index()) else { return };
                 let lost = st.set_up(now, false);
                 self.sync_hot(node);
@@ -1777,9 +1706,6 @@ impl SimCore {
                     self.obs.counter_add("sim_tasks_lost", "", lost.len() as u64);
                     for t in &lost {
                         self.tasks.take_queued(t.id.as_raw());
-                        // Interpreter state dies with the host; a retry
-                        // re-placement restarts the body cold.
-                        self.vm_drop(t.id.as_raw());
                         self.obs.trace(
                             now.as_micros(),
                             TraceKind::TaskLost { node: node.as_raw(), task: t.id.as_raw() },
@@ -1858,15 +1784,16 @@ impl SimCore {
                     now.as_micros(),
                     TraceKind::TaskTimeout { node: node.as_raw(), task: raw },
                 );
+                // The timed-out attempt's interpreter state (or its
+                // in-transit checkpoint) is discarded: the retry
+                // restarts the body cold.
+                self.vm_evict(node, task);
                 let cancelled =
                     self.nodes.get_mut(node.index()).and_then(|st| st.cancel(now, task));
                 match cancelled {
                     Some((inst, next)) => {
                         self.sync_hot(node);
                         self.tasks.take_queued(raw);
-                        // The timed-out attempt's interpreter state is
-                        // discarded: the retry restarts the body cold.
-                        self.vm_drop(raw);
                         self.obs.trace(
                             now.as_micros(),
                             TraceKind::TaskCancelled { node: node.as_raw(), task: raw },
@@ -1909,9 +1836,6 @@ impl SimCore {
             }
             EventKind::NotifyShed { node, task, reason } => {
                 driver.on_event(self, SimEvent::TaskShed { node, task, reason });
-            }
-            EventKind::VmSlice { node, task, epoch } => {
-                self.vm_slice_tick(node, task, epoch);
             }
         }
     }
@@ -2643,8 +2567,9 @@ mod tests {
         sim.submit_local(edge, t).expect("submit");
         let mut rec = Recorder::default();
         sim.run_until(SimTime::from_millis(10), &mut rec);
-        let mid_steps = sim.vm_steps_of(id).expect("image live");
         let eta = sim.migrate_task(edge, cloud, id, Protocol::Mqtt, true).expect("migratable");
+        // The checkpoint retires the source's progress.
+        let mid_steps = sim.obs().counter_value("vm_steps_total", "");
         assert!(eta > sim.now(), "checkpoint transfer takes time");
         assert!(sim.vm_in_transit(id), "checkpoint rides the network");
         assert_eq!(sim.live_instances(id), 0, "no live instance during transfer");
@@ -2690,6 +2615,59 @@ mod tests {
             "cold restart re-executes lost progress: {cold_done:?} vs {live_done:?}"
         );
         assert!(cold_steps > live_steps, "the cold path re-runs steps the live path carried over");
+    }
+
+    /// Every way a running body can be killed counts exactly the steps
+    /// its program retires in the cycles the node served before the kill.
+    #[test]
+    fn kills_count_exactly_the_steps_served() {
+        use crate::task::TaskBody;
+        use myrtus_obs::{Obs, ObsConfig};
+        let program = vm_test_program(20_000);
+        let table = CostTable::for_isa(IsaClass::Arm, 1.0);
+        // Mid-way through the body, off any millisecond grid.
+        let kill_us = 12_345;
+        for path in ["crash", "timeout", "cancel", "cold migration"] {
+            let (mut sim, edge, cloud) = migration_sim();
+            sim.set_obs(Obs::new(ObsConfig::on()));
+            sim.set_vm(VmConfig::new(vec![program.clone()]));
+            if path == "timeout" {
+                sim.set_retry_policy(Some(RetryPolicy {
+                    max_attempts: 1,
+                    base_backoff: SimDuration::from_millis(1),
+                    backoff_cap: SimDuration::from_millis(1),
+                    jitter_frac: 0.0,
+                    attempt_timeout: Some(SimDuration::from_micros(kill_us)),
+                    seed: 1,
+                    recovery_queue_cap: u32::MAX,
+                }));
+            }
+            let id = sim.fresh_task_id();
+            let t = TaskInstance::new(id, 1.0).with_body(TaskBody::new(0, 7));
+            sim.submit_local(edge, t).expect("submit");
+            if path == "crash" {
+                sim.schedule_node_down(edge, SimTime::from_micros(kill_us));
+            }
+            let mut rec = Recorder::default();
+            sim.run_until(SimTime::from_micros(kill_us - 1), &mut rec);
+            let running = sim.node(edge).expect("edge").running()[0].clone();
+            assert_eq!(running.task.id, id, "{path}: the body is in service");
+            sim.run_until(SimTime::from_micros(kill_us), &mut rec);
+            match path {
+                "cancel" => assert!(sim.cancel_task(edge, id)),
+                "cold migration" => {
+                    sim.migrate_task(edge, cloud, id, Protocol::Mqtt, false).expect("migratable");
+                }
+                _ => {}
+            }
+            assert_eq!(sim.live_instances(id), 0, "{path}: the attempt left the edge");
+            let served_mc =
+                running.task.work_mc - running.remaining_mc_at(SimTime::from_micros(kill_us));
+            let mut fresh = VmState::new(&program, 7);
+            fresh.advance_to(&program, &table, (served_mc * 1e6).round() as u64);
+            assert!(fresh.steps() > 0 && !fresh.is_halted(), "{path}: killed mid-run");
+            assert_eq!(sim.obs().counter_value("vm_steps_total", ""), fresh.steps(), "{path}");
+        }
     }
 
     #[test]

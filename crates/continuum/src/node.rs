@@ -393,6 +393,14 @@ pub struct RunningTask {
     pub mode: ExecutionMode,
 }
 
+impl RunningTask {
+    /// Work still left at `now`, in megacycles.
+    pub fn remaining_mc_at(&self, now: SimTime) -> f64 {
+        let elapsed = now.saturating_since(self.progress_at).as_micros() as f64;
+        (self.remaining_mc - elapsed * self.speed_mc_per_us).max(0.0)
+    }
+}
+
 /// Mutable simulation state of one node.
 ///
 /// The [`SimCore`](crate::engine::SimCore) drives this state; it is public
@@ -533,8 +541,7 @@ impl NodeState {
         }
         let mut pending_mc: f64 = self.queue.iter().map(|t| t.work_mc).sum();
         for r in &self.running {
-            let done = (now.saturating_since(r.progress_at)).as_micros() as f64 * r.speed_mc_per_us;
-            pending_mc += (r.remaining_mc - done).max(0.0);
+            pending_mc += r.remaining_mc_at(now);
         }
         SimDuration::from_micros_f64(pending_mc / (speed * self.spec.cores() as f64))
     }
@@ -586,9 +593,7 @@ impl NodeState {
         self.point_idx = idx;
         let new_sw_speed = self.effective_speed_mc_per_us();
         for r in &mut self.running {
-            let elapsed = now.saturating_since(r.progress_at).as_micros() as f64;
-            let done = elapsed * r.speed_mc_per_us;
-            r.remaining_mc = (r.remaining_mc - done).max(0.0);
+            r.remaining_mc = r.remaining_mc_at(now);
             r.progress_at = now;
             // The accelerator fabric is tied to the same clock domain as
             // the cores, so both software and accelerated tasks rescale

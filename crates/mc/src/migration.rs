@@ -164,8 +164,9 @@ struct TaskView {
     /// Node hosting the (single) live instance, if any.
     resident: Option<u32>,
     in_transit: bool,
-    /// Interpreter steps retired so far (`None` before first arrival,
-    /// in transit, or after a loss dropped the image).
+    /// Interpreter steps retired as of the last checkpoint or
+    /// completion (`None` before first arrival, in transit, or after a
+    /// loss dropped the image).
     steps: Option<u64>,
 }
 
@@ -207,10 +208,11 @@ pub struct MigrationModel {
 
 impl MigrationModel {
     /// The instance used in CI: two nodes across an ISA boundary, two
-    /// bodied submissions, two live migrations, one crash/recovery
-    /// cycle per node.
+    /// bodied submissions, three live migrations (so a task can move
+    /// away and back and away again), one crash/recovery cycle per
+    /// node.
     pub fn small() -> Self {
-        Self::with_budgets(2, 2, 1, 1)
+        Self::with_budgets(2, 3, 1, 1)
     }
 
     /// Custom budgets for tests and tuning.
@@ -455,7 +457,8 @@ mod tests {
 
     #[test]
     fn migration_without_faults_reaches_fixpoint() {
-        let model = MigrationModel::with_budgets(1, 1, 0, 0);
+        // Two moves: the task can leave its first host and come back.
+        let model = MigrationModel::with_budgets(1, 2, 0, 0);
         match explore(&model, Strategy::Bfs, &Limits::default()) {
             Outcome::Pass(stats) => assert!(stats.distinct_states > 10),
             other => panic!("expected pass, got {other:?}"),

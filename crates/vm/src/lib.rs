@@ -302,9 +302,7 @@ impl Program {
     /// Total steps and total cycles of an uninterrupted run from
     /// `seed` under `table` (a scratch execution).
     pub fn full_cost(&self, seed: u64, table: &CostTable) -> (u64, u64) {
-        let mut vm = VmState::new(self, seed);
-        vm.run_to_halt(self, table);
-        (vm.steps(), vm.consumed_cycles())
+        VmState::new(self, seed).cost_to_halt(self, table)
     }
 }
 
@@ -778,12 +776,13 @@ impl VmState {
         while self.step(program, table) {}
     }
 
-    /// Cycles left to completion under `table`, measured by a scratch
-    /// run of a clone — the basis of per-node effective work.
-    pub fn remaining_cycles(&self, program: &Program, table: &CostTable) -> u64 {
+    /// Steps and cycles left to the terminal state under `table`,
+    /// measured by one scratch run of a clone: the cycles price a
+    /// host's effective work, the steps fix the final tally.
+    pub fn cost_to_halt(&self, program: &Program, table: &CostTable) -> (u64, u64) {
         let mut scratch = self.clone();
         scratch.run_to_halt(program, table);
-        scratch.consumed - self.consumed
+        (scratch.steps - self.steps, scratch.consumed - self.consumed)
     }
 }
 
@@ -890,6 +889,19 @@ mod tests {
         assert_eq!(steps_a, steps_eco);
         assert!(cyc_r > cyc_a, "riscv prices above arm");
         assert!(cyc_eco < cyc_a, "memory-wall relief at the lower clock");
+    }
+
+    #[test]
+    fn cost_to_halt_from_a_paused_state_completes_the_full_cost() {
+        let p = loop_program(12);
+        let t = table();
+        let (steps, cycles) = p.full_cost(4, &t);
+        let mut vm = VmState::new(&p, 4);
+        vm.advance_to(&p, &t, cycles / 3);
+        let (left_steps, left_cycles) = vm.cost_to_halt(&p, &t);
+        assert!(vm.steps() > 0 && left_steps > 0, "paused mid-run");
+        assert_eq!(vm.steps() + left_steps, steps);
+        assert_eq!(vm.consumed_cycles() + left_cycles, cycles);
     }
 
     #[test]
