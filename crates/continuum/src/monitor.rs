@@ -4,19 +4,16 @@
 //! monitoring (per-application performance), **telemetry** monitoring
 //! (connectivity and information loss) and **infrastructure/resource**
 //! monitoring (component status). [`MonitoringReport::collect`] snapshots
-//! the latter two directly from the simulation core; the
-//! [`ApplicationMonitor`] is fed by the driver from task outcomes.
-//! Snapshots feed the Knowledge Base's Resource Registry.
-
-use std::collections::HashMap;
+//! the latter two directly from the simulation core; application
+//! monitoring lives with the orchestrator, which owns the per-request
+//! view. Snapshots feed the Knowledge Base's Resource Registry.
 
 use serde::{Deserialize, Serialize};
 
 use crate::engine::SimCore;
 use crate::ids::{LinkId, NodeId};
 use crate::node::Layer;
-use crate::stats::{OnlineStats, Summary};
-use crate::task::TaskOutcome;
+use crate::stats::OnlineStats;
 use crate::time::{SimDuration, SimTime};
 
 /// Infrastructure-monitor snapshot of one node.
@@ -121,100 +118,6 @@ impl MonitoringReport {
     }
 }
 
-/// Application-monitor: per-application (tag) latency/deadline accounting,
-/// fed by the driver from [`TaskOutcome`]s.
-#[derive(Debug, Clone, Default)]
-pub struct ApplicationMonitor {
-    per_app: HashMap<u64, AppStats>,
-}
-
-#[derive(Debug, Clone, Default)]
-struct AppStats {
-    latencies_us: Vec<f64>,
-    completed: u64,
-    lost: u64,
-    deadline_misses: u64,
-}
-
-impl ApplicationMonitor {
-    /// Creates an empty monitor.
-    pub fn new() -> Self {
-        ApplicationMonitor::default()
-    }
-
-    /// Records a completed task outcome.
-    pub fn record(&mut self, outcome: &TaskOutcome) {
-        let s = self.per_app.entry(outcome.task.tag).or_default();
-        if outcome.completed {
-            s.completed += 1;
-            s.latencies_us.push(outcome.latency.as_micros() as f64);
-            if !outcome.deadline_met {
-                s.deadline_misses += 1;
-            }
-        } else {
-            s.lost += 1;
-        }
-    }
-
-    /// Records a task lost to a node failure.
-    pub fn record_lost(&mut self, tag: u64) {
-        self.per_app.entry(tag).or_default().lost += 1;
-    }
-
-    /// Latency summary (µs) for one application tag.
-    pub fn latency_summary(&self, tag: u64) -> Option<Summary> {
-        self.per_app.get(&tag).and_then(|s| Summary::of(&s.latencies_us))
-    }
-
-    /// Completed-task count for a tag.
-    pub fn completed(&self, tag: u64) -> u64 {
-        self.per_app.get(&tag).map_or(0, |s| s.completed)
-    }
-
-    /// Lost-task count for a tag.
-    pub fn lost(&self, tag: u64) -> u64 {
-        self.per_app.get(&tag).map_or(0, |s| s.lost)
-    }
-
-    /// Deadline misses for a tag.
-    pub fn deadline_misses(&self, tag: u64) -> u64 {
-        self.per_app.get(&tag).map_or(0, |s| s.deadline_misses)
-    }
-
-    /// Fraction of completed tasks that met their deadline, across all
-    /// applications (1.0 when nothing completed).
-    pub fn global_qos(&self) -> f64 {
-        let (mut done, mut miss) = (0u64, 0u64);
-        for s in self.per_app.values() {
-            done += s.completed;
-            miss += s.deadline_misses;
-        }
-        if done == 0 {
-            1.0
-        } else {
-            1.0 - miss as f64 / done as f64
-        }
-    }
-
-    /// Tags seen so far, sorted.
-    pub fn tags(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self.per_app.keys().copied().collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// Mean latency across every application, in microseconds.
-    pub fn mean_latency_us(&self) -> f64 {
-        let mut s = OnlineStats::new();
-        for app in self.per_app.values() {
-            for &l in &app.latencies_us {
-                s.push(l);
-            }
-        }
-        s.mean()
-    }
-}
-
 /// Duration helper: observation horizon between two report instants.
 pub fn horizon_between(a: &MonitoringReport, b: &MonitoringReport) -> SimDuration {
     b.at.saturating_since(a.at)
@@ -249,38 +152,5 @@ mod tests {
         let r = MonitoringReport::collect(&sim);
         assert_eq!(r.nodes[0].completed, 1);
         assert!(r.total_energy_j() > 0.0);
-    }
-
-    #[test]
-    fn application_monitor_tracks_tags_independently() {
-        let mut mon = ApplicationMonitor::new();
-        let mk = |tag: u64, us: u64, met: bool| TaskOutcome {
-            task: TaskInstance::new(crate::ids::TaskId::from_raw(tag), 1.0).with_tag(tag),
-            node: NodeId::from_raw(0),
-            at: SimTime::from_micros(us),
-            completed: true,
-            latency: SimDuration::from_micros(us),
-            deadline_met: met,
-        };
-        mon.record(&mk(1, 100, true));
-        mon.record(&mk(1, 200, false));
-        mon.record(&mk(2, 50, true));
-        mon.record_lost(2);
-        assert_eq!(mon.completed(1), 2);
-        assert_eq!(mon.deadline_misses(1), 1);
-        assert_eq!(mon.lost(2), 1);
-        assert_eq!(mon.tags(), vec![1, 2]);
-        let s = mon.latency_summary(1).expect("has samples");
-        assert_eq!(s.count, 2);
-        assert!((mon.global_qos() - (1.0 - 1.0 / 3.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_monitor_is_benign() {
-        let mon = ApplicationMonitor::new();
-        assert_eq!(mon.completed(9), 0);
-        assert_eq!(mon.global_qos(), 1.0);
-        assert!(mon.latency_summary(9).is_none());
-        assert_eq!(mon.mean_latency_us(), 0.0);
     }
 }

@@ -16,13 +16,13 @@
 //! * **reconfigure** — operating-point switches, re-placements and task
 //!   resubmissions on the simulator.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use myrtus_continuum::admission::AdmissionPolicy;
-use myrtus_continuum::engine::{Driver, EngineBackend, SimCore, SimEvent};
+use myrtus_continuum::engine::{Driver, SimCore, SimEvent};
 use myrtus_continuum::federation::{BurstQuery, FederatedContinuum};
 use myrtus_continuum::ids::{NodeId, RegionId, TaskId};
-use myrtus_continuum::monitor::{ApplicationMonitor, MonitoringReport};
+use myrtus_continuum::monitor::MonitoringReport;
 use myrtus_continuum::net::{PlanEstimator, Protocol, RouteCache};
 use myrtus_continuum::node::Layer;
 use myrtus_continuum::retry::RetryPolicy;
@@ -109,15 +109,6 @@ pub enum MigrationMode {
 /// Engine configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
-    /// Simulator hot-path backend: timing wheel + slab tables (the
-    /// default) or the reference binary-heap + hash-table twin. Both
-    /// produce byte-identical exports; the twin exists for equivalence
-    /// testing and as the benchmark baseline. Applied when the run
-    /// starts, *before* observability arms the scrape timer — but if a
-    /// fault plan (or anything else) has already scheduled events on
-    /// the core, a non-default choice must additionally be set there
-    /// first via [`myrtus_continuum::engine::SimCore::set_backend`].
-    pub backend: EngineBackend,
     /// MAPE-K sensing/adaptation period.
     pub monitoring_period: SimDuration,
     /// Enforce Table II security constraints and overheads.
@@ -180,7 +171,6 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            backend: EngineBackend::default(),
             monitoring_period: SimDuration::from_millis(100),
             enforce_security: true,
             node_adaptation: true,
@@ -221,7 +211,6 @@ struct RequestState {
     deps_left: Vec<usize>,
     finish_node: Vec<Option<NodeId>>,
     retries: Vec<u32>,
-    last_finish: SimTime,
     failed: bool,
     completed: bool,
     /// Application operating-point index assigned when the request was
@@ -239,6 +228,8 @@ struct SlowestRequest {
     critical_path: Vec<StageSpan>,
 }
 
+/// Everything the engine knows about one deployed application: its
+/// model, run-time control state, in-flight requests and outcome tally.
 #[derive(Debug)]
 struct AppRuntime {
     id: u16,
@@ -252,6 +243,22 @@ struct AppRuntime {
     /// QoS class: deadline-bound apps run protected (≥ the admission
     /// policy's `protect_priority`), bulk apps run sheddable at 0.
     priority: u8,
+    /// Request states, indexed by [`CompiledRequest::request_idx`].
+    requests: Vec<RequestState>,
+    completed: u64,
+    failed: u64,
+    shed: u64,
+    misses: u64,
+    latencies_ms: Vec<f64>,
+    /// Running sum of completed requests' quality (one term per
+    /// completion, so the mean divides by `completed`).
+    quality_sum: f64,
+    slowest: SlowestRequest,
+    /// The replica fleet has reached the autoscaler's `max_replicas` at
+    /// least once. Sticky: momentary scale-downs (the ETA router
+    /// sloshes per-component queues through zero) must not disarm WAN
+    /// escalation once the autoscaler has demonstrably spent its budget.
+    replicas_maxed: bool,
 }
 
 /// One stage of a completed request's execution trace (application
@@ -430,21 +437,15 @@ pub struct OrchestrationEngine {
     sec: PrivacySecurityManager,
     elasticity: Option<ElasticityManager>,
     fed: Option<FederationManager>,
-    /// Applications whose replica fleet has reached the autoscaler's
-    /// `max_replicas` at least once. The exhausted check is sticky:
-    /// momentary scale-downs (the ETA router sloshes per-component
-    /// queues through zero) must not disarm WAN escalation once the
-    /// autoscaler has demonstrably spent its budget.
-    fed_maxed: HashSet<u16>,
     proxy: Option<DeploymentProxy>,
     kb: KnowledgeBase,
     /// Plan-time route/transfer memo reused across placement sweeps;
     /// the network epoch invalidates it whenever topology, link state or
     /// queue occupancy changes.
     plan_cache: RouteCache,
-    app_mon: ApplicationMonitor,
+    /// Deployed applications in deployment order (the order of
+    /// `OrchestrationReport::apps` and of the per-app obs labels).
     apps: Vec<AppRuntime>,
-    requests: HashMap<u64, RequestState>,
     /// Replica pairing for k=2 placement: task raw id → (twin raw id,
     /// node currently hosting the twin). Both directions are kept so
     /// either copy's completion can cancel the other.
@@ -453,14 +454,7 @@ pub struct OrchestrationEngine {
     pending_deploys: HashMap<u16, Application>,
     horizon: SimTime,
     lost_tasks: u64,
-    latencies_ms: HashMap<u16, Vec<f64>>,
-    qualities: HashMap<u16, Vec<f64>>,
-    slowest: HashMap<u16, SlowestRequest>,
     app_point_switches: u64,
-    completed: HashMap<u16, u64>,
-    failed: HashMap<u16, u64>,
-    shed: HashMap<u16, u64>,
-    misses: HashMap<u16, u64>,
     /// Shared observability handle, cloned into the simulator, the plan
     /// cache and the deployment proxy. Trace events are only emitted
     /// from this (serial) driver context; parallel scoring paths record
@@ -473,13 +467,8 @@ impl std::fmt::Debug for OrchestrationEngine {
         f.debug_struct("OrchestrationEngine")
             .field("policy", &self.wl.policy_name())
             .field("apps", &self.apps.len())
-            .field("requests", &self.requests.len())
             .finish()
     }
-}
-
-fn req_key(app: u16, request: u32) -> u64 {
-    ((app as u64) << 32) | request as u64
 }
 
 impl OrchestrationEngine {
@@ -496,7 +485,6 @@ impl OrchestrationEngine {
             sec: PrivacySecurityManager::new(cfg.enforce_security),
             elasticity: cfg.elasticity.map(ElasticityManager::new),
             fed: None,
-            fed_maxed: HashSet::new(),
             cfg,
             wl,
             node_mgr,
@@ -504,22 +492,13 @@ impl OrchestrationEngine {
             net_mgr: NetworkManager::new(),
             kb: KnowledgeBase::new(),
             plan_cache: RouteCache::with_obs(obs.clone()),
-            app_mon: ApplicationMonitor::new(),
             apps: Vec::new(),
-            requests: HashMap::new(),
             replicas: HashMap::new(),
             pending_flows: HashMap::new(),
             pending_deploys: HashMap::new(),
             horizon: SimTime::ZERO,
             lost_tasks: 0,
-            latencies_ms: HashMap::new(),
-            qualities: HashMap::new(),
-            slowest: HashMap::new(),
             app_point_switches: 0,
-            completed: HashMap::new(),
-            failed: HashMap::new(),
-            shed: HashMap::new(),
-            misses: HashMap::new(),
             obs,
         }
     }
@@ -556,7 +535,7 @@ impl OrchestrationEngine {
     /// "orchestration at deployment time (when a computation request is
     /// issued)" with requests arriving while the system already runs.
     /// Late applications that fail placement at their arrival instant
-    /// are dropped (counted as zero-completion apps) rather than
+    /// are dropped — they get no entry in `report.apps` — rather than
     /// aborting the run.
     ///
     /// # Errors
@@ -570,9 +549,6 @@ impl OrchestrationEngine {
         horizon: SimTime,
     ) -> Result<OrchestrationReport, PlaceError> {
         self.horizon = horizon;
-        // Backend selection must precede `set_obs`: arming the scrape
-        // timer schedules the first event, freezing the queue choice.
-        continuum.sim_mut().set_backend(self.cfg.backend);
         continuum.sim_mut().set_obs(self.obs.clone());
         continuum.sim_mut().set_retry_policy(self.cfg.retry);
         continuum.sim_mut().set_admission(self.cfg.admission);
@@ -680,32 +656,25 @@ impl OrchestrationEngine {
                 let _ = proxy.apply_placement(app_id, &app, &placement);
             }
         }
+        let mut requests = Vec::with_capacity(compiled.len());
         for mut req in compiled {
             // Arrivals are generated relative to the deployment instant.
             req.released = now + req.released.saturating_since(SimTime::ZERO);
             let n = req.stages.len();
             let deps_left: Vec<usize> = req.stages.iter().map(|s| s.preds.len()).collect();
-            let key = req_key(app_id, req.request_idx);
-            let released = req.released;
-            self.requests.insert(
-                key,
-                RequestState {
-                    done: vec![false; n],
-                    deps_left,
-                    finish_node: vec![None; n],
-                    retries: vec![0; n],
-                    last_finish: released,
-                    failed: false,
-                    completed: false,
-                    compiled: req,
-                    point_idx: 0,
-                    finish_at: vec![None; n],
-                },
-            );
-            let tag =
-                Tag { app: app_id, request: (key & 0xFFFF_FFFF) as u32, stage: ARRIVAL_STAGE };
-            let after = released.saturating_since(now);
-            sim.set_timer(after, tag.encode());
+            let tag = Tag { app: app_id, request: req.request_idx, stage: ARRIVAL_STAGE };
+            sim.set_timer(req.released.saturating_since(now), tag.encode());
+            requests.push(RequestState {
+                done: vec![false; n],
+                deps_left,
+                finish_node: vec![None; n],
+                retries: vec![0; n],
+                failed: false,
+                completed: false,
+                compiled: req,
+                point_idx: 0,
+                finish_at: vec![None; n],
+            });
         }
         self.apps.push(AppRuntime {
             id: app_id,
@@ -717,6 +686,15 @@ impl OrchestrationEngine {
             window_missed: 0,
             clean_rounds: 0,
             priority,
+            requests,
+            completed: 0,
+            failed: 0,
+            shed: 0,
+            misses: 0,
+            latencies_ms: Vec::new(),
+            quality_sum: 0.0,
+            slowest: SlowestRequest::default(),
+            replicas_maxed: false,
         });
         Ok(())
     }
@@ -738,27 +716,22 @@ impl OrchestrationEngine {
         }
         let apps = self
             .apps
-            .iter()
+            .drain(..)
             .map(|a| AppReport {
                 app_id: a.id,
-                name: a.app.name.clone(),
-                completed: self.completed.get(&a.id).copied().unwrap_or(0),
-                failed: self.failed.get(&a.id).copied().unwrap_or(0),
-                shed: self.shed.get(&a.id).copied().unwrap_or(0),
-                deadline_misses: self.misses.get(&a.id).copied().unwrap_or(0),
-                latency_ms: self.latencies_ms.get(&a.id).and_then(|v| Summary::of(v)),
-                mean_quality: self
-                    .qualities
-                    .get(&a.id)
-                    .filter(|v| !v.is_empty())
-                    .map(|v| v.iter().sum::<f64>() / v.len() as f64)
-                    .unwrap_or(1.0),
-                slowest_trace: self.slowest.get(&a.id).map(|s| s.trace.clone()).unwrap_or_default(),
-                critical_path: self
-                    .slowest
-                    .get(&a.id)
-                    .map(|s| s.critical_path.clone())
-                    .unwrap_or_default(),
+                latency_ms: Summary::of(&a.latencies_ms),
+                mean_quality: if a.completed == 0 {
+                    1.0
+                } else {
+                    a.quality_sum / a.completed as f64
+                },
+                name: a.app.name,
+                completed: a.completed,
+                failed: a.failed,
+                shed: a.shed,
+                deadline_misses: a.misses,
+                slowest_trace: a.slowest.trace,
+                critical_path: a.slowest.critical_path,
             })
             .collect();
         OrchestrationReport {
@@ -792,13 +765,13 @@ impl OrchestrationEngine {
         self.apps.iter().position(|a| a.id == app_id)
     }
 
-    /// Submits one stage of one request. `src_hint` is the node where the
-    /// triggering data currently lives (None for source stages: data is
-    /// born on the placed node).
-    fn submit_stage(&mut self, sim: &mut SimCore, app_id: u16, request: u32, stage_idx: usize) {
-        let Some(app_pos) = self.app_index(app_id) else { return };
-        let key = req_key(app_id, request);
-        let Some(state) = self.requests.get(&key) else { return };
+    /// Submits one stage of one request of the application at
+    /// `app_pos`. Data flows in from the node where the most recently
+    /// finished predecessor ran (source stages: born on the placed node).
+    fn submit_stage(&mut self, sim: &mut SimCore, app_pos: usize, request: u32, stage_idx: usize) {
+        let rt = &self.apps[app_pos];
+        let app_id = rt.id;
+        let Some(state) = rt.requests.get(request as usize) else { return };
         if state.failed || state.done[stage_idx] {
             return;
         }
@@ -806,12 +779,7 @@ impl OrchestrationEngine {
         let released = state.compiled.released;
         // Apply the request's operating point (work/bytes scaling).
         if state.point_idx > 0 {
-            if let Some(point) = self
-                .apps
-                .iter()
-                .find(|a| a.id == app_id)
-                .and_then(|a| a.points.get(state.point_idx))
-            {
+            if let Some(point) = rt.points.get(state.point_idx) {
                 stage.work_mc *= point.work_scale;
                 stage.input_bytes = (stage.input_bytes as f64 * point.bytes_scale) as u64;
                 stage.output_bytes = (stage.output_bytes as f64 * point.bytes_scale) as u64;
@@ -991,12 +959,7 @@ impl OrchestrationEngine {
         if result.is_err() {
             // Destination unusable and no recovery possible: fail the
             // request.
-            if let Some(st) = self.requests.get_mut(&key) {
-                if !st.failed {
-                    st.failed = true;
-                    *self.failed.entry(app_id).or_default() += 1;
-                }
-            }
+            self.mark_failed(app_pos, request);
         } else if self.cfg.replicate_critical && stage.max_latency.is_some() {
             // k=2 replicated placement for deadline-critical stages:
             // the twin runs on a different surviving node and the first
@@ -1066,7 +1029,6 @@ impl OrchestrationEngine {
         outcome: &myrtus_continuum::task::TaskOutcome,
     ) {
         let tag = Tag::decode(outcome.task.tag);
-        let key = req_key(tag.app, tag.request);
         // First-completion-wins replica dedup: the winner cancels its
         // still-running twin wherever it currently is.
         if let Some((sib, sib_node)) = self.replicas.remove(&outcome.task.id.as_raw()) {
@@ -1089,9 +1051,10 @@ impl OrchestrationEngine {
             outcome.deadline_met,
         );
         self.sec.observe(outcome.node, myrtus_security::trust::Observation::TaskOk);
-        self.app_mon.record(outcome);
 
-        let Some(state) = self.requests.get_mut(&key) else { return };
+        let Some(pos) = self.app_index(tag.app) else { return };
+        let rt = &mut self.apps[pos];
+        let Some(state) = rt.requests.get_mut(tag.request as usize) else { return };
         let si = tag.stage as usize;
         if si >= state.done.len() || state.done[si] {
             return;
@@ -1099,7 +1062,6 @@ impl OrchestrationEngine {
         state.done[si] = true;
         state.finish_node[si] = Some(outcome.node);
         state.finish_at[si] = Some(outcome.at);
-        state.last_finish = outcome.at;
         // Unlock successors.
         let mut ready = Vec::new();
         for (j, stage) in state.compiled.stages.iter().enumerate() {
@@ -1116,27 +1078,20 @@ impl OrchestrationEngine {
         if all_done && !state.completed && !state.failed {
             state.completed = true;
             let latency = outcome.at.saturating_since(released);
-            let point_idx = state.point_idx;
-            *self.completed.entry(tag.app).or_default() += 1;
-            self.latencies_ms.entry(tag.app).or_default().push(latency.as_millis_f64());
+            let lat_ms = latency.as_millis_f64();
             let missed = deadline.is_some_and(|d| latency > d);
+            rt.completed += 1;
+            rt.latencies_ms.push(lat_ms);
+            rt.window_done += 1;
             if missed {
-                *self.misses.entry(tag.app).or_default() += 1;
+                rt.misses += 1;
+                rt.window_missed += 1;
             }
-            if let Some(rt) = self.apps.iter_mut().find(|a| a.id == tag.app) {
-                rt.window_done += 1;
-                if missed {
-                    rt.window_missed += 1;
-                }
-                let quality = rt.points.get(point_idx).map(|p| p.quality).unwrap_or(1.0);
-                self.qualities.entry(tag.app).or_default().push(quality);
-            }
+            rt.quality_sum += rt.points.get(state.point_idx).map(|p| p.quality).unwrap_or(1.0);
             // Application monitoring: keep the worst request's trace
             // plus its measured critical path (the chain of binding
             // dependencies that set the end-to-end latency).
-            let lat_ms = latency.as_millis_f64();
-            let entry = self.slowest.entry(tag.app).or_default();
-            if lat_ms > entry.latency_ms {
+            if lat_ms > rt.slowest.latency_ms {
                 let span = |j: usize, stg: &myrtus_workload::compile::CompiledStage| {
                     Some(StageSpan {
                         stage: stg.name.clone(),
@@ -1159,29 +1114,24 @@ impl OrchestrationEngine {
                     .into_iter()
                     .filter_map(|j| span(j, &state.compiled.stages[j]))
                     .collect();
-                *entry = SlowestRequest { latency_ms: lat_ms, trace, critical_path };
+                rt.slowest = SlowestRequest { latency_ms: lat_ms, trace, critical_path };
             }
-            let now = sim.now();
-            self.kb.record_kpi(
-                &self.apps[self.app_index(tag.app).unwrap_or(0)].app.name.clone(),
-                "latency_ms",
-                now,
-                latency.as_millis_f64(),
-            );
+            self.kb.record_kpi(&rt.app.name, "latency_ms", sim.now(), lat_ms);
         }
         for j in ready {
-            self.submit_stage(sim, tag.app, tag.request, j);
+            self.submit_stage(sim, pos, tag.request, j);
         }
     }
 
     /// Marks a request failed (once) — degraded, not wedged: its other
     /// stages keep their terminal accounting and the app's report shows
     /// the loss instead of the run hanging on it.
-    fn mark_failed(&mut self, app_id: u16, key: u64) {
-        if let Some(st) = self.requests.get_mut(&key) {
+    fn mark_failed(&mut self, app_pos: usize, request: u32) {
+        let rt = &mut self.apps[app_pos];
+        if let Some(st) = rt.requests.get_mut(request as usize) {
             if !st.failed && !st.completed {
                 st.failed = true;
-                *self.failed.entry(app_id).or_default() += 1;
+                rt.failed += 1;
             }
         }
     }
@@ -1190,13 +1140,23 @@ impl OrchestrationEngine {
     /// its stages, so the request terminates — degraded like a failure
     /// (no further submissions) but tallied separately, because shedding
     /// is a *policy* outcome, not a fault.
-    fn mark_shed(&mut self, app_id: u16, key: u64) {
-        if let Some(st) = self.requests.get_mut(&key) {
+    fn mark_shed(&mut self, app_pos: usize, request: u32) {
+        let rt = &mut self.apps[app_pos];
+        if let Some(st) = rt.requests.get_mut(request as usize) {
             if !st.failed && !st.completed {
                 st.failed = true;
-                *self.shed.entry(app_id).or_default() += 1;
+                rt.shed += 1;
             }
         }
+    }
+
+    /// Whether stage `si` of the tagged request has already completed.
+    fn stage_done(&self, app_pos: usize, tag: Tag) -> bool {
+        let si = tag.stage as usize;
+        self.apps[app_pos]
+            .requests
+            .get(tag.request as usize)
+            .is_some_and(|st| si < st.done.len() && st.done[si])
     }
 
     /// A stage task was dropped by admission control. The simulator has
@@ -1205,15 +1165,13 @@ impl OrchestrationEngine {
     /// twin is still in flight and can complete the stage alone.
     fn on_task_shed(&mut self, task: &TaskInstance) {
         let tag = Tag::decode(task.tag);
-        let key = req_key(tag.app, tag.request);
         if let Some((sib, _)) = self.replicas.remove(&task.id.as_raw()) {
             self.replicas.remove(&sib);
             return; // the twin fights on alone
         }
-        let si = tag.stage as usize;
-        let done = self.requests.get(&key).is_some_and(|st| si < st.done.len() && st.done[si]);
-        if !done {
-            self.mark_shed(tag.app, key);
+        let Some(pos) = self.app_index(tag.app) else { return };
+        if !self.stage_done(pos, tag) {
+            self.mark_shed(pos, tag.request);
         }
     }
 
@@ -1227,28 +1185,26 @@ impl OrchestrationEngine {
         self.lost_tasks += 1;
         self.sec.observe(failed, myrtus_security::trust::Observation::TaskFailed);
         let tag = Tag::decode(task.tag);
-        let key = req_key(tag.app, tag.request);
         let si = tag.stage as usize;
-        let alive = self
-            .requests
-            .get(&key)
-            .is_some_and(|st| !st.failed && si < st.done.len() && !st.done[si]);
         let Some(app_pos) = self.app_index(tag.app) else {
             sim.note_give_up(task.id);
             return;
         };
-        if !alive {
+        let rt = &self.apps[app_pos];
+        let Some(st) = rt
+            .requests
+            .get(tag.request as usize)
+            .filter(|st| !st.failed && si < st.done.len() && !st.done[si])
+        else {
             // The request already failed, or the stage completed on the
             // surviving replica: terminate this attempt quietly.
             sim.note_give_up(task.id);
             return;
-        }
-        let src = self.requests.get(&key).and_then(|st| {
-            st.compiled.stages[si].preds.iter().filter_map(|&p| st.finish_node[p]).next_back()
-        });
-        let comp_idx = self.requests[&key].compiled.stages[si].component_idx;
+        };
+        let stage = &st.compiled.stages[si];
+        let src = stage.preds.iter().filter_map(|&p| st.finish_node[p]).next_back();
+        let comp_idx = stage.component_idx;
         let target = {
-            let rt = &self.apps[app_pos];
             let candidates = self.region_filter(rt.id, self.sec.candidates(sim, &rt.app, &rt.dag));
             let dag_pos =
                 rt.dag.nodes().iter().position(|n| n.component_idx == comp_idx).unwrap_or(0);
@@ -1280,7 +1236,7 @@ impl OrchestrationEngine {
         };
         let Some(dst) = target else {
             sim.note_give_up(task.id);
-            self.mark_failed(tag.app, key);
+            self.mark_failed(app_pos, tag.request);
             return;
         };
         // Keep the twin pairing pointed at the task's new host so a
@@ -1297,7 +1253,7 @@ impl OrchestrationEngine {
         };
         if sent.is_err() {
             sim.note_give_up(id);
-            self.mark_failed(tag.app, key);
+            self.mark_failed(app_pos, tag.request);
         }
     }
 
@@ -1307,15 +1263,13 @@ impl OrchestrationEngine {
     fn on_task_abandoned(&mut self, task: &TaskInstance) {
         self.lost_tasks += 1;
         let tag = Tag::decode(task.tag);
-        let key = req_key(tag.app, tag.request);
         if let Some((sib, _)) = self.replicas.remove(&task.id.as_raw()) {
             self.replicas.remove(&sib);
             return; // the twin fights on alone
         }
-        let si = tag.stage as usize;
-        let done = self.requests.get(&key).is_some_and(|st| si < st.done.len() && st.done[si]);
-        if !done {
-            self.mark_failed(tag.app, key);
+        let Some(pos) = self.app_index(tag.app) else { return };
+        if !self.stage_done(pos, tag) {
+            self.mark_failed(pos, tag.request);
         }
     }
 
@@ -1324,18 +1278,19 @@ impl OrchestrationEngine {
         for t in tasks {
             self.lost_tasks += 1;
             let tag = Tag::decode(t.tag);
-            let key = req_key(tag.app, tag.request);
-            let Some(state) = self.requests.get_mut(&key) else { continue };
+            let Some(pos) = self.app_index(tag.app) else { continue };
+            let Some(state) = self.apps[pos].requests.get_mut(tag.request as usize) else {
+                continue;
+            };
             let si = tag.stage as usize;
             if si >= state.retries.len() || state.failed || state.done[si] {
                 continue;
             }
             if self.cfg.reallocation && state.retries[si] < self.cfg.max_retries {
                 state.retries[si] += 1;
-                self.submit_stage(sim, tag.app, tag.request, si);
-            } else if !state.failed {
-                state.failed = true;
-                *self.failed.entry(tag.app).or_default() += 1;
+                self.submit_stage(sim, pos, tag.request, si);
+            } else {
+                self.mark_failed(pos, tag.request);
             }
         }
     }
@@ -1538,9 +1493,9 @@ impl OrchestrationEngine {
                             >= e.max_replicas
                     });
                     if at_max {
-                        self.fed_maxed.insert(app_id);
+                        self.apps[pos].replicas_maxed = true;
                     }
-                    self.fed_maxed.contains(&app_id)
+                    self.apps[pos].replicas_maxed
                 }
             };
             let query = self.burst_query(pos);
@@ -1824,33 +1779,22 @@ impl Driver for OrchestrationEngine {
                 if t.stage == ARRIVAL_STAGE {
                     // Deployment metadata applied at run time: the request
                     // executes at the app's *current* operating point.
-                    let key = req_key(t.app, t.request);
+                    let Some(pos) = self.app_index(t.app) else { return };
+                    let rt = &mut self.apps[pos];
+                    let Some(st) = rt.requests.get_mut(t.request as usize) else { return };
                     if self.cfg.app_point_adaptation {
-                        let point = self
-                            .apps
-                            .iter()
-                            .find(|a| a.id == t.app)
-                            .map(|a| a.point_idx)
-                            .unwrap_or(0);
-                        if let Some(st) = self.requests.get_mut(&key) {
-                            st.point_idx = point;
-                        }
+                        st.point_idx = rt.point_idx;
                     }
-                    let sources: Vec<usize> = self
-                        .requests
-                        .get(&key)
-                        .map(|st| {
-                            st.compiled
-                                .stages
-                                .iter()
-                                .enumerate()
-                                .filter(|(_, s)| s.preds.is_empty())
-                                .map(|(i, _)| i)
-                                .collect()
-                        })
-                        .unwrap_or_default();
+                    let sources: Vec<usize> = st
+                        .compiled
+                        .stages
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, s)| s.preds.is_empty())
+                        .map(|(i, _)| i)
+                        .collect();
                     for s in sources {
-                        self.submit_stage(sim, t.app, t.request, s);
+                        self.submit_stage(sim, pos, t.request, s);
                     }
                 }
             }
@@ -2222,6 +2166,53 @@ mod tests {
         // The late app's first completion cannot precede its issuance.
         let lat = report.apps[1].latency_ms.as_ref().expect("has samples");
         assert!(lat.count > 0);
+    }
+
+    #[test]
+    fn report_rows_follow_deployment_order_not_app_ids() {
+        // App ids follow the input order; report rows follow the order
+        // in which deployments succeed. App 1 deploys at time zero, app 0
+        // at 2 s, and app 2 asks for more memory than any node has, so
+        // its late deployment fails and it gets no row at all.
+        let mobility = scenarios::smart_mobility_with(SimTime::from_secs(1));
+        let telerehab = small_telerehab();
+        let mut unplaceable = scenarios::telerehab_with(1);
+        unplaceable.name = "unplaceable".into();
+        unplaceable.components[1].requirements.mem_mb = u64::MAX;
+        let mut continuum = ContinuumBuilder::new().build();
+        let report =
+            OrchestrationEngine::new(Box::new(GreedyBestFit::new()), EngineConfig::default())
+                .run_scheduled(
+                    &mut continuum,
+                    vec![
+                        (mobility.clone(), SimTime::from_secs(2)),
+                        (telerehab.clone(), SimTime::ZERO),
+                        (unplaceable, SimTime::from_secs(3)),
+                    ],
+                    SimTime::from_secs(6),
+                )
+                .expect("time-zero app places");
+        let ids: Vec<u16> = report.apps.iter().map(|a| a.app_id).collect();
+        assert_eq!(ids, vec![1, 0], "deployment order, unplaceable app dropped");
+        let requests = |app: &Application| {
+            compile_requests(app, 0, EngineConfig::default().seed, None).expect("valid").len()
+                as u64
+        };
+        // More telerehab frames complete than smart-mobility even issues,
+        // so swapped tallies cannot pass.
+        assert!(report.apps[0].completed > requests(&mobility), "{:?}", report.apps[0]);
+        for (row, app) in report.apps.iter().zip([&telerehab, &mobility]) {
+            assert_eq!(row.name, app.name);
+            assert!(row.completed > 0 && row.completed <= requests(app), "{row:?}");
+            let lat = row.latency_ms.as_ref().expect("has samples");
+            assert_eq!(lat.count as u64, row.completed, "one latency sample per completion");
+            assert!(
+                row.slowest_trace.iter().all(|s| app.components.iter().any(|c| c.name == s.stage)),
+                "slowest trace runs through {}'s own stages: {:?}",
+                app.name,
+                row.slowest_trace
+            );
+        }
     }
 
     #[test]

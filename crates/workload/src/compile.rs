@@ -42,12 +42,6 @@ impl Tag {
             stage: (raw & 0xFFFF) as u16,
         }
     }
-
-    /// A tag that identifies the application only (request/stage zeroed);
-    /// useful as a monitoring key.
-    pub fn app_key(app: u16) -> u64 {
-        Tag { app, request: 0, stage: 0 }.encode()
-    }
 }
 
 /// One stage (DAG node) of a compiled request.
@@ -215,7 +209,6 @@ mod tests {
     fn tag_round_trips() {
         let t = Tag { app: 513, request: 0xDEADBEEF, stage: 77 };
         assert_eq!(Tag::decode(t.encode()), t);
-        assert_eq!(Tag::decode(Tag::app_key(7)).app, 7);
     }
 
     #[test]

@@ -66,6 +66,12 @@ fn assert_equivalent(scenario: &str, wheel: &Artifacts, heap: &Artifacts) {
     }
 }
 
+/// Asserts the run really executed on `backend` — otherwise the
+/// equivalence tests silently compare wheel against wheel.
+fn assert_backend(continuum: &Continuum, backend: EngineBackend) {
+    assert_eq!(continuum.sim().backend(), backend, "scenario ran on the wrong backend");
+}
+
 /// Runs one scenario closure under the given backend and collects the
 /// exported artifacts.
 fn run_with<F>(backend: EngineBackend, scenario: F) -> Artifacts
@@ -91,8 +97,7 @@ where
 fn quickstart_run(backend: EngineBackend) -> OrchestrationReport {
     let mut continuum = ContinuumBuilder::new().build();
     // The backend must be chosen before the fault plan schedules its
-    // first event; the engine re-asserts the same choice from
-    // `EngineConfig::backend` (a no-op once it matches).
+    // first event.
     continuum.sim_mut().set_backend(backend);
     let link = continuum
         .sim()
@@ -112,16 +117,17 @@ fn quickstart_run(backend: EngineBackend) -> OrchestrationReport {
     let engine = OrchestrationEngine::new(
         Box::new(GreedyBestFit::new()),
         EngineConfig {
-            backend,
             obs: ObsConfig::on(),
             retry: Some(retry),
             replicate_critical: true,
             ..EngineConfig::default()
         },
     );
-    engine
+    let report = engine
         .run(&mut continuum, vec![scenarios::telerehab_with(3)], SimTime::from_secs(6))
-        .expect("placeable")
+        .expect("placeable");
+    assert_backend(&continuum, backend);
+    report
 }
 
 /// Chaos-style run: a seeded random fault plan (crashes, link cuts,
@@ -146,34 +152,38 @@ fn chaos_run(backend: EngineBackend, seed: u64) -> OrchestrationReport {
     .apply(continuum.sim_mut());
     let engine = OrchestrationEngine::new(
         Box::new(GreedyBestFit::new()),
-        EngineConfig { backend, obs: ObsConfig::on(), ..EngineConfig::default() },
+        EngineConfig { obs: ObsConfig::on(), ..EngineConfig::default() },
     );
-    engine
+    let report = engine
         .run(&mut continuum, vec![scenarios::telerehab_with(2)], horizon)
-        .expect("time-zero placement precedes every fault")
+        .expect("time-zero placement precedes every fault");
+    assert_backend(&continuum, backend);
+    report
 }
 
 /// Surge-style run: seeded open-loop overload through admission
 /// control, load shedding and the MAPE autoscaler.
 fn surge_run(backend: EngineBackend, seed: u64) -> OrchestrationReport {
     let mut continuum: Continuum = ContinuumBuilder::new().build();
+    continuum.sim_mut().set_backend(backend);
     let engine = OrchestrationEngine::new(
         Box::new(GreedyBestFit::new()),
         EngineConfig {
-            backend,
             obs: ObsConfig::on(),
             admission: Some(AdmissionPolicy { rate_per_window: 20, ..AdmissionPolicy::default() }),
             elasticity: Some(ElasticityConfig::default()),
             ..EngineConfig::default()
         },
     );
-    engine
+    let report = engine
         .run(
             &mut continuum,
             scenarios::surge::surge_mix(seed, SimTime::from_secs(4)),
             SimTime::from_secs(5),
         )
-        .expect("placeable")
+        .expect("placeable");
+    assert_backend(&continuum, backend);
+    report
 }
 
 /// Adversarial tie-break run: everything in this workload is built to
@@ -225,14 +235,15 @@ fn collision_run(backend: EngineBackend) -> OrchestrationReport {
     let engine = OrchestrationEngine::new(
         Box::new(GreedyBestFit::new()),
         EngineConfig {
-            backend,
             obs: ObsConfig::on(),
             retry: Some(retry),
             replicate_critical: true,
             ..EngineConfig::default()
         },
     );
-    engine.run(&mut continuum, vec![app], SimTime::from_secs(2)).expect("placeable")
+    let report = engine.run(&mut continuum, vec![app], SimTime::from_secs(2)).expect("placeable");
+    assert_backend(&continuum, backend);
+    report
 }
 
 #[test]
@@ -268,20 +279,4 @@ fn surge_exports_are_backend_identical() {
     for seed in [1, 7] {
         both(&format!("surge(seed={seed})"), |backend| surge_run(backend, seed));
     }
-}
-
-#[test]
-fn backend_plumbs_through_engine_config() {
-    // The config's backend must actually reach the core — otherwise the
-    // equivalence tests above silently compare wheel against wheel.
-    let mut continuum = ContinuumBuilder::new().build();
-    assert_eq!(continuum.sim().backend(), EngineBackend::Wheel);
-    let engine = OrchestrationEngine::new(
-        Box::new(GreedyBestFit::new()),
-        EngineConfig { backend: EngineBackend::Heap, ..EngineConfig::default() },
-    );
-    engine
-        .run(&mut continuum, vec![scenarios::telerehab_with(1)], SimTime::from_secs(2))
-        .expect("placeable");
-    assert_eq!(continuum.sim().backend(), EngineBackend::Heap);
 }
