@@ -23,7 +23,8 @@
 //!
 //! Usage: `exp_vm [seed]` (default 7, the CI matrix passes 1-3). With
 //! `E15_DUMP` set, both arms' trace, metrics and time-series exports
-//! are written to `/tmp/e15_{cold,live}_{trace.jsonl,metrics.jsonl,ts.csv}`.
+//! are written to `e15_{cold,live}_{trace.jsonl,metrics.jsonl,ts.csv}` in
+//! the system temp directory (`$TMPDIR`, else `/tmp`).
 
 use std::time::Instant;
 
@@ -138,7 +139,8 @@ fn main() {
     if dump {
         for (arm, r) in [("cold", &cold), ("live", &live)] {
             let write = |kind: &str, body: String| {
-                std::fs::write(format!("/tmp/e15_{arm}_{kind}"), body).unwrap();
+                std::fs::write(std::env::temp_dir().join(format!("e15_{arm}_{kind}")), body)
+                    .unwrap();
             };
             write("ts.csv", r.obs.export_timeseries_csv());
             write("trace.jsonl", r.obs.export_trace_jsonl());

@@ -23,9 +23,10 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::sync::OnceLock;
 
 use myrtus_obs::{Obs, TraceKind};
-use myrtus_vm::{Checkpoint, CostTable, IsaClass, Program, VmState};
+use myrtus_vm::{Checkpoint, CostTable, IsaClass, OpCounts, Program, VmState};
 
 use crate::admission::{AdmissionDecision, AdmissionPolicy, AdmissionState};
 use crate::ids::{MsgId, NodeId, TaskId, TimerId};
@@ -640,6 +641,10 @@ fn isa_of(kind: NodeKind) -> IsaClass {
 #[derive(Debug)]
 struct VmRuntime {
     programs: Vec<Program>,
+    /// Per-program op-class census ([`Program::seed_free_counts`]),
+    /// filled at the program's first fresh boot; `Some(None)` marks a
+    /// program whose cost depends on its seed.
+    census: Vec<OnceLock<Option<OpCounts>>>,
     /// Interpreter images of bodied tasks resident at some node,
     /// keyed by raw task id.
     images: HashMap<u64, VmImage>,
@@ -658,7 +663,7 @@ struct VmRuntime {
 struct VmImage {
     prog: u32,
     table: CostTable,
-    /// Steps from `vm` to halt, fixed by the admission scratch run.
+    /// Steps from `vm` to halt, fixed when the arrival was priced.
     steps_to_halt: u64,
     vm: VmState,
 }
@@ -1062,6 +1067,7 @@ impl SimCore {
     /// without the VM subsystem.
     pub fn set_vm(&mut self, cfg: VmConfig) {
         self.vm = Some(VmRuntime {
+            census: vec![OnceLock::new(); cfg.programs.len()],
             programs: cfg.programs,
             images: HashMap::new(),
             pending: HashMap::new(),
@@ -1109,9 +1115,12 @@ impl SimCore {
     /// Resolves a bodied task at arrival: resumes the in-transit
     /// checkpoint if one is pending (live migration) or boots a fresh
     /// image, and re-prices `work_mc` from the program's remaining cost
-    /// under this node's ISA class and current DVFS operating point.
-    /// That one scratch run also fixes the steps a completion retires.
-    /// Unknown program indices leave the task on the scalar path.
+    /// under this node's ISA class and current DVFS operating point;
+    /// that cost also fixes the steps a completion retires. A fresh
+    /// boot of a seed-independent program is priced from the program's
+    /// cached census; a resume, or a program whose cost depends on its
+    /// seed, is priced by one scratch run to halt. Unknown program
+    /// indices leave the task on the scalar path.
     fn vm_admit(&mut self, node: NodeId, task: &mut TaskInstance) {
         let Some(body) = task.body else { return };
         let Some((kind, freq)) =
@@ -1128,8 +1137,16 @@ impl SimCore {
         let resumed =
             vm.pending.remove(&raw).and_then(|cp| VmState::from_checkpoint(&cp, program).ok());
         let is_resume = resumed.is_some();
+        let census = if is_resume {
+            None
+        } else {
+            vm.census[body.program as usize].get_or_init(|| program.seed_free_counts()).as_ref()
+        };
         let state = resumed.unwrap_or_else(|| VmState::new(program, body.seed));
-        let (steps_to_halt, cycles) = state.cost_to_halt(program, &table);
+        let (steps_to_halt, cycles) = match census {
+            Some(c) => (c.steps, c.cycles(&table)),
+            None => state.cost_to_halt(program, &table),
+        };
         task.work_mc = cycles as f64 / 1e6;
         vm.images.insert(raw, VmImage { prog: body.program, table, steps_to_halt, vm: state });
         if is_resume {
@@ -1142,7 +1159,7 @@ impl SimCore {
 
     /// Retires a bodied task at completion: the scalar model just
     /// served exactly the cycles priced at arrival, so the image ends
-    /// at the tally its admission run fixed — nothing is interpreted.
+    /// at the tally fixed at admission — nothing is interpreted.
     fn vm_finalize(&mut self, raw: u64) {
         let Some(vm) = self.vm.as_mut() else { return };
         let Some(img) = vm.images.remove(&raw) else { return };
@@ -2542,6 +2559,111 @@ mod tests {
         assert_eq!(sim.obs().counter_value("vm_steps_total", ""), total_steps);
     }
 
+    /// A loop that branches on a seeded input's low bit, so its op
+    /// sequence and cost differ per seed and admissions cannot be priced
+    /// from a census.
+    fn vm_seeded_program(iters: i64) -> myrtus_vm::Program {
+        use myrtus_vm::Op;
+        let ops = vec![
+            Op::Push(iters),
+            Op::Store(0),
+            Op::Input,
+            Op::Push(1),
+            Op::And,
+            Op::Jz(8), // even input → skip the kernel
+            Op::Mix,
+            Op::Out,
+            Op::LoopDec(0, 2),
+            Op::Halt,
+        ];
+        Program::new(ops, 1).expect("valid program")
+    }
+
+    /// The census slot of program 0, read straight off the runtime.
+    fn census_slot(sim: &SimCore) -> Option<Option<OpCounts>> {
+        sim.vm.as_ref().expect("vm installed").census[0].get().copied()
+    }
+
+    #[test]
+    fn seed_dependent_bodies_are_priced_per_seed() {
+        use crate::task::TaskBody;
+        use myrtus_obs::{Obs, ObsConfig};
+        let program = vm_seeded_program(2_000);
+        let table = CostTable::for_isa(IsaClass::Arm, 1.0);
+        let (mut sim, node) = one_node_sim();
+        sim.set_obs(Obs::new(ObsConfig::on()));
+        sim.set_vm(VmConfig::new(vec![program.clone()]));
+        let seeds = [1u64, 2, 3, 4, 5, 6];
+        let mut ids = Vec::new();
+        for &seed in &seeds {
+            let id = sim.fresh_task_id();
+            sim.submit_local(node, TaskInstance::new(id, 1.0).with_body(TaskBody::new(0, seed)))
+                .expect("submit");
+            ids.push(id);
+        }
+        let mut rec = Recorder::default();
+        sim.run_until(SimTime::from_secs(60), &mut rec);
+        assert_eq!(rec.completed.len(), seeds.len());
+        assert_eq!(census_slot(&sim), Some(None), "the census declines a seed-steered program");
+        let mut costs = Vec::new();
+        let mut steps_total = 0;
+        for (&seed, &id) in seeds.iter().zip(&ids) {
+            let (steps, cycles) = program.full_cost(seed, &table);
+            let done = rec.completed.iter().find(|o| o.task.id == id).expect("completed");
+            assert_eq!(done.task.work_mc, cycles as f64 / 1e6, "seed {seed}");
+            assert_eq!(sim.vm_steps_of(id), Some(steps), "seed {seed}");
+            costs.push(cycles);
+            steps_total += steps;
+        }
+        costs.dedup();
+        assert!(costs.len() > 1, "the seeds really price differently");
+        assert_eq!(sim.obs().counter_value("vm_steps_total", ""), steps_total);
+    }
+
+    #[test]
+    fn seed_free_bodies_are_priced_from_the_census_on_every_isa() {
+        use crate::task::TaskBody;
+        use myrtus_obs::{Obs, ObsConfig};
+        let program = vm_test_program(2_000);
+        let census = program.seed_free_counts().expect("seed-free program");
+        let mut sim = SimCore::new();
+        sim.set_obs(Obs::new(ObsConfig::on()));
+        let arm = sim.add_node(NodeSpec::preset_edge_multicore("arm"));
+        let eco = sim.add_node(NodeSpec::preset_edge_multicore("arm-eco"));
+        let riscv = sim.add_node(NodeSpec::preset_edge_riscv("riscv"));
+        let server = sim.add_node(NodeSpec::preset_cloud_server("server"));
+        sim.switch_operating_point(eco, 1).expect("eco point");
+        sim.set_vm(VmConfig::new(vec![program.clone()]));
+        assert_eq!(census_slot(&sim), None, "installing the runtime computes no census");
+        let hosts = [
+            (arm, CostTable::for_isa(IsaClass::Arm, 1.0)),
+            (eco, CostTable::for_isa(IsaClass::Arm, 0.6)),
+            (riscv, CostTable::for_isa(IsaClass::Riscv, 1.0)),
+            (server, CostTable::for_isa(IsaClass::Server, 1.0)),
+        ];
+        let mut ids = Vec::new();
+        for (seed, &(node, _)) in hosts.iter().enumerate() {
+            let id = sim.fresh_task_id();
+            let t = TaskInstance::new(id, 1.0).with_body(TaskBody::new(0, 10 + seed as u64));
+            sim.submit_local(node, t).expect("submit");
+            ids.push(id);
+        }
+        let mut rec = Recorder::default();
+        sim.run_until(SimTime::from_secs(60), &mut rec);
+        assert_eq!(census_slot(&sim), Some(Some(census)), "filled at the first fresh boot");
+        for (seed, (&(node, table), &id)) in hosts.iter().zip(&ids).enumerate() {
+            let (steps, cycles) = program.full_cost(10 + seed as u64, &table);
+            assert_eq!((census.steps, census.cycles(&table)), (steps, cycles));
+            let done = rec.completed.iter().find(|o| o.task.id == id).expect("completed");
+            assert_eq!(done.node, node);
+            assert_eq!(done.task.work_mc, cycles as f64 / 1e6, "host {node:?}");
+            assert_eq!(sim.vm_steps_of(id), Some(steps));
+        }
+        let prices: HashSet<u64> = hosts.iter().map(|(_, t)| census.cycles(t)).collect();
+        assert_eq!(prices.len(), hosts.len(), "every host prices the census differently");
+        assert_eq!(sim.obs().counter_value("vm_steps_total", ""), census.steps * 4);
+    }
+
     /// Two-node harness for migration tests: an ARM edge node and a
     /// server-class cloud node joined by one duplex link.
     fn migration_sim() -> (SimCore, NodeId, NodeId) {
@@ -2552,11 +2674,17 @@ mod tests {
         (sim, edge, cloud)
     }
 
+    /// Holds for a census-priced program and for a seed-dependent one.
     #[test]
     fn live_migration_resumes_across_isas_and_conserves_steps() {
+        for program in [vm_test_program(20_000), vm_seeded_program(20_000)] {
+            live_migration_conserves_steps(program);
+        }
+    }
+
+    fn live_migration_conserves_steps(program: Program) {
         use crate::task::TaskBody;
         use myrtus_obs::{Obs, ObsConfig};
-        let program = vm_test_program(20_000);
         let table = CostTable::for_isa(IsaClass::Arm, 1.0);
         let total_steps = program.full_cost(7, &table).0;
         let (mut sim, edge, cloud) = migration_sim();
@@ -2618,12 +2746,18 @@ mod tests {
     }
 
     /// Every way a running body can be killed counts exactly the steps
-    /// its program retires in the cycles the node served before the kill.
+    /// its program retires in the cycles the node served before the
+    /// kill, whether its admission was census-priced or interpreted.
     #[test]
     fn kills_count_exactly_the_steps_served() {
+        for program in [vm_test_program(20_000), vm_seeded_program(20_000)] {
+            kills_count_steps_served(program);
+        }
+    }
+
+    fn kills_count_steps_served(program: Program) {
         use crate::task::TaskBody;
         use myrtus_obs::{Obs, ObsConfig};
-        let program = vm_test_program(20_000);
         let table = CostTable::for_isa(IsaClass::Arm, 1.0);
         // Mid-way through the body, off any millisecond grid.
         let kill_us = 12_345;

@@ -15,8 +15,13 @@
 //!
 //! Opcodes are *macro-ops* (think basic blocks, not single
 //! instructions): each costs tens to thousands of cycles, so a few
-//! thousand interpreter steps model megacycles of work and the
-//! interpreter never dominates simulation wall time.
+//! thousand interpreter steps model megacycles of work. Interpreting a
+//! body still costs host time per step, and pricing every arrival by a
+//! full scratch run can dominate a simulation's wall time. A program
+//! whose control flow no seed can steer is therefore analysed once
+//! into an ISA-independent [`OpCounts`] census
+//! ([`Program::seed_free_counts`]), which prices it on any host with a
+//! dot product.
 //!
 //! ## Determinism rules
 //!
@@ -99,6 +104,7 @@ pub enum Op {
 }
 
 /// Broad cost class of an opcode (indexes [`CostTable::cycles`]).
+/// Declaration order is slot order, see [`OpClass::index`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpClass {
     /// Stack moves: push/pop/dup/swap.
@@ -113,6 +119,14 @@ pub enum OpClass {
     Io,
     /// The `Mix` compute kernel.
     Kernel,
+}
+
+impl OpClass {
+    /// Slot of this class in [`CostTable::cycles`] and
+    /// [`OpCounts::by_class`].
+    pub fn index(self) -> usize {
+        self as usize
+    }
 }
 
 impl Op {
@@ -304,6 +318,81 @@ impl Program {
     pub fn full_cost(&self, seed: u64, table: &CostTable) -> (u64, u64) {
         VmState::new(self, seed).cost_to_halt(self, table)
     }
+
+    /// The op-class census of a run from [`VmState::new`], if it is the
+    /// same for every seed; `None` when seeded input may steer control
+    /// flow.
+    ///
+    /// One run tracks a taint bit per stack slot and local: [`Op::Input`]
+    /// pushes a tainted value, and every op that moves or combines
+    /// values carries taint along. Halting depends only on control flow
+    /// (pc, the step bound, `Halt`), and so does the stack depth that
+    /// decides `STACK_MAX` drops and empty-stack pops. So if no `Jz`
+    /// pops a tainted value and no `LoopDec` counts down a tainted
+    /// local, every seed executes the same op sequence, and the census
+    /// prices any seed's full run: `(c.steps, c.cycles(t))` equals
+    /// [`Program::full_cost`]`(seed, t)`.
+    pub fn seed_free_counts(&self) -> Option<OpCounts> {
+        // Prices are irrelevant here; only the op sequence is recorded.
+        let free = CostTable { cycles: [0; 6] };
+        let mut vm = VmState::new(self, 0);
+        let mut stack: Vec<bool> = Vec::new();
+        let mut locals = vec![false; self.locals as usize];
+        let pop = |stack: &mut Vec<bool>| stack.pop().unwrap_or(false);
+        let push = |stack: &mut Vec<bool>, t: bool| {
+            if stack.len() < STACK_MAX {
+                stack.push(t);
+            }
+        };
+        let mut by_class = [0; 6];
+        while !vm.halted {
+            let Some(&op) = self.ops.get(vm.pc as usize) else { break };
+            match op {
+                Op::Push(_) => push(&mut stack, false),
+                Op::Pop | Op::Out => {
+                    pop(&mut stack);
+                }
+                Op::Dup => {
+                    let t = stack.last().copied().unwrap_or(false);
+                    push(&mut stack, t);
+                }
+                Op::Swap => {
+                    let b = pop(&mut stack);
+                    let a = pop(&mut stack);
+                    push(&mut stack, b);
+                    push(&mut stack, a);
+                }
+                Op::Add
+                | Op::Sub
+                | Op::Mul
+                | Op::And
+                | Op::Or
+                | Op::Xor
+                | Op::Shl
+                | Op::Shr
+                | Op::Eq
+                | Op::Lt => {
+                    let b = pop(&mut stack);
+                    let a = pop(&mut stack);
+                    push(&mut stack, a | b);
+                }
+                Op::Not | Op::Mix => {
+                    let a = pop(&mut stack);
+                    push(&mut stack, a);
+                }
+                Op::Load(i) => push(&mut stack, locals[i as usize]),
+                Op::Store(i) => locals[i as usize] = pop(&mut stack),
+                Op::Jz(_) if pop(&mut stack) => return None,
+                Op::LoopDec(i, _) if locals[i as usize] => return None,
+                Op::Input => push(&mut stack, true),
+                Op::Jmp(_) | Op::Jz(_) | Op::LoopDec(_, _) | Op::Halt => {}
+            }
+            by_class[op.class().index()] += 1;
+            vm.step(self, &free);
+            debug_assert_eq!(stack.len(), vm.stack.len(), "shadow stack tracks the real one");
+        }
+        Some(OpCounts { steps: vm.steps, by_class })
+    }
 }
 
 /// Broad ISA family of a hosting node; prices the cost table.
@@ -349,15 +438,26 @@ impl CostTable {
 
     /// Cost in cycles of one op.
     pub fn cost(&self, op: Op) -> u64 {
-        let idx = match op.class() {
-            OpClass::Stack => 0,
-            OpClass::Alu => 1,
-            OpClass::Mem => 2,
-            OpClass::Branch => 3,
-            OpClass::Io => 4,
-            OpClass::Kernel => 5,
-        };
-        self.cycles[idx] as u64
+        self.cycles[op.class().index()] as u64
+    }
+}
+
+/// An ISA-independent census of one run: the steps it executes and
+/// how many of them fall in each [`OpClass`]. Pricing it under a
+/// [`CostTable`] is a dot product, exactly equal to the per-op sum an
+/// interpreted run accumulates.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct OpCounts {
+    /// Steps executed.
+    pub steps: u64,
+    /// Executed ops per class, indexed by [`OpClass::index`].
+    pub by_class: [u64; 6],
+}
+
+impl OpCounts {
+    /// Total cycles of the counted ops under `table`.
+    pub fn cycles(&self, table: &CostTable) -> u64 {
+        self.by_class.iter().zip(table.cycles).map(|(&n, c)| n * c as u64).sum()
     }
 }
 

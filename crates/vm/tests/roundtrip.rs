@@ -4,7 +4,7 @@
 //! bit-identical machine state, step count and output digest to an
 //! uninterrupted run.
 
-use myrtus_vm::{Checkpoint, CostTable, IsaClass, Op, Program, SliceResult, VmState};
+use myrtus_vm::{Checkpoint, CostTable, IsaClass, Op, Program, SliceResult, VmState, STACK_MAX};
 use proptest::prelude::*;
 
 /// A small random-but-valid program: a bounded loop whose body mixes
@@ -133,4 +133,229 @@ proptest! {
         prop_assert_eq!(resumed.out_digest(), reference.out_digest());
         prop_assert!(resumed.consumed_cycles() >= snap_cycles, "cost ledger is monotone");
     }
+}
+
+/// Every ISA class at several DVFS scales, nominal included.
+fn tables() -> Vec<CostTable> {
+    let mut out = Vec::new();
+    for isa in [IsaClass::Arm, IsaClass::Riscv, IsaClass::Server] {
+        for scale in [0.3, 0.6, 1.0, 1.2, 2.5] {
+            out.push(CostTable::for_isa(isa, scale));
+        }
+    }
+    out
+}
+
+/// Asserts the census prices `p` exactly like an interpreted full run,
+/// for each of `seeds` under every table.
+fn census_matches_full_cost(p: &Program, seeds: impl IntoIterator<Item = u64>) {
+    let c = p.seed_free_counts().expect("seed-free program");
+    assert_eq!(c.by_class.iter().sum::<u64>(), c.steps, "every step has one class");
+    for seed in seeds {
+        for t in tables() {
+            assert_eq!((c.steps, c.cycles(&t)), p.full_cost(seed, &t), "seed {seed}, {t:?}");
+        }
+    }
+}
+
+/// Ways seeded input can steer control flow, each through a different
+/// carrier; the census must decline every one.
+#[derive(Debug, Clone, Copy)]
+enum Steer {
+    /// `Input` → ALU → `Jz`.
+    Jz,
+    /// `Input` → `Store` → `LoopDec` on that local.
+    LoopDec,
+    /// `Input` → `Swap` → `Jz`.
+    Swap,
+    /// `Input` → `Dup` → `Jz`.
+    Dup,
+}
+
+/// A bounded loop whose iteration cost depends on the seed via `steer`.
+fn gen_steered(steer: Steer, iters: i64, imm: i64) -> Program {
+    let mut ops = vec![Op::Push(iters), Op::Store(0)];
+    let head = ops.len() as u16;
+    let skip_len = 3; // Mix, Out, Push(imm) below
+    let cond: Vec<Op> = match steer {
+        Steer::Jz => vec![Op::Input, Op::Push(imm), Op::And],
+        Steer::LoopDec => vec![Op::Input, Op::Push(7), Op::And, Op::Store(1), Op::Push(0)],
+        Steer::Swap => vec![Op::Input, Op::Push(imm), Op::Swap, Op::And],
+        Steer::Dup => vec![Op::Input, Op::Dup, Op::Out, Op::Push(1), Op::And],
+    };
+    let jz_at = head as usize + cond.len();
+    ops.extend(cond);
+    ops.push(Op::Jz((jz_at + 1 + skip_len) as u16));
+    ops.extend([Op::Mix, Op::Out, Op::Push(imm)]);
+    if let Steer::LoopDec = steer {
+        // Count the seeded local down: a seed-dependent inner trip count.
+        ops.extend([Op::Pop, Op::Mix, Op::LoopDec(1, (jz_at + 1 + skip_len) as u16)]);
+    } else {
+        ops.push(Op::Pop);
+    }
+    ops.push(Op::LoopDec(0, head));
+    ops.push(Op::Halt);
+    Program::new(ops, 2).expect("generated program validates")
+}
+
+/// Any valid program: opcodes from `raw`, jump targets and locals
+/// folded into range. Taint can reach control flow or not, so this
+/// covers both census outcomes.
+fn gen_any(raw: &[(u8, i64)], locals: u8, max_steps: u64) -> Program {
+    let len = raw.len() as i64;
+    let target = |v: i64| v.rem_euclid(len) as u16;
+    let local = |v: i64| v.rem_euclid(locals as i64) as u8;
+    let ops = raw
+        .iter()
+        .map(|&(code, v)| match code % 24 {
+            0 => Op::Push(v % 8),
+            1 => Op::Pop,
+            2 => Op::Dup,
+            3 => Op::Swap,
+            4 => Op::Add,
+            5 => Op::Sub,
+            6 => Op::Mul,
+            7 => Op::And,
+            8 => Op::Or,
+            9 => Op::Xor,
+            10 => Op::Shl,
+            11 => Op::Shr,
+            12 => Op::Not,
+            13 => Op::Eq,
+            14 => Op::Lt,
+            15 => Op::Load(local(v)),
+            16 => Op::Store(local(v)),
+            17 => Op::Jmp(target(v)),
+            18 => Op::Jz(target(v)),
+            19 => Op::LoopDec(local(v), target(v)),
+            20 => Op::Input,
+            21 => Op::Mix,
+            22 => Op::Out,
+            _ => Op::Halt,
+        })
+        .collect();
+    Program::with_max_steps(ops, locals, max_steps).expect("generated program validates")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The generated loops send `Input` only into the digest, so the
+    /// census answers, and it prices any seed on any host exactly.
+    #[test]
+    fn census_prices_every_seed_on_every_table(
+        iters in 1i64..40,
+        imm in -1000i64..1000,
+        shift in 0i64..64,
+        io_heavy in any::<bool>(),
+        seeds in proptest::collection::vec(any::<u64>(), 4),
+    ) {
+        let p = gen_program(iters, imm, shift, io_heavy);
+        prop_assert!(p.seed_free_counts().is_some());
+        census_matches_full_cost(&p, seeds);
+    }
+
+    /// Seeded input that reaches a branch, directly or through a local
+    /// or a stack shuffle, makes the census decline.
+    #[test]
+    fn census_declines_seed_steered_programs(
+        pick in 0u8..4,
+        iters in 1i64..20,
+        imm in 1i64..1000,
+    ) {
+        let steer = [Steer::Jz, Steer::LoopDec, Steer::Swap, Steer::Dup][pick as usize];
+        prop_assert_eq!(gen_steered(steer, iters, imm).seed_free_counts(), None);
+    }
+
+    /// Arbitrary programs: whenever the census answers, every seed runs
+    /// to exactly its price.
+    #[test]
+    fn census_is_exact_whenever_it_answers(
+        raw in proptest::collection::vec((any::<u8>(), any::<i64>()), 1..24),
+        locals in 1u8..4,
+        max_steps in 1u64..3_000,
+        seeds in proptest::collection::vec(any::<u64>(), 3),
+    ) {
+        let p = gen_any(&raw, locals, max_steps);
+        if p.seed_free_counts().is_some() {
+            census_matches_full_cost(&p, seeds);
+        }
+    }
+}
+
+#[test]
+fn steered_programs_really_cost_differently_per_seed() {
+    let t = CostTable::for_isa(IsaClass::Arm, 1.0);
+    for steer in [Steer::Jz, Steer::LoopDec, Steer::Swap, Steer::Dup] {
+        let p = gen_steered(steer, 8, 1);
+        let costs: std::collections::HashSet<_> = (0..16).map(|s| p.full_cost(s, &t)).collect();
+        assert!(costs.len() > 1, "{steer:?}: the seed steers the cost");
+    }
+}
+
+#[test]
+fn census_survives_stack_overflow() {
+    // Fill the stack past STACK_MAX with constants: the Input pushed at
+    // full depth is dropped, so the Jz tests a constant and the census
+    // answers.
+    let fill = STACK_MAX as i64 + 8;
+    let constant_top = Program::new(
+        vec![
+            Op::Push(fill),
+            Op::Store(0),
+            Op::Push(0), // loop head = 2
+            Op::LoopDec(0, 2),
+            Op::Input,
+            Op::Jz(7),
+            Op::Mix,
+            Op::Halt,
+        ],
+        1,
+    )
+    .expect("valid");
+    census_matches_full_cost(&constant_top, 0..8);
+    // The same depth filled with seeded words: the Jz is seed-steered.
+    let seeded_top = Program::new(
+        vec![
+            Op::Push(fill),
+            Op::Store(0),
+            Op::Input, // loop head = 2
+            Op::LoopDec(0, 2),
+            Op::Push(0),
+            Op::Jz(7),
+            Op::Mix,
+            Op::Halt,
+        ],
+        1,
+    )
+    .expect("valid");
+    assert_eq!(seeded_top.seed_free_counts(), None);
+}
+
+#[test]
+fn census_survives_empty_stack_pops() {
+    // Pops of an empty stack yield an untainted 0: the Input is folded
+    // away first, so every Jz and ALU op below sees constants.
+    let drained = Program::new(
+        vec![
+            Op::Input,
+            Op::Out,
+            Op::Pop,
+            Op::Add,
+            Op::Jz(6),
+            Op::Mix,
+            Op::Dup,
+            Op::Jz(9),
+            Op::Mix,
+            Op::Halt,
+        ],
+        0,
+    )
+    .expect("valid");
+    census_matches_full_cost(&drained, 0..8);
+    // A Swap against an empty slot keeps the seeded word underneath:
+    // [v] → [v, 0] → Pop → Jz(v) is seed-steered.
+    let swapped = Program::new(vec![Op::Input, Op::Swap, Op::Pop, Op::Jz(5), Op::Mix, Op::Halt], 0)
+        .expect("valid");
+    assert_eq!(swapped.seed_free_counts(), None);
 }
