@@ -6,6 +6,9 @@
 //!     lower* than the fixed-replica baseline's;
 //! (b) with admission control on, the protected tenant's goodput does
 //!     not degrade when the offered bulk load doubles.
+//!
+//! The elastic arm also runs with observability off: the autoscaler
+//! reads the KB, so its miss rate must be identical either way.
 
 use std::time::Instant;
 
@@ -31,14 +34,14 @@ fn miss_rate(r: &OrchestrationReport) -> f64 {
 /// One pose-pipeline run at `fps`, fixed placement (reallocation off,
 /// so horizontal replicas are the only relief valve), with or without
 /// the autoscaler.
-fn ramp_run(fps: u64, elasticity: Option<ElasticityConfig>) -> OrchestrationReport {
+fn ramp_run(fps: u64, elasticity: Option<ElasticityConfig>, obs: ObsConfig) -> OrchestrationReport {
     let mut app = scenarios::telerehab_with(2);
     let frames = (fps * 2) as usize;
     app.arrival = ArrivalSpec::periodic(SimDuration::from_micros(1_000_000 / fps), frames);
     run_orchestration(
         Box::new(GreedyBestFit::new()),
         EngineConfig {
-            obs: ObsConfig::on(),
+            obs,
             app_point_adaptation: false,
             reallocation: false,
             elasticity,
@@ -75,13 +78,20 @@ fn main() {
     let mut peak = None;
     for fps in [30u64, 300, 600, 900] {
         let t = Instant::now();
-        let fixed = ramp_run(fps, None);
-        let elastic = ramp_run(fps, Some(autoscaler));
+        let fixed = ramp_run(fps, None, ObsConfig::on());
+        let elastic = ramp_run(fps, Some(autoscaler), ObsConfig::on());
         let secs = t.elapsed().as_secs_f64();
+        let unobserved = ramp_run(fps, Some(autoscaler), ObsConfig::off());
+        assert_eq!(
+            (miss_rate(&unobserved), unobserved.apps[0].completed),
+            (miss_rate(&elastic), elastic.apps[0].completed),
+            "{fps} fps: the autoscaler decides the same with obs off"
+        );
         rows.push(vec![
             fps.to_string(),
             num(miss_rate(&fixed) * 100.0, 1),
             num(miss_rate(&elastic) * 100.0, 1),
+            num(miss_rate(&unobserved) * 100.0, 1),
             num(fixed.apps[0].qos() * 100.0, 1),
             num(elastic.apps[0].qos() * 100.0, 1),
             format!(
@@ -104,6 +114,7 @@ fn main() {
                 "fps",
                 "fixed miss %",
                 "elastic miss %",
+                "obs-off elastic miss %",
                 "fixed QoS %",
                 "elastic QoS %",
                 "ups/downs",

@@ -189,17 +189,27 @@ impl EnergyMeter {
             self.last_update = now;
             return;
         }
-        let secs = dt.as_secs_f64();
+        self.joules = self.joules_at(now);
+        if self.busy_cores > 0 {
+            self.busy_time += dt;
+        }
+        self.last_update = now;
+    }
+
+    /// Energy consumed up to `now` at the current state, without
+    /// charging the meter: bit-equal to [`EnergyMeter::joules`] after
+    /// [`EnergyMeter::advance`]`(now)`, so a read-only observer can
+    /// sample it without splitting the integration intervals.
+    pub(crate) fn joules_at(&self, now: SimTime) -> f64 {
+        let secs = now.saturating_since(self.last_update).as_secs_f64();
         if self.busy_cores == 0 {
-            self.joules += self.idle_w * secs;
+            self.joules + self.idle_w * secs
         } else {
             // Power scales linearly between idle and full-active with the
             // fraction of busy cores — a standard first-order CPU model.
             let frac = self.busy_cores as f64 / self.total_cores as f64;
-            self.joules += (self.idle_w + (self.active_w - self.idle_w) * frac) * secs;
-            self.busy_time += dt;
+            self.joules + (self.idle_w + (self.active_w - self.idle_w) * frac) * secs
         }
-        self.last_update = now;
     }
 
     /// Total energy consumed so far, in joules.
@@ -219,6 +229,21 @@ mod tests {
 
     fn point() -> OperatingPoint {
         OperatingPoint::new("nominal", 1.0, 10.0, 2.0)
+    }
+
+    #[test]
+    fn joules_at_reads_what_advance_would_charge() {
+        let mut m = EnergyMeter::new(4, &point());
+        m.set_busy_cores(SimTime::from_millis(3), 3);
+        for (ms, busy) in [(17u64, 1u32), (29, 0), (31, 4)] {
+            let now = SimTime::from_millis(ms);
+            let read = m.joules_at(now);
+            let busy_before = m.busy_time();
+            m.set_busy_cores(now, busy);
+            assert_eq!(read.to_bits(), m.joules().to_bits(), "at {ms} ms");
+            assert!(m.busy_time() >= busy_before);
+        }
+        assert_eq!(m.joules_at(SimTime::from_millis(31)).to_bits(), m.joules().to_bits());
     }
 
     #[test]

@@ -587,6 +587,11 @@ pub struct SimCore {
     next_msg: u64,
     next_timer: u64,
     processed_events: u64,
+    /// Tasks completed so far (the `sim_tasks_completed` counter's
+    /// source, kept whether or not obs is on).
+    pub(crate) tasks_completed: u64,
+    /// Completed tasks that missed their deadline so far.
+    pub(crate) deadline_misses: u64,
     obs: Obs,
     /// Per-task hot state: queue-arrival stamps (queue-wait measure),
     /// attempts consumed, terminal / cancelled-in-flight /
@@ -754,6 +759,10 @@ impl SimCore {
     /// (see [`SimCore::scrape`] for the series catalogue).
     pub fn set_obs(&mut self, obs: Obs) {
         self.obs = obs;
+        // Windowed rates count from the install instant, as the
+        // handle's own counters do.
+        self.window.completed = self.tasks_completed;
+        self.window.misses = self.deadline_misses;
         let interval = self.obs.scrape_interval_us();
         if interval > 0 && !self.scrape_armed {
             self.scrape_armed = true;
@@ -1528,8 +1537,15 @@ impl SimCore {
             self.dispatch(kind, driver);
         }
         self.now = end;
+        self.refresh_energy();
+    }
+
+    /// Charges every node's energy meter up to the current instant.
+    /// The MAPE monitor phase calls this before it snapshots the nodes,
+    /// so the snapshot's energy figures are current.
+    pub fn refresh_energy(&mut self) {
         for n in &mut self.nodes {
-            n.refresh_energy(end);
+            n.refresh_energy(self.now);
         }
     }
 
@@ -1665,8 +1681,10 @@ impl SimCore {
                 }
                 let latency = now.saturating_since(done.released);
                 let deadline_met = !done.misses_deadline(now);
+                self.tasks_completed += 1;
                 self.obs.counter_inc("sim_tasks_completed", "");
                 if !deadline_met {
+                    self.deadline_misses += 1;
                     self.obs.counter_inc("sim_deadline_misses", "");
                 }
                 self.obs.observe(
@@ -1879,11 +1897,12 @@ impl SimCore {
         let mut layer_util = [0.0f64; 3];
         let mut layer_nodes = [0u32; 3];
         let mut layer_queue = [0u64; 3];
-        // Energy is metered lazily inside each NodeState; everything
-        // else the scrape samples comes from the contiguous SoA mirror.
-        for (n, e) in self.nodes.iter_mut().zip(self.hot.energy.iter_mut()) {
-            n.refresh_energy(now);
-            *e = n.energy_j();
+        // Energy is metered lazily inside each NodeState and read here
+        // without charging the meter, so scraping never moves the
+        // integration points; everything else the scrape samples comes
+        // from the contiguous SoA mirror.
+        for (n, e) in self.nodes.iter().zip(self.hot.energy.iter_mut()) {
+            *e = n.energy_j_at(now);
         }
         let hot = &self.hot;
         for i in 0..hot.labels.len() {
@@ -1920,8 +1939,8 @@ impl SimCore {
             self.obs.ts_record("link_up", label, at, if state.is_up() { 1.0 } else { 0.0 });
         }
         let cur = ScrapeWindow {
-            completed: self.obs.counter_value("sim_tasks_completed", ""),
-            misses: self.obs.counter_value("sim_deadline_misses", ""),
+            completed: self.tasks_completed,
+            misses: self.deadline_misses,
             dispatched: self.obs.counter_value("sim_tasks_dispatched", ""),
             lost: self.obs.counter_value("sim_tasks_lost", ""),
         };
@@ -2265,6 +2284,52 @@ mod tests {
         // Sample stamps are the scrape instants.
         assert_eq!(throughput[0].at_us, 100_000);
         assert_eq!(throughput[9].at_us, 1_000_000);
+    }
+
+    #[test]
+    fn scraping_reads_energy_without_moving_the_meters() {
+        use myrtus_obs::{Obs, ObsConfig};
+        let run = |obs: Obs| {
+            let (mut sim, node) = one_node_sim();
+            sim.set_obs(obs);
+            for work in [3.3, 7.7, 11.1, 0.9, 5.5] {
+                let t = TaskInstance::new(sim.fresh_task_id(), work * 1_000.0);
+                sim.submit_local(node, t).expect("submit");
+            }
+            sim.run_until(SimTime::from_millis(1_234), &mut NullDriver);
+            (sim.node(node).expect("node").energy_j(), sim.obs().clone())
+        };
+        let (plain, _) = run(Obs::new(ObsConfig::off()));
+        let (scraped, obs) = run(Obs::new(ObsConfig::on().with_scrape_interval_us(7_000)));
+        assert_eq!(plain.to_bits(), scraped.to_bits(), "scrapes leave the integration alone");
+        let sampled = obs.ts_series("node_energy_j", "edge/n");
+        assert_eq!(sampled.len(), 176);
+        assert!(sampled.windows(2).all(|w| w[0].value <= w[1].value), "energy is monotone");
+    }
+
+    #[test]
+    fn completion_totals_feed_the_scrape_window_from_install() {
+        use myrtus_obs::{Obs, ObsConfig};
+        let (mut sim, node) = one_node_sim();
+        let late = |sim: &mut SimCore| {
+            TaskInstance::new(sim.fresh_task_id(), 1.0).with_deadline(SimTime::ZERO)
+        };
+        // Obs off: the totals still count.
+        let t = late(&mut sim);
+        sim.submit_local(node, t).expect("submit");
+        sim.run_until(SimTime::from_millis(50), &mut NullDriver);
+        assert_eq!((sim.tasks_completed, sim.deadline_misses), (1, 1));
+        // Installed mid-run, the first window covers only what follows.
+        sim.set_obs(Obs::new(ObsConfig::on().with_scrape_interval_us(100_000)));
+        let t = late(&mut sim);
+        sim.submit_local(node, t).expect("submit");
+        let t = TaskInstance::new(sim.fresh_task_id(), 1.0);
+        sim.submit_local(node, t).expect("submit");
+        sim.run_until(SimTime::from_millis(150), &mut NullDriver);
+        assert_eq!((sim.tasks_completed, sim.deadline_misses), (3, 2));
+        let obs = sim.obs().clone();
+        assert_eq!(obs.counter_value("sim_tasks_completed", ""), 2);
+        assert_eq!(obs.ts_series("deadline_miss_rate", "")[0].value, 0.5);
     }
 
     #[test]

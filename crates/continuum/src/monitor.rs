@@ -31,6 +31,9 @@ pub struct NodeSnapshot {
     pub utilization: f64,
     /// Waiting tasks.
     pub queue_len: usize,
+    /// Run-queue depth: running + queued tasks, 0 while the node is
+    /// down (the scrape's `run_queue_depth` expression).
+    pub run_queue_depth: usize,
     /// Free memory in MiB.
     pub mem_free_mb: u64,
     /// Active operating-point index.
@@ -69,6 +72,10 @@ pub struct MonitoringReport {
     pub nodes: Vec<NodeSnapshot>,
     /// Per-link telemetry snapshots.
     pub links: Vec<LinkSnapshot>,
+    /// Tasks completed since the start of the run.
+    pub tasks_completed: u64,
+    /// Completed tasks that missed their deadline, since the start.
+    pub deadline_misses: u64,
 }
 
 impl MonitoringReport {
@@ -85,6 +92,7 @@ impl MonitoringReport {
             up: n.is_up(),
             utilization: n.utilization(),
             queue_len: n.queue_len(),
+            run_queue_depth: if n.is_up() { n.running().len() + n.queue_len() } else { 0 },
             mem_free_mb: n.mem_free_mb(),
             point_idx: n.point_idx(),
             energy_j: n.energy_j(),
@@ -100,7 +108,13 @@ impl MonitoringReport {
             messages: state.messages(),
             utilization: state.utilization(horizon),
         }));
-        MonitoringReport { at: sim.now(), nodes, links }
+        MonitoringReport {
+            at: sim.now(),
+            nodes,
+            links,
+            tasks_completed: sim.tasks_completed,
+            deadline_misses: sim.deadline_misses,
+        }
     }
 
     /// Aggregated energy over all nodes, joules.
@@ -140,6 +154,32 @@ mod tests {
         assert_eq!(r.nodes.len(), 2);
         assert_eq!(r.links.len(), 2);
         assert_eq!(r.nodes[0].layer, Layer::Edge);
+    }
+
+    #[test]
+    fn report_carries_run_queue_depth_and_completion_totals() {
+        let mut sim = SimCore::new();
+        let a = sim.add_node(NodeSpec::preset_edge_multicore("a"));
+        let cores = sim.node(a).map(|n| n.spec().cores() as usize).expect("node");
+        // Two quick tasks that miss an impossible deadline, then a
+        // backlog of long ones: more than the cores can run at once.
+        for _ in 0..2 {
+            let t = TaskInstance::new(sim.fresh_task_id(), 1.0).with_deadline(SimTime::ZERO);
+            sim.submit_local(a, t).expect("submit");
+        }
+        sim.run_until(SimTime::from_millis(100), &mut NullDriver);
+        for _ in 0..cores + 2 {
+            let t = TaskInstance::new(sim.fresh_task_id(), 1e6);
+            sim.submit_local(a, t).expect("submit");
+        }
+        sim.run_until(SimTime::from_millis(101), &mut NullDriver);
+        let r = MonitoringReport::collect(&sim);
+        assert_eq!(r.nodes[0].queue_len, 2);
+        assert_eq!(r.nodes[0].run_queue_depth, cores + 2, "running + queued");
+        assert_eq!((r.tasks_completed, r.deadline_misses), (2, 2), "counted with obs off");
+        sim.schedule_node_down(a, SimTime::from_millis(102));
+        sim.run_until(SimTime::from_millis(103), &mut NullDriver);
+        assert_eq!(MonitoringReport::collect(&sim).nodes[0].run_queue_depth, 0, "down node");
     }
 
     #[test]

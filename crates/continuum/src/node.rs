@@ -511,6 +511,11 @@ impl NodeState {
         self.meter.advance(now);
     }
 
+    /// Energy consumed up to `now`, read without charging the meter.
+    pub(crate) fn energy_j_at(&self, now: SimTime) -> f64 {
+        self.meter.joules_at(now)
+    }
+
     /// Number of completed tasks.
     pub fn completed(&self) -> u64 {
         self.completed

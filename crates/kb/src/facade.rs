@@ -7,6 +7,8 @@
 //! [`raft`](crate::raft) module provides the distributed implementation
 //! view whose consistency the experiments measure.
 
+use std::fmt::Write as _;
+
 use myrtus_continuum::ids::NodeId;
 use myrtus_continuum::monitor::MonitoringReport;
 use myrtus_continuum::node::Layer;
@@ -33,12 +35,19 @@ use crate::store::KvStore;
 pub struct KnowledgeBase {
     store: KvStore,
     history: HistoryStore,
+    /// `(tasks_completed, deadline_misses)` of the last ingested report:
+    /// the base of the next windowed miss rate.
+    reported: (u64, u64),
 }
 
 impl KnowledgeBase {
     /// Creates an empty KB with a 10 000-sample retention per series.
     pub fn new() -> Self {
-        KnowledgeBase { store: KvStore::new(), history: HistoryStore::new(10_000) }
+        KnowledgeBase {
+            store: KvStore::new(),
+            history: HistoryStore::new(10_000),
+            reported: (0, 0),
+        }
     }
 
     /// The underlying KV store (registry keys live under `/registry/`).
@@ -67,28 +76,45 @@ impl KnowledgeBase {
     }
 
     /// Ingests a monitoring report: upserts every node's registry record
-    /// and appends utilization/energy series. `security_tier_of` supplies
-    /// each node's supported security tier (paper Table II capability).
+    /// and appends its `{name}/util`, `{name}/depth` (run-queue depth),
+    /// `{name}/energy_j` and `{name}/queue` samples, each link's
+    /// utilization, and the engine-wide `deadline_miss_rate` over the
+    /// window since the previous report (misses / completions, 0 with
+    /// no completions). `security_tier_of` supplies each node's
+    /// supported security tier (paper Table II capability).
     pub fn ingest_report(
         &mut self,
         report: &MonitoringReport,
         mut security_tier_of: impl FnMut(NodeId) -> u8,
     ) {
+        let at = report.at;
+        let mut key = String::new();
         for snap in &report.nodes {
             let tier = security_tier_of(snap.node);
-            let record = NodeRecord::from_snapshot(snap, tier, report.at);
-            self.store.apply(&record.to_command(), report.at);
-            self.history.append(format!("{}/util", snap.name), report.at, snap.utilization);
-            self.history.append(format!("{}/energy_j", snap.name), report.at, snap.energy_j);
-            self.history.append(format!("{}/queue", snap.name), report.at, snap.queue_len as f64);
+            let record = NodeRecord::from_snapshot(snap, tier, at);
+            self.store.apply(&record.to_command(), at);
+            for (metric, value) in [
+                ("util", snap.utilization),
+                ("depth", snap.run_queue_depth as f64),
+                ("energy_j", snap.energy_j),
+                ("queue", snap.queue_len as f64),
+            ] {
+                key.clear();
+                let _ = write!(key, "{}/{metric}", snap.name);
+                self.history.append(&key, at, value);
+            }
         }
         for link in &report.links {
-            self.history.append(
-                format!("link-{}/util", link.link.as_raw()),
-                report.at,
-                link.utilization,
-            );
+            key.clear();
+            let _ = write!(key, "link-{}/util", link.link.as_raw());
+            self.history.append(&key, at, link.utilization);
         }
+        let (completed, misses) = self.reported;
+        let d_completed = report.tasks_completed.saturating_sub(completed);
+        let d_misses = report.deadline_misses.saturating_sub(misses);
+        let miss_rate = if d_completed > 0 { d_misses as f64 / d_completed as f64 } else { 0.0 };
+        self.history.append("deadline_miss_rate", at, miss_rate);
+        self.reported = (report.tasks_completed, report.deadline_misses);
     }
 
     /// Up registry nodes in a layer, least-utilized first.
@@ -98,7 +124,7 @@ impl KnowledgeBase {
 
     /// Records an application-level KPI sample.
     pub fn record_kpi(&mut self, app: &str, kpi: &str, at: SimTime, value: f64) {
-        self.history.append(format!("app/{app}/{kpi}"), at, value);
+        self.history.append(&format!("app/{app}/{kpi}"), at, value);
     }
 
     /// Writes one key into a region's shard of the federated KB
@@ -147,6 +173,43 @@ mod tests {
         assert_eq!(kb.history().len("edge-0/util"), 1);
         assert_eq!(kb.available_in_layer(Layer::Edge).len(), 1);
         assert!(kb.available_in_layer(Layer::Cloud).is_empty());
+    }
+
+    #[test]
+    fn ingest_records_depth_and_the_windowed_miss_rate() {
+        use myrtus_continuum::monitor::NodeSnapshot;
+        let node = |depth: usize| NodeSnapshot {
+            node: NodeId::from_raw(0),
+            name: "edge-0".into(),
+            layer: Layer::Edge,
+            up: true,
+            utilization: 0.5,
+            queue_len: 1,
+            run_queue_depth: depth,
+            mem_free_mb: 512,
+            point_idx: 0,
+            energy_j: 1.0,
+            completed: 0,
+            reconfigurations: 0,
+        };
+        let report = |ms: u64, depth: usize, completed: u64, misses: u64| MonitoringReport {
+            at: SimTime::from_millis(ms),
+            nodes: vec![node(depth)],
+            links: Vec::new(),
+            tasks_completed: completed,
+            deadline_misses: misses,
+        };
+        let mut kb = KnowledgeBase::new();
+        // Rates are per window: 1/4, then 3/4 of the next four, then an
+        // empty window reads 0.
+        for r in [report(100, 3, 4, 1), report(200, 5, 8, 4), report(300, 2, 8, 4)] {
+            kb.ingest_report(&r, |_| 0);
+        }
+        let h = kb.history();
+        let rates: Vec<f64> = h.last_n("deadline_miss_rate", 9).iter().map(|s| s.value).collect();
+        assert_eq!(rates, vec![0.25, 0.75, 0.0]);
+        let depths: Vec<f64> = h.last_n("edge-0/depth", 9).iter().map(|s| s.value).collect();
+        assert_eq!(depths, vec![3.0, 5.0, 2.0]);
     }
 
     #[test]

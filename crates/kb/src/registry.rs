@@ -240,6 +240,7 @@ mod tests {
             up: true,
             utilization: 0.5,
             queue_len: 3,
+            run_queue_depth: 5,
             mem_free_mb: 1_024,
             point_idx: 1,
             energy_j: 9.5,

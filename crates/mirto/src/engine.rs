@@ -30,9 +30,9 @@ use myrtus_continuum::stats::Summary;
 use myrtus_continuum::task::{TaskBody, TaskInstance};
 use myrtus_continuum::time::{SimDuration, SimTime};
 use myrtus_continuum::topology::Continuum;
+use myrtus_kb::history::trend_rising;
 use myrtus_kb::KnowledgeBase;
 use myrtus_obs::span::causal_chain;
-use myrtus_obs::timeseries::trend_rising;
 use myrtus_obs::{index_label, Obs, ObsConfig, TraceKind};
 use myrtus_workload::compile::{compile_requests, CompiledRequest, CompiledStage, Tag};
 use myrtus_workload::graph::RequestDag;
@@ -58,6 +58,9 @@ const MONITOR_TAG: u64 = u64::MAX;
 /// subsequent arrivals, so the drain only has to move the backlog that
 /// already committed to a home node.
 const BURST_MIGRATE_CAP: usize = 8;
+/// Resubmissions of a lost stage on the legacy path (no
+/// [`EngineConfig::retry`] policy) before its request fails.
+const MAX_RESUBMITS: u32 = 2;
 /// Stage field value marking a request-arrival timer.
 const ARRIVAL_STAGE: u16 = 0xFFFF;
 /// Stage field value marking a deferred application deployment.
@@ -122,13 +125,11 @@ pub struct EngineConfig {
     /// Let MIRTO switch *application* operating points at run time
     /// (quality degradation under overload, refs \[29\]\[30\]).
     pub app_point_adaptation: bool,
-    /// Max resubmissions of a lost stage.
-    pub max_retries: u32,
     /// Simulator-level retry policy: lost and timed-out attempts ride
     /// the recovery queue (deterministic backoff, same task id) and are
     /// re-offered to the engine as [`SimEvent::TaskRecovered`] instead
     /// of being dropped. `None` keeps the legacy lose-and-resubmit path
-    /// driven by `max_retries`.
+    /// (at most two resubmissions per stage).
     pub retry: Option<RetryPolicy>,
     /// Simulator-level admission control: token-bucket rate limiting,
     /// bounded run queues and SLO-aware shedding at dispatch. Tasks of
@@ -139,9 +140,9 @@ pub struct EngineConfig {
     /// MAPE-driven horizontal pod autoscaling: scale component replicas
     /// up under pressure (utilization, run-queue depth, deadline-miss
     /// rate) and back down when idle, with hysteresis and cooldown.
-    /// Reads the scraped TimeSeries store, so it only acts when
-    /// [`EngineConfig::obs`] is enabled. `None` (the default) keeps the
-    /// replica set fixed.
+    /// Reads its signals from the KB history each monitoring round, so
+    /// it acts the same with [`EngineConfig::obs`] on or off. `None`
+    /// (the default) keeps the replica set fixed.
     pub elasticity: Option<ElasticityConfig>,
     /// Duplicate deadline-critical stages (those with a per-stage
     /// latency bound) onto a second surviving node: first completion
@@ -177,7 +178,6 @@ impl Default for EngineConfig {
             network_management: true,
             reallocation: true,
             app_point_adaptation: true,
-            max_retries: 2,
             retry: None,
             admission: None,
             elasticity: None,
@@ -1286,7 +1286,7 @@ impl OrchestrationEngine {
             if si >= state.retries.len() || state.failed || state.done[si] {
                 continue;
             }
-            if self.cfg.reallocation && state.retries[si] < self.cfg.max_retries {
+            if self.cfg.reallocation && state.retries[si] < MAX_RESUBMITS {
                 state.retries[si] += 1;
                 self.submit_stage(sim, pos, tag.request, si);
             } else {
@@ -1298,8 +1298,9 @@ impl OrchestrationEngine {
     fn monitoring_round(&mut self, sim: &mut SimCore) {
         let now_us = sim.now().as_micros();
         self.obs.counter_inc("mape_rounds", "");
-        // Sense: snapshot into the KB.
+        // Sense: charge the energy meters, then snapshot into the KB.
         self.obs.trace(now_us, TraceKind::MapePhase { phase: "monitor" });
+        sim.refresh_energy();
         let report = MonitoringReport::collect(sim);
         self.kb.ingest_report(&report, |id| {
             sim.node(id).map(|n| node_security_level(n.spec().kind()).tier()).unwrap_or(0)
@@ -1374,8 +1375,8 @@ impl OrchestrationEngine {
             }
         }
         // Elasticity Manager: MAPE-driven horizontal scaling off the
-        // scraped telemetry, executed on the cluster layer like the
-        // planned moves above.
+        // KB telemetry ingested above, executed on the cluster layer
+        // like the planned moves.
         if let Some(mut mgr) = self.elasticity.take() {
             self.elasticity_round(sim, now_us, &mut mgr);
             self.elasticity = Some(mgr);
@@ -1402,14 +1403,16 @@ impl OrchestrationEngine {
                     continue;
                 }
                 let miss_rate = missed as f64 / done as f64;
-                // Rolling-window view for the Analyze phase: the trend
-                // over recent rounds, not just this snapshot. A
-                // monotonically rising miss-rate that has reached 0.1
-                // triggers a degrade even before the instantaneous 0.2
-                // threshold does. With observability off the series is
-                // empty and only the snapshot rule applies.
+                // Rolling-window view for the Analyze phase, kept in
+                // the KB: the trend over recent rounds, not just this
+                // snapshot. A monotonically rising miss-rate that has
+                // reached 0.1 triggers a degrade even before the
+                // instantaneous 0.2 threshold does. Obs records the
+                // same sample for export only.
                 self.obs.ts_record("app_window_miss_rate", app_label, now_us, miss_rate);
-                let recent = self.obs.ts_last_n("app_window_miss_rate", app_label, 3);
+                let key = format!("app_window_miss_rate/{app_label}");
+                self.kb.history_mut().append(&key, sim.now(), miss_rate);
+                let recent = self.kb.history().last_n(&key, 3);
                 let trending = recent.len() == 3
                     && trend_rising(&recent)
                     && recent.last().is_some_and(|s| s.value >= 0.1);
@@ -1635,13 +1638,11 @@ impl OrchestrationEngine {
     }
 
     /// One Elasticity Manager round: for every deployed component, read
-    /// the scraped host telemetry, ask the autoscaler for a decision and
-    /// execute it through the deployment proxy. A silent no-op while the
-    /// TimeSeries store has no samples (observability off, or before the
-    /// first scrape), so legacy runs are untouched.
+    /// the host telemetry this round's monitor phase ingested into the
+    /// KB, ask the autoscaler for a decision and execute it through the
+    /// deployment proxy.
     fn elasticity_round(&mut self, sim: &mut SimCore, now_us: u64, mgr: &mut ElasticityManager) {
-        let miss_rate =
-            self.obs.ts_last_n("deadline_miss_rate", "", 1).first().map(|s| s.value).unwrap_or(0.0);
+        let miss_rate = self.kb.history().latest("deadline_miss_rate").map_or(0.0, |s| s.value);
         let now = sim.now();
         for pos in 0..self.apps.len() {
             let app_id = self.apps[pos].id;
@@ -1655,27 +1656,20 @@ impl OrchestrationEngine {
                 None => continue,
             };
             for (comp, host) in comps {
-                let Some(label) = sim
-                    .node(host)
-                    .map(|n| format!("{}/{}", n.spec().layer().label(), n.spec().name()))
-                else {
-                    continue;
-                };
-                // Peak over the last few scrapes, not the latest
+                let Some(name) = sim.node(host).map(|n| n.spec().name()) else { continue };
+                // Peak over the last few rounds, not the latest
                 // instant: the ETA router drains hosts in waves, so a
                 // single sample catches a pegged node at a momentary
                 // zero and flaps the fleet down mid-overload.
-                let util = self.obs.ts_last_n("node_utilization", &label, 3);
-                let depth = self.obs.ts_last_n("run_queue_depth", &label, 3);
-                if util.is_empty() || depth.is_empty() {
-                    continue;
-                }
-                let peak =
-                    |s: &[myrtus_obs::TsSample]| s.iter().map(|x| x.value).fold(0.0f64, f64::max);
+                let history = self.kb.history();
+                let peak = |metric: &str| {
+                    let recent = history.last_n(&format!("{name}/{metric}"), 3);
+                    recent.iter().map(|s| s.value).fold(0.0f64, f64::max)
+                };
                 let replicas = self.proxy.as_ref().map_or(0, |p| p.replica_count(app_id, comp));
                 let signals = StageSignals {
-                    utilization: peak(&util),
-                    queue_depth: peak(&depth),
+                    utilization: peak("util"),
+                    queue_depth: peak("depth"),
                     miss_rate,
                     replicas: replicas as u32,
                 };

@@ -1,9 +1,11 @@
 //! The Elasticity Manager: MAPE-driven horizontal pod autoscaling.
 //!
 //! Every monitoring round the engine feeds the manager one
-//! [`StageSignals`] snapshot per deployed component, scraped from the
-//! TimeSeries store (host utilization, host run-queue depth, windowed
-//! deadline-miss rate). The manager answers with at most one
+//! [`StageSignals`] snapshot per deployed component, read from the
+//! Knowledge Base history that round's monitor phase just ingested
+//! (host utilization, host run-queue depth, windowed deadline-miss
+//! rate). Observability never feeds it, so turning obs on or off does
+//! not change a scaling decision. The manager answers with at most one
 //! [`ScaleAction`] per component, which the engine executes through the
 //! [`crate::deployer::DeploymentProxy`] replica API.
 //!
@@ -18,7 +20,7 @@
 //!   versa) within the cooldown window. The autoscaler property tests
 //!   assert this over arbitrary signal sequences.
 //!
-//! The decision function is pure with respect to the signals — scraped
+//! The decision function is pure with respect to the signals — KB
 //! series in, action out — so two runs over the same telemetry make
 //! identical scaling decisions.
 
@@ -69,15 +71,18 @@ pub enum ScaleAction {
     ScaleDown,
 }
 
-/// Telemetry snapshot for one component, scraped from the TimeSeries
-/// store at the current monitoring round.
+/// Telemetry snapshot for one component, read from the KB history at
+/// the current monitoring round.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StageSignals {
-    /// Latest `node_utilization` sample of the hosting node.
+    /// Hosting node's utilization: the engine passes the peak of its
+    /// last three `{name}/util` KB samples.
     pub utilization: f64,
-    /// Latest `run_queue_depth` sample of the hosting node.
+    /// Hosting node's run-queue depth (running + queued): the peak of
+    /// its last three `{name}/depth` KB samples.
     pub queue_depth: f64,
-    /// Latest windowed `deadline_miss_rate` sample (engine-global).
+    /// Latest KB `deadline_miss_rate` sample: engine-wide misses over
+    /// completions since the previous monitoring round.
     pub miss_rate: f64,
     /// Current replica count of the component (excluding the primary).
     pub replicas: u32,

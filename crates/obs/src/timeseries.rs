@@ -66,19 +66,21 @@ impl TimeSeriesStore {
 
     /// All samples of `name{label}`, oldest first (empty when absent).
     pub fn series(&self, name: &'static str, label: &str) -> Vec<TsSample> {
+        self.last_n(name, label, usize::MAX)
+    }
+
+    /// The last `n` samples of `name{label}`, oldest first. Copies only
+    /// the tail, so the cost is O(n), not O(series length).
+    pub fn last_n(&self, name: &'static str, label: &str, n: usize) -> Vec<TsSample> {
         let map = self.lock();
         let Some(labels) = map.get(name) else { return Vec::new() };
         match labels.binary_search_by(|ls| ls.label.as_str().cmp(label)) {
-            Ok(i) => labels[i].samples.clone(),
+            Ok(i) => {
+                let s = &labels[i].samples;
+                s[s.len().saturating_sub(n)..].to_vec()
+            }
             Err(_) => Vec::new(),
         }
-    }
-
-    /// The last `n` samples of `name{label}`, oldest first.
-    pub fn last_n(&self, name: &'static str, label: &str, n: usize) -> Vec<TsSample> {
-        let s = self.series(name, label);
-        let skip = s.len().saturating_sub(n);
-        s[skip..].to_vec()
     }
 
     /// Sorted `(series, label)` keys present in the store.
@@ -158,18 +160,6 @@ pub fn parse_timeseries_csv(csv: &str) -> Vec<(String, String, Vec<TsSample>)> {
     out
 }
 
-/// Whether a window of samples shows a (weakly) rising trend: at least
-/// two samples, non-decreasing throughout, and strictly higher at the
-/// end than at the start. The MAPE Analyze phase uses this over rolling
-/// windows to react to *degradation trends* rather than single
-/// snapshots.
-pub fn trend_rising(samples: &[TsSample]) -> bool {
-    samples.len() >= 2
-        && samples.windows(2).all(|w| w[1].value >= w[0].value)
-        && samples.last().map(|s| s.value).unwrap_or(0.0)
-            > samples.first().map(|s| s.value).unwrap_or(0.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,6 +188,10 @@ mod tests {
         assert_eq!(tail[0].value, 3.0);
         assert_eq!(tail[1].value, 4.0);
         assert_eq!(ts.last_n("x", "", 99).len(), 5);
+        assert_eq!(ts.last_n("x", "", 99)[0].value, 0.0);
+        assert_eq!(ts.last_n("x", "", 0), vec![]);
+        assert_eq!(ts.last_n("x", "absent", 2), vec![]);
+        assert_eq!(ts.last_n("absent", "", 2), vec![]);
     }
 
     #[test]
@@ -236,19 +230,5 @@ mod tests {
             ts.export_csv() + &ts.export_jsonl()
         };
         assert_eq!(build(), build());
-    }
-
-    #[test]
-    fn trend_detection() {
-        let s = |vals: &[f64]| -> Vec<TsSample> {
-            vals.iter().enumerate().map(|(i, &v)| TsSample { at_us: i as u64, value: v }).collect()
-        };
-        assert!(trend_rising(&s(&[0.1, 0.2, 0.3])));
-        assert!(trend_rising(&s(&[0.1, 0.1, 0.3])));
-        assert!(!trend_rising(&s(&[0.3, 0.2, 0.1])));
-        assert!(!trend_rising(&s(&[0.1, 0.1, 0.1])));
-        assert!(!trend_rising(&s(&[0.1, 0.3, 0.2])));
-        assert!(!trend_rising(&s(&[0.5])));
-        assert!(!trend_rising(&[]));
     }
 }
