@@ -58,8 +58,10 @@ fn e15_federation() -> FederationConfig {
 }
 
 /// One federated run with bodied batch tenants; `migration` picks how
-/// burst awards drain the hot region's resident backlog.
-fn fed_run(seed: u64, migration: MigrationMode) -> OrchestrationReport {
+/// burst awards drain the hot region's resident backlog. Also returns
+/// the interpreter steps the VM runtime executed (host work, which no
+/// export carries).
+fn fed_run(seed: u64, migration: MigrationMode) -> (OrchestrationReport, u64) {
     // Same fabric as E14: small regions over a 10 ms / 400 Mbit/s
     // metro WAN, so checkpoint images pay a real transfer delay.
     let shape = ContinuumBuilder::new()
@@ -98,7 +100,8 @@ fn fed_run(seed: u64, migration: MigrationMode) -> OrchestrationReport {
             ..EngineConfig::default()
         },
     );
-    engine.run_federated(&mut fed, apps, SimTime::from_secs(5)).expect("placeable")
+    let report = engine.run_federated(&mut fed, apps, SimTime::from_secs(5)).expect("placeable");
+    (report, fed.sim_mut().vm_interpreted_steps())
 }
 
 /// Peak of the hot region's interactive windowed miss-rate series (the
@@ -130,10 +133,10 @@ fn main() {
     let dump = std::env::var_os("E15_DUMP").is_some();
 
     let t = Instant::now();
-    let cold = fed_run(seed, MigrationMode::Cold);
+    let (cold, cold_interp) = fed_run(seed, MigrationMode::Cold);
     let cold_secs = t.elapsed().as_secs_f64();
     let t = Instant::now();
-    let live = fed_run(seed, MigrationMode::Live);
+    let (live, live_interp) = fed_run(seed, MigrationMode::Live);
     let live_secs = t.elapsed().as_secs_f64();
 
     if dump {
@@ -149,7 +152,7 @@ fn main() {
     }
 
     let hot = (HOT * 2) as usize;
-    let row = |name: &str, r: &OrchestrationReport, secs: f64| {
+    let row = |name: &str, r: &OrchestrationReport, interp: u64, secs: f64| {
         vec![
             name.to_string(),
             num(peak_miss(r) * 100.0, 1),
@@ -159,6 +162,7 @@ fn main() {
             r.obs.counter_value("task_migrations_live", "").to_string(),
             format!("{:.0}k", r.obs.counter_value("migration_bytes", "live") as f64 / 1e3),
             format!("{:.1}M", r.obs.counter_value("vm_steps_total", "") as f64 / 1e6),
+            format!("{:.2}M", interp as f64 / 1e6),
             num(secs, 2),
         ]
     };
@@ -178,9 +182,13 @@ fn main() {
                 "live",
                 "ckpt bytes",
                 "VM steps",
+                "interp. steps",
                 "wall s",
             ],
-            &[row("cold", &cold, cold_secs), row("live", &live, live_secs)]
+            &[
+                row("cold", &cold, cold_interp, cold_secs),
+                row("live", &live, live_interp, live_secs)
+            ]
         )
     );
 
@@ -214,7 +222,7 @@ fn main() {
     assert!(sc > sl, "shape (b): cold restarts waste interpreter work ({sc} steps vs {sl} live)");
 
     // Shape (c): seeded determinism — a repeat run is byte-identical.
-    let again = fed_run(seed, MigrationMode::Live);
+    let (again, _) = fed_run(seed, MigrationMode::Live);
     assert_eq!(
         fingerprint(&live),
         fingerprint(&again),

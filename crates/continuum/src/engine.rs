@@ -653,12 +653,17 @@ struct VmRuntime {
     /// Interpreter images of bodied tasks resident at some node,
     /// keyed by raw task id.
     images: HashMap<u64, VmImage>,
-    /// Checkpoints in network transit (live migration in progress);
-    /// consumed by the arrival at the destination.
-    pending: HashMap<u64, Checkpoint>,
+    /// Checkpoints in network transit (live migration in progress),
+    /// each with the ops its image has left to halt when the program
+    /// has a census; consumed by the arrival at the destination.
+    pending: HashMap<u64, (Checkpoint, Option<OpCounts>)>,
     /// Final step tallies of completed bodied tasks, kept so
     /// step-conservation invariants stay checkable after completion.
     retired_steps: HashMap<u64, u64>,
+    /// Steps actually interpreted: census runs, scratch runs to halt
+    /// and the advances of evicted images. Host-cost accounting only;
+    /// it feeds no decision and no export.
+    interpreted: u64,
 }
 
 /// One resident interpreter image. It keeps the state the task arrived
@@ -670,6 +675,9 @@ struct VmImage {
     table: CostTable,
     /// Steps from `vm` to halt, fixed when the arrival was priced.
     steps_to_halt: u64,
+    /// For a program with a census: the ops from `vm` to halt, by
+    /// class (the census minus every op an earlier residency retired).
+    left: Option<OpCounts>,
     vm: VmState,
 }
 
@@ -1081,6 +1089,7 @@ impl SimCore {
             images: HashMap::new(),
             pending: HashMap::new(),
             retired_steps: HashMap::new(),
+            interpreted: 0,
         });
     }
 
@@ -1099,6 +1108,16 @@ impl SimCore {
         let vm = self.vm.as_ref()?;
         let raw = task.as_raw();
         vm.images.get(&raw).map(|i| i.vm.steps()).or_else(|| vm.retired_steps.get(&raw).copied())
+    }
+
+    /// Interpreter steps the runtime has executed to price and advance
+    /// bodies (0 without a VM runtime). Unlike `vm_steps_total`, which
+    /// counts the modeled work retired, this is host work: each census
+    /// run that answers, each scratch run to halt and each advance of
+    /// an evicted image. A census that declines stops at its first
+    /// seed-steered branch, and those steps are not counted.
+    pub fn vm_interpreted_steps(&self) -> u64 {
+        self.vm.as_ref().map_or(0, |vm| vm.interpreted)
     }
 
     /// Whether a checkpoint of `task` is currently in network transit
@@ -1125,10 +1144,14 @@ impl SimCore {
     /// checkpoint if one is pending (live migration) or boots a fresh
     /// image, and re-prices `work_mc` from the program's remaining cost
     /// under this node's ISA class and current DVFS operating point;
-    /// that cost also fixes the steps a completion retires. A fresh
-    /// boot of a seed-independent program is priced from the program's
-    /// cached census; a resume, or a program whose cost depends on its
-    /// seed, is priced by one scratch run to halt. Unknown program
+    /// that cost also fixes the steps a completion retires.
+    ///
+    /// A program whose op sequence no seed can steer has a cached
+    /// census, and nothing is interpreted here: a fresh boot is priced
+    /// from the census, a resume from the ops its image has left (the
+    /// census minus the ops every earlier residency retired, tallied at
+    /// eviction). Only a seed-steered program, or a checkpoint without
+    /// a tally, is priced by one scratch run to halt. Unknown program
     /// indices leave the task on the scalar path.
     fn vm_admit(&mut self, node: NodeId, task: &mut TaskInstance) {
         let Some(body) = task.body else { return };
@@ -1143,21 +1166,40 @@ impl SimCore {
         let table = CostTable::for_isa(isa_of(kind), freq);
         // A malformed or mismatched checkpoint degrades to a cold boot
         // (the pending entry is consumed either way).
-        let resumed =
-            vm.pending.remove(&raw).and_then(|cp| VmState::from_checkpoint(&cp, program).ok());
+        let resumed = vm.pending.remove(&raw).and_then(|(cp, left)| {
+            VmState::from_checkpoint(&cp, program).ok().map(|state| (state, left))
+        });
         let is_resume = resumed.is_some();
-        let census = if is_resume {
-            None
-        } else {
-            vm.census[body.program as usize].get_or_init(|| program.seed_free_counts()).as_ref()
+        let (state, left) = match resumed {
+            Some(resumed) => resumed,
+            None => {
+                let interpreted = &mut vm.interpreted;
+                let census = vm.census[body.program as usize].get_or_init(|| {
+                    let census = program.seed_free_counts();
+                    *interpreted += census.map_or(0, |c| c.steps);
+                    census
+                });
+                (VmState::new(program, body.seed), *census)
+            }
         };
-        let state = resumed.unwrap_or_else(|| VmState::new(program, body.seed));
-        let (steps_to_halt, cycles) = match census {
-            Some(c) => (c.steps, c.cycles(&table)),
-            None => state.cost_to_halt(program, &table),
+        let (steps_to_halt, cycles) = match left {
+            Some(left) => {
+                debug_assert_eq!(
+                    Some(left.steps + state.steps()),
+                    vm.census[body.program as usize].get().copied().flatten().map(|c| c.steps),
+                    "the ops left to halt complete the census"
+                );
+                (left.steps, left.cycles(&table))
+            }
+            None => {
+                let cost = state.cost_to_halt(program, &table);
+                vm.interpreted += cost.0;
+                cost
+            }
         };
         task.work_mc = cycles as f64 / 1e6;
-        vm.images.insert(raw, VmImage { prog: body.program, table, steps_to_halt, vm: state });
+        vm.images
+            .insert(raw, VmImage { prog: body.program, table, steps_to_halt, left, vm: state });
         if is_resume {
             self.obs.trace(
                 self.now.as_micros(),
@@ -1183,9 +1225,11 @@ impl SimCore {
     /// of the task. The image is advanced to the cycles `node` actually
     /// served (none while queued), the steps that retires are counted
     /// into `vm_steps_total`, and the image and any in-transit
-    /// checkpoint are dropped. Returns the advanced image as a
-    /// checkpoint, or `None` when the task had no resident image.
-    fn vm_evict(&mut self, node: NodeId, task: TaskId) -> Option<Checkpoint> {
+    /// checkpoint are dropped. For a program with a census the advance
+    /// tallies the ops it retires and takes them off the ops left to
+    /// halt. Returns the advanced image as a checkpoint with those ops
+    /// left, or `None` when the task had no resident image.
+    fn vm_evict(&mut self, node: NodeId, task: TaskId) -> Option<(Checkpoint, Option<OpCounts>)> {
         self.vm.as_ref()?;
         let raw = task.as_raw();
         let now = self.now;
@@ -1200,13 +1244,20 @@ impl SimCore {
         if let Some(mc) = served_mc {
             let arrival_steps = img.vm.steps();
             let target = img.vm.consumed_cycles().saturating_add((mc * 1e6).round() as u64);
-            img.vm.advance_to(program, &img.table, target);
+            if let Some(left) = img.left.as_mut() {
+                let mut served = OpCounts::default();
+                img.vm.advance_tallied(program, &img.table, target, &mut served);
+                *left -= served;
+            } else {
+                img.vm.advance_to(program, &img.table, target);
+            }
             let retired = img.vm.steps() - arrival_steps;
+            vm.interpreted += retired;
             if retired > 0 {
                 self.obs.counter_add("vm_steps_total", "", retired);
             }
         }
-        Some(img.vm.checkpoint(program))
+        Some((img.vm.checkpoint(program), img.left))
     }
 
     /// Migrates a task currently running or queued on `from` to `to`,
@@ -1279,7 +1330,7 @@ impl SimCore {
             self.push(now, EventKind::NotifyStarted { node: from, task: next_id, mode });
         }
         let wire_bytes = match &checkpoint {
-            Some(cp) => {
+            Some((cp, _)) => {
                 let bytes = cp.byte_len();
                 self.obs.counter_inc("task_migrations_live", "");
                 self.obs.counter_add("migration_bytes", "live", bytes);
@@ -1302,9 +1353,9 @@ impl SimCore {
                 inst.input_bytes
             }
         };
-        if let Some(cp) = checkpoint {
+        if let Some(image) = checkpoint {
             if let Some(vm) = self.vm.as_mut() {
-                vm.pending.insert(raw, cp);
+                vm.pending.insert(raw, image);
             }
         }
         let eta = self.network.transfer(now, &path, wire_bytes, protocol);
@@ -2782,6 +2833,100 @@ mod tests {
         assert!(trace.contains("\"type\":\"task_resume\""));
     }
 
+    /// The cost table `node` prices bodies with right now.
+    fn host_table(sim: &SimCore, node: NodeId) -> CostTable {
+        let st = sim.node(node).expect("node");
+        CostTable::for_isa(isa_of(st.spec().kind()), st.point().freq_scale())
+    }
+
+    /// The checkpoint of `id` in transit and the ops it has left.
+    fn in_transit(sim: &SimCore, id: TaskId) -> (Checkpoint, Option<OpCounts>) {
+        sim.vm.as_ref().expect("vm installed").pending[&id.as_raw()].clone()
+    }
+
+    /// The scalar work `node` was handed for the resident `id`.
+    fn work_at(sim: &SimCore, node: NodeId, id: TaskId) -> f64 {
+        let st = sim.node(node).expect("node");
+        let running = st.running().iter().map(|r| &r.task);
+        running.chain(st.queued()).find(|t| t.id == id).expect("resident").work_mc
+    }
+
+    /// A census-priced body hops ARM → RISC-V → server while running.
+    /// Each resume is priced exactly like a scratch run to halt on its
+    /// new host, yet interprets nothing: after the census, the
+    /// interpreted-step counter moves only by the evictions' advances.
+    #[test]
+    fn census_priced_resumes_cross_isas_without_interpreting() {
+        use crate::task::TaskBody;
+        let program = vm_test_program(20_000);
+        let census = program.seed_free_counts().expect("seed-free program");
+        let mut sim = SimCore::new();
+        let hosts = [
+            sim.add_node(NodeSpec::preset_edge_multicore("arm")),
+            sim.add_node(NodeSpec::preset_edge_riscv("riscv")),
+            sim.add_node(NodeSpec::preset_cloud_server("server")),
+        ];
+        for pair in hosts.windows(2) {
+            sim.network_mut().add_duplex(pair[0], pair[1], SimDuration::from_millis(10), 100.0);
+        }
+        sim.set_vm(VmConfig::new(vec![program.clone()]));
+        let id = sim.fresh_task_id();
+        let t = TaskInstance::new(id, 1.0).with_body(TaskBody::new(0, 7)).with_io_bytes(50_000, 0);
+        sim.submit_local(hosts[0], t).expect("submit");
+        let mut rec = Recorder::default();
+        sim.run_until(SimTime::from_millis(10), &mut rec);
+        assert_eq!(sim.vm_interpreted_steps(), census.steps, "only the census ran");
+        for pair in hosts.windows(2) {
+            let (from, to) = (pair[0], pair[1]);
+            let (arrival_steps, interpreted) = (sim.vm_steps_of(id), sim.vm_interpreted_steps());
+            let eta = sim.migrate_task(from, to, id, Protocol::Mqtt, true).expect("migratable");
+            let (cp, left) = in_transit(&sim, id);
+            let advanced = cp.steps - arrival_steps.expect("resident");
+            assert!(advanced > 0, "{from:?} served part of the body");
+            assert_eq!(sim.vm_interpreted_steps(), interpreted + advanced, "the advance ran");
+            let left = left.expect("census-priced images carry their ops left");
+            let scratch = VmState::from_checkpoint(&cp, &program).expect("valid");
+            let (steps, cycles) = scratch.cost_to_halt(&program, &host_table(&sim, to));
+            assert!(steps > 0, "migrated mid-run");
+            assert_eq!(left.steps, steps);
+            sim.run_until(eta, &mut rec);
+            assert_eq!(sim.live_instances(id), 1, "resumed at {to:?}");
+            assert_eq!(work_at(&sim, to, id), cycles as f64 / 1e6, "priced as interpreted");
+            assert_eq!(sim.vm_interpreted_steps(), interpreted + advanced, "the resume ran none");
+            sim.run_until(eta + SimDuration::from_millis(10), &mut rec);
+        }
+        sim.run_until(SimTime::from_secs(60), &mut rec);
+        assert_eq!(rec.completed.len(), 1);
+        assert_eq!(rec.completed[0].node, hosts[2]);
+        assert_eq!(sim.vm_steps_of(id), Some(census.steps), "every step retired once");
+    }
+
+    /// Without a census a resume is still priced by a scratch run.
+    #[test]
+    fn seed_steered_resumes_still_interpret() {
+        use crate::task::TaskBody;
+        let program = vm_seeded_program(20_000);
+        let (mut sim, edge, cloud) = migration_sim();
+        sim.set_vm(VmConfig::new(vec![program.clone()]));
+        let id = sim.fresh_task_id();
+        let t = TaskInstance::new(id, 1.0).with_body(TaskBody::new(0, 7)).with_io_bytes(50_000, 0);
+        sim.submit_local(edge, t).expect("submit");
+        let mut rec = Recorder::default();
+        sim.run_until(SimTime::from_millis(10), &mut rec);
+        let full = program.full_cost(7, &host_table(&sim, edge)).0;
+        assert_eq!(sim.vm_interpreted_steps(), full, "the fresh boot ran to halt once");
+        let eta = sim.migrate_task(edge, cloud, id, Protocol::Mqtt, true).expect("migratable");
+        let (cp, left) = in_transit(&sim, id);
+        assert_eq!(left, None, "no census, no ops-left tally");
+        let interpreted = sim.vm_interpreted_steps();
+        assert_eq!(interpreted, full + cp.steps);
+        let scratch = VmState::from_checkpoint(&cp, &program).expect("valid");
+        let (steps, cycles) = scratch.cost_to_halt(&program, &host_table(&sim, cloud));
+        sim.run_until(eta, &mut rec);
+        assert_eq!(work_at(&sim, cloud, id), cycles as f64 / 1e6);
+        assert_eq!(sim.vm_interpreted_steps(), interpreted + steps, "the resume ran to halt");
+    }
+
     #[test]
     fn cold_migration_restarts_and_finishes_later_than_live() {
         use crate::task::TaskBody;
@@ -2887,7 +3032,16 @@ mod tests {
         let mut rec = Recorder::default();
         sim.run_until(SimTime::from_millis(50), &mut rec);
         assert_eq!(sim.live_instances(id), 1, "victim is queued at the edge");
-        sim.migrate_task(edge, cloud, id, Protocol::Mqtt, true).expect("queued tasks migrate");
+        let interpreted = sim.vm_interpreted_steps();
+        let eta =
+            sim.migrate_task(edge, cloud, id, Protocol::Mqtt, true).expect("queued tasks migrate");
+        // Nothing was served, so the image ships the whole census left.
+        let census = census_slot(&sim).flatten().expect("census-priced");
+        let (cp, left) = in_transit(&sim, id);
+        assert_eq!((cp.steps, left), (0, Some(census)));
+        assert_eq!(sim.vm_interpreted_steps(), interpreted, "a queued image is not advanced");
+        sim.run_until(eta, &mut rec);
+        assert_eq!(work_at(&sim, cloud, id), census.cycles(&host_table(&sim, cloud)) as f64 / 1e6);
         sim.run_until(SimTime::from_secs(2), &mut rec);
         assert!(rec.completed.iter().any(|o| o.task.id == id && o.node == cloud));
         assert_eq!(sim.live_instances(id), 0);

@@ -21,7 +21,13 @@
 //! whose control flow no seed can steer is therefore analysed once
 //! into an ISA-independent [`OpCounts`] census
 //! ([`Program::seed_free_counts`]), which prices it on any host with a
-//! dot product.
+//! dot product. A paused run of such a program is priced the same
+//! way: the ops it has left are the census minus the ops it already
+//! executed, which [`VmState::advance_tallied`] counts by class. What
+//! still needs the interpreter is the census run itself, scratch runs
+//! of seed-steered programs ([`VmState::cost_to_halt`]) and advancing
+//! an image to a cut point; all of them go through one budgeted loop
+//! that offers each op to a per-caller hook before executing it.
 //!
 //! ## Determinism rules
 //!
@@ -345,8 +351,8 @@ impl Program {
             }
         };
         let mut by_class = [0; 6];
-        while !vm.halted {
-            let Some(&op) = self.ops.get(vm.pc as usize) else { break };
+        vm.run(self, &free, u64::MAX, |op, depth| {
+            debug_assert_eq!(stack.len(), depth, "shadow stack tracks the real one");
             match op {
                 Op::Push(_) => push(&mut stack, false),
                 Op::Pop | Op::Out => {
@@ -382,15 +388,19 @@ impl Program {
                 }
                 Op::Load(i) => push(&mut stack, locals[i as usize]),
                 Op::Store(i) => locals[i as usize] = pop(&mut stack),
-                Op::Jz(_) if pop(&mut stack) => return None,
-                Op::LoopDec(i, _) if locals[i as usize] => return None,
+                Op::Jz(_) if pop(&mut stack) => return false,
+                Op::LoopDec(i, _) if locals[i as usize] => return false,
                 Op::Input => push(&mut stack, true),
                 Op::Jmp(_) | Op::Jz(_) | Op::LoopDec(_, _) | Op::Halt => {}
             }
             by_class[op.class().index()] += 1;
-            vm.step(self, &free);
-            debug_assert_eq!(stack.len(), vm.stack.len(), "shadow stack tracks the real one");
+            true
+        });
+        // Only a steered branch stops the run short of halting.
+        if !vm.halted {
+            return None;
         }
+        debug_assert_eq!(stack.len(), vm.stack.len(), "shadow stack tracks the real one");
         Some(OpCounts { steps: vm.steps, by_class })
     }
 }
@@ -458,6 +468,17 @@ impl OpCounts {
     /// Total cycles of the counted ops under `table`.
     pub fn cycles(&self, table: &CostTable) -> u64 {
         self.by_class.iter().zip(table.cycles).map(|(&n, c)| n * c as u64).sum()
+    }
+}
+
+/// Takes the ops of `rhs` off `self`, class by class; `rhs` must be a
+/// sub-count (such as the ops already run out of a census).
+impl std::ops::SubAssign for OpCounts {
+    fn sub_assign(&mut self, rhs: OpCounts) {
+        self.steps -= rhs.steps;
+        for (n, done) in self.by_class.iter_mut().zip(rhs.by_class) {
+            *n -= done;
+        }
     }
 }
 
@@ -654,13 +675,17 @@ impl VmState {
     /// # Errors
     ///
     /// [`CheckpointError::ProgramMismatch`] on a fingerprint mismatch,
-    /// [`CheckpointError::Malformed`] on out-of-range pc/frame.
+    /// [`CheckpointError::Malformed`] on out-of-range pc/frame or a
+    /// stack deeper than [`STACK_MAX`] (no run can reach one).
     pub fn from_checkpoint(cp: &Checkpoint, program: &Program) -> Result<Self, CheckpointError> {
         let fp = program.fingerprint();
         if cp.program_fp != fp {
             return Err(CheckpointError::ProgramMismatch { expected: cp.program_fp, got: fp });
         }
-        if cp.locals.len() != program.locals() as usize || cp.pc as usize > program.ops().len() {
+        if cp.locals.len() != program.locals() as usize
+            || cp.pc as usize > program.ops().len()
+            || cp.stack.len() > STACK_MAX
+        {
             return Err(CheckpointError::Malformed);
         }
         Ok(VmState {
@@ -719,16 +744,12 @@ impl VmState {
         }
     }
 
-    /// Executes one op under `table`; returns `false` once halted.
-    pub fn step(&mut self, program: &Program, table: &CostTable) -> bool {
-        if self.halted {
-            return false;
-        }
-        let Some(&op) = program.ops().get(self.pc as usize) else {
-            self.halted = true;
-            return false;
-        };
-        self.consumed += table.cost(op);
+    /// Retires `op`, priced at `cost` cycles: charges both ledgers,
+    /// applies the op's effect and halts at `Halt`, past the last op of
+    /// a `len`-op program or at its `max_steps` bound.
+    #[inline(always)]
+    fn exec(&mut self, op: Op, cost: u64, len: usize, max_steps: u64) {
+        self.consumed += cost;
         self.steps += 1;
         self.pc += 1;
         match op {
@@ -835,14 +856,58 @@ impl VmState {
                 self.out_digest = fnv(self.out_digest, a as u64);
             }
             Op::Halt => {
+                // Park pc past the end, so a checkpoint of this machine
+                // resumes halted wherever the `Halt` sits.
+                self.pc = len as u32;
                 self.halted = true;
-                return false;
             }
         }
-        if self.pc as usize >= program.ops().len() || self.steps >= program.max_steps() {
+        if self.pc as usize >= len || self.steps >= max_steps {
             self.halted = true;
         }
+    }
+
+    /// Executes one op under `table`; returns `false` once halted.
+    pub fn step(&mut self, program: &Program, table: &CostTable) -> bool {
+        if !self.halted {
+            match program.ops().get(self.pc as usize) {
+                Some(&op) => {
+                    self.exec(op, table.cost(op), program.ops().len(), program.max_steps())
+                }
+                None => self.halted = true,
+            }
+        }
         !self.halted
+    }
+
+    /// The interpreter loop every multi-step run goes through. Before
+    /// each op it checks that the op still fits under the absolute
+    /// cycle target `target_cycles`, then offers it to `hook` with the
+    /// stack depth it starts from; a hook returning `false` stops the
+    /// run before that op executes. Returns [`SliceResult::Halted`]
+    /// only at a terminal state.
+    #[inline(always)]
+    fn run<H: FnMut(Op, usize) -> bool>(
+        &mut self,
+        program: &Program,
+        table: &CostTable,
+        target_cycles: u64,
+        mut hook: H,
+    ) -> SliceResult {
+        let ops = program.ops();
+        let max_steps = program.max_steps();
+        while !self.halted {
+            let Some(&op) = ops.get(self.pc as usize) else {
+                self.halted = true;
+                break;
+            };
+            let cost = table.cost(op);
+            if self.consumed + cost > target_cycles || !hook(op, self.stack.len()) {
+                return SliceResult::BudgetExhausted;
+            }
+            self.exec(op, cost, ops.len(), max_steps);
+        }
+        SliceResult::Halted
     }
 
     /// Runs while the *next* op still fits under the absolute cycle
@@ -854,26 +919,29 @@ impl VmState {
         table: &CostTable,
         target_cycles: u64,
     ) -> SliceResult {
-        loop {
-            if self.halted {
-                return SliceResult::Halted;
-            }
-            let Some(&op) = program.ops().get(self.pc as usize) else {
-                self.halted = true;
-                return SliceResult::Halted;
-            };
-            if self.consumed + table.cost(op) > target_cycles {
-                return SliceResult::BudgetExhausted;
-            }
-            if !self.step(program, table) {
-                return SliceResult::Halted;
-            }
-        }
+        self.run(program, table, target_cycles, |_, _| true)
+    }
+
+    /// [`VmState::advance_to`] that also adds every op it executes to
+    /// `tally`, by class. For a program with a census, the census minus
+    /// the tallies of every slice run so far is what is left to halt.
+    pub fn advance_tallied(
+        &mut self,
+        program: &Program,
+        table: &CostTable,
+        target_cycles: u64,
+        tally: &mut OpCounts,
+    ) -> SliceResult {
+        self.run(program, table, target_cycles, |op, _| {
+            tally.steps += 1;
+            tally.by_class[op.class().index()] += 1;
+            true
+        })
     }
 
     /// Runs to the terminal state (bounded by the program's step cap).
     pub fn run_to_halt(&mut self, program: &Program, table: &CostTable) {
-        while self.step(program, table) {}
+        self.run(program, table, u64::MAX, |_, _| true);
     }
 
     /// Steps and cycles left to the terminal state under `table`,
@@ -1033,6 +1101,29 @@ mod tests {
             VmState::from_checkpoint(&cp, &other),
             Err(CheckpointError::ProgramMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn a_machine_halted_mid_program_resumes_halted() {
+        let p = Program::new(vec![Op::Push(1), Op::Halt, Op::Mix, Op::Out], 0).expect("valid");
+        let mut vm = VmState::new(&p, 1);
+        vm.run_to_halt(&p, &table());
+        assert_eq!(vm.steps(), 2);
+        let resumed = VmState::from_checkpoint(&vm.checkpoint(&p), &p).expect("valid");
+        assert!(resumed.is_halted());
+        assert_eq!(resumed.cost_to_halt(&p, &table()), (0, 0), "nothing past the Halt runs");
+    }
+
+    #[test]
+    fn checkpoint_with_a_stack_past_the_cap_is_malformed() {
+        let p = loop_program(4);
+        let mut cp = VmState::new(&p, 1).checkpoint(&p);
+        cp.stack = vec![7; STACK_MAX];
+        assert!(VmState::from_checkpoint(&cp, &p).is_ok(), "a full stack is reachable");
+        cp.stack.push(7);
+        assert_eq!(VmState::from_checkpoint(&cp, &p), Err(CheckpointError::Malformed));
+        // The byte decoder draws the same line.
+        assert_eq!(Checkpoint::from_bytes(&cp.to_bytes()), Err(CheckpointError::Malformed));
     }
 
     #[test]

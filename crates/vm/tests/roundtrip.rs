@@ -4,7 +4,9 @@
 //! bit-identical machine state, step count and output digest to an
 //! uninterrupted run.
 
-use myrtus_vm::{Checkpoint, CostTable, IsaClass, Op, Program, SliceResult, VmState, STACK_MAX};
+use myrtus_vm::{
+    Checkpoint, CostTable, IsaClass, Op, OpCounts, Program, SliceResult, VmState, STACK_MAX,
+};
 use proptest::prelude::*;
 
 /// A small random-but-valid program: a bounded loop whose body mixes
@@ -358,4 +360,103 @@ fn census_survives_empty_stack_pops() {
     let swapped = Program::new(vec![Op::Input, Op::Swap, Op::Pop, Op::Jz(5), Op::Mix, Op::Halt], 0)
         .expect("valid");
     assert_eq!(swapped.seed_free_counts(), None);
+}
+
+/// Reference for every budgeted run: single [`VmState::step`]s while
+/// the next op still fits under `target`, tallying each one by class.
+fn stepped_to(vm: &mut VmState, p: &Program, t: &CostTable, target: u64) -> OpCounts {
+    let mut tally = OpCounts::default();
+    while !vm.is_halted() {
+        let Some(&op) = p.ops().get(vm.checkpoint(p).pc as usize) else {
+            vm.step(p, t); // ran off the end: halts without executing
+            break;
+        };
+        if vm.consumed_cycles() + t.cost(op) > target {
+            break;
+        }
+        vm.step(p, t);
+        tally.steps += 1;
+        tally.by_class[op.class().index()] += 1;
+    }
+    tally
+}
+
+/// A seed-free program: a generated loop, or an arbitrary program when
+/// its census answers (else the loop again).
+fn gen_seed_free(arbitrary: bool, raw: &[(u8, i64)], iters: i64, imm: i64) -> Program {
+    let any = gen_any(raw, 3, 2_000);
+    if arbitrary && any.seed_free_counts().is_some() {
+        any
+    } else {
+        gen_program(iters, imm, 9, iters % 2 == 0)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The budgeted loop, plain or tallying, stops where single steps
+    /// stop on every slice of a sliced run, and the tally counts
+    /// exactly the ops stepped, class by class.
+    #[test]
+    fn budgeted_runs_match_single_stepping(
+        raw in proptest::collection::vec((any::<u8>(), any::<i64>()), 1..24),
+        locals in 1u8..4,
+        seed in any::<u64>(),
+        strides in proptest::collection::vec(0u64..4_000, 1..12),
+        pick in 0usize..15,
+    ) {
+        let p = gen_any(&raw, locals, 1_500);
+        let t = tables()[pick];
+        let mut plain = VmState::new(&p, seed);
+        let mut tallied = plain.clone();
+        let mut stepped = plain.clone();
+        let mut target = 0;
+        for stride in strides {
+            target += stride;
+            let want = stepped_to(&mut stepped, &p, &t, target);
+            let mut tally = OpCounts::default();
+            let result = tallied.advance_tallied(&p, &t, target, &mut tally);
+            prop_assert_eq!(plain.advance_to(&p, &t, target), result);
+            prop_assert_eq!(&tallied, &stepped);
+            prop_assert_eq!(&plain, &stepped);
+            prop_assert_eq!(tally, want);
+            prop_assert_eq!(result == SliceResult::Halted, stepped.is_halted());
+        }
+    }
+
+    /// A seed-free body migrated over 1-3 hops, each cut at any budget
+    /// (none, mid-run or past halt) under its own host's table: at
+    /// every resume, the census minus the tallies of all earlier hops
+    /// prices the rest of the run on the destination exactly like a
+    /// scratch run to halt.
+    #[test]
+    fn census_minus_tallies_prices_every_resume(
+        arbitrary in any::<bool>(),
+        raw in proptest::collection::vec((any::<u8>(), any::<i64>()), 1..24),
+        iters in 1i64..40,
+        imm in -1000i64..1000,
+        seed in any::<u64>(),
+        hops in proptest::collection::vec((0u64..1_300, 0usize..15), 1..4),
+        dst in 0usize..15,
+    ) {
+        let p = gen_seed_free(arbitrary, &raw, iters, imm);
+        let census = p.seed_free_counts().expect("seed-free program");
+        let mut left = census;
+        let mut vm = VmState::new(&p, seed);
+        for (i, &(permille, host)) in hops.iter().enumerate() {
+            // Serve `permille`/1000 of the whole body's price on this host.
+            let t = tables()[host];
+            let target = vm.consumed_cycles() + census.cycles(&t) * permille / 1_000;
+            let mut served = OpCounts::default();
+            vm.advance_tallied(&p, &t, target, &mut served);
+            left -= served;
+            let cp = Checkpoint::from_bytes(&vm.checkpoint(&p).to_bytes()).expect("decodes");
+            vm = VmState::from_checkpoint(&cp, &p).expect("fingerprint matches");
+            let next = hops.get(i + 1).map_or(dst, |&(_, host)| host);
+            let dt = tables()[next];
+            prop_assert_eq!(left.steps + vm.steps(), census.steps);
+            prop_assert_eq!((left.steps, left.cycles(&dt)), vm.cost_to_halt(&p, &dt));
+        }
+    }
 }
