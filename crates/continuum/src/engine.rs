@@ -96,11 +96,13 @@ impl Ord for QueuedEvent {
 
 /// Internal event kinds driven through the queue.
 ///
-/// The two task-carrying variants box their [`TaskInstance`] so the
-/// enum stays pointer-sized-small: every *queue-resident* event
-/// (timers, finishes, timeout guards — the ones that sit in the wheel
-/// or heap by the million) would otherwise pay the largest variant's
-/// ~100-byte footprint in storage, copies and cache misses.
+/// Every variant that carries a [`TaskInstance`] or a [`Message`]
+/// boxes it, so the enum stays at 32 bytes: every *queue-resident*
+/// event (timers, finishes, timeout guards — the ones that sit in the
+/// wheel or heap by the million) would otherwise pay the largest
+/// variant's footprint (a 128-byte task) in storage, copies and cache
+/// misses. The assertion below keeps a new variant from re-inflating
+/// the queue.
 #[derive(Debug)]
 enum EventKind {
     TaskArrival {
@@ -113,7 +115,7 @@ enum EventKind {
         epoch: u64,
     },
     MsgDeliver {
-        msg: Message,
+        msg: Box<Message>,
     },
     NodeDown(NodeId),
     NodeUp(NodeId),
@@ -154,10 +156,12 @@ enum EventKind {
     /// (same instant, later seq) so submits never re-enter the driver.
     NotifyShed {
         node: NodeId,
-        task: TaskInstance,
+        task: Box<TaskInstance>,
         reason: &'static str,
     },
 }
+
+const _: () = assert!(std::mem::size_of::<EventKind>() <= 32);
 
 /// Which data structures back the engine hot path.
 ///
@@ -944,7 +948,7 @@ impl SimCore {
         );
         self.tasks.mark_finished(raw);
         self.tasks.clear_attempts(raw);
-        self.push(self.now, EventKind::NotifyShed { node, task, reason });
+        self.push(self.now, EventKind::NotifyShed { node, task: Box::new(task), reason });
     }
 
     /// Records a task passing admission control (policy installed only,
@@ -1506,7 +1510,7 @@ impl SimCore {
         let id = self.fresh_msg_id();
         let msg = Message { id, src, dst, payload_bytes, protocol, sent: self.now, tag };
         let eta = self.network.transfer(self.now, &path, payload_bytes, protocol);
-        self.push(eta, EventKind::MsgDeliver { msg });
+        self.push(eta, EventKind::MsgDeliver { msg: Box::new(msg) });
         Ok(id)
     }
 
@@ -1532,7 +1536,7 @@ impl SimCore {
         let id = self.fresh_msg_id();
         let msg = Message { id, src, dst, payload_bytes, protocol, sent: self.now, tag };
         let eta = self.network.transfer(self.now, path, payload_bytes, protocol);
-        self.push(eta, EventKind::MsgDeliver { msg });
+        self.push(eta, EventKind::MsgDeliver { msg: Box::new(msg) });
         Ok(id)
     }
 
@@ -1763,7 +1767,7 @@ impl SimCore {
                 driver.on_event(self, SimEvent::TaskCompleted(outcome));
             }
             EventKind::MsgDeliver { msg } => {
-                driver.on_event(self, SimEvent::MessageDelivered(msg));
+                driver.on_event(self, SimEvent::MessageDelivered(*msg));
             }
             EventKind::NodeDown(node) => {
                 let now = self.now;
@@ -1921,7 +1925,7 @@ impl SimCore {
                 driver.on_event(self, SimEvent::TaskStarted { node, task, mode });
             }
             EventKind::NotifyShed { node, task, reason } => {
-                driver.on_event(self, SimEvent::TaskShed { node, task, reason });
+                driver.on_event(self, SimEvent::TaskShed { node, task: *task, reason });
             }
         }
     }

@@ -16,6 +16,7 @@
 //! * **reconfigure** — operating-point switches, re-placements and task
 //!   resubmissions on the simulator.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use myrtus_continuum::admission::AdmissionPolicy;
@@ -34,7 +35,7 @@ use myrtus_kb::history::trend_rising;
 use myrtus_kb::KnowledgeBase;
 use myrtus_obs::span::causal_chain;
 use myrtus_obs::{index_label, Obs, ObsConfig, TraceKind};
-use myrtus_workload::compile::{compile_requests, CompiledRequest, CompiledStage, Tag};
+use myrtus_workload::compile::{compile_stages, CompiledStage, Tag};
 use myrtus_workload::graph::RequestDag;
 use myrtus_workload::opset::AppPointSet;
 use myrtus_workload::tosca::Application;
@@ -204,19 +205,29 @@ impl EngineConfig {
     }
 }
 
+/// One live request: created when its arrival timer fires and removed
+/// from [`AppRuntime::requests`] at its terminal state (completed,
+/// failed or shed). Absence therefore means "not yet released or
+/// already terminal", and every handler treats an absent request as
+/// inert.
 #[derive(Debug)]
 struct RequestState {
-    compiled: CompiledRequest,
-    done: Vec<bool>,
-    deps_left: Vec<usize>,
-    finish_node: Vec<Option<NodeId>>,
-    retries: Vec<u32>,
-    failed: bool,
-    completed: bool,
     /// Application operating-point index assigned when the request was
     /// released (refs \[29\]\[30\] metadata applied at run time).
     point_idx: usize,
-    finish_at: Vec<Option<SimTime>>,
+    /// Per-stage progress, indexed like [`AppRuntime::stages`].
+    stages: Vec<StageProgress>,
+}
+
+/// Run-time progress of one stage of a live request.
+#[derive(Debug, Clone, Copy)]
+struct StageProgress {
+    /// Upstream stages not yet finished.
+    deps_left: usize,
+    /// Resubmissions on the legacy loss path.
+    retries: u32,
+    /// Host and instant of the stage's completion, once done.
+    finished: Option<(NodeId, SimTime)>,
 }
 
 /// The worst completed request seen so far for one application:
@@ -243,8 +254,22 @@ struct AppRuntime {
     /// QoS class: deadline-bound apps run protected (≥ the admission
     /// policy's `protect_priority`), bulk apps run sheddable at 0.
     priority: u8,
-    /// Request states, indexed by [`CompiledRequest::request_idx`].
-    requests: Vec<RequestState>,
+    /// Stage templates shared by every request ([`compile_stages`]).
+    stages: Vec<CompiledStage>,
+    /// Absolute release instant of each request, by request index.
+    released: Vec<SimTime>,
+    /// End-to-end relative deadline of every request: the strictest
+    /// stage bound, if any.
+    deadline: Option<SimDuration>,
+    /// Live requests only, by request index. Point lookups only —
+    /// never iterated — so its hash order cannot reach any output.
+    requests: HashMap<u32, RequestState>,
+    /// Arrival timers fired so far.
+    #[cfg(test)]
+    arrived: u64,
+    /// Most requests live at once.
+    #[cfg(test)]
+    live_peak: usize,
     completed: u64,
     failed: u64,
     shed: u64,
@@ -548,6 +573,20 @@ impl OrchestrationEngine {
         apps: Vec<(Application, SimTime)>,
         horizon: SimTime,
     ) -> Result<OrchestrationReport, PlaceError> {
+        self.launch(continuum, apps, horizon)?;
+        continuum.sim_mut().run_until(horizon, &mut self);
+        Ok(self.finish(continuum))
+    }
+
+    /// Installs the engine's policies and obs on the simulator, deploys
+    /// the time-zero applications, schedules the late ones and arms the
+    /// MAPE-K loop; the simulation itself has not advanced yet.
+    fn launch(
+        &mut self,
+        continuum: &mut Continuum,
+        apps: Vec<(Application, SimTime)>,
+        horizon: SimTime,
+    ) -> Result<(), PlaceError> {
         self.horizon = horizon;
         continuum.sim_mut().set_obs(self.obs.clone());
         continuum.sim_mut().set_retry_policy(self.cfg.retry);
@@ -566,10 +605,7 @@ impl OrchestrationEngine {
         }
         // Arm the MAPE-K loop.
         continuum.sim_mut().set_timer(self.cfg.monitoring_period, MONITOR_TAG);
-
-        let sim = continuum.sim_mut();
-        sim.run_until(horizon, &mut self);
-        Ok(self.finish(continuum))
+        Ok(())
     }
 
     /// Runs a *federated* deployment: each application is pinned to a
@@ -620,7 +656,9 @@ impl OrchestrationEngine {
 
     /// Deployment-time orchestration of one application at the current
     /// simulation instant: validate, place, execute on the cluster
-    /// layer, compile the request stream and arm its arrival timers.
+    /// layer, compile the stage templates and arm the arrival timers.
+    /// No request state exists yet: each request's is built when its
+    /// timer fires.
     fn deploy_app(
         &mut self,
         sim: &mut SimCore,
@@ -630,13 +668,13 @@ impl OrchestrationEngine {
         let now = sim.now();
         let dag = RequestDag::from_application(&app)
             .map_err(|_| PlaceError::NoCandidate { component: 0 })?;
-        let compiled = compile_requests(&app, app_id, self.cfg.seed, None)
+        let stages = compile_stages(&app, app_id, None)
             .map_err(|_| PlaceError::NoCandidate { component: 0 })?;
         // QoS class for admission control: a deadline-bound application
         // (any stage with a latency bound) runs protected, bulk runs
         // sheddable.
-        let priority =
-            u8::from(compiled.iter().any(|r| r.stages.iter().any(|s| s.max_latency.is_some())));
+        let deadline = stages.iter().filter_map(|s| s.max_latency).min();
+        let priority = u8::from(deadline.is_some());
         {
             let candidates = self.region_filter(app_id, self.sec.candidates(sim, &app, &dag));
             let estimator = PlanEstimator::new(sim.network(), sim.now(), &self.plan_cache);
@@ -656,25 +694,16 @@ impl OrchestrationEngine {
                 let _ = proxy.apply_placement(app_id, &app, &placement);
             }
         }
-        let mut requests = Vec::with_capacity(compiled.len());
-        for mut req in compiled {
-            // Arrivals are generated relative to the deployment instant.
-            req.released = now + req.released.saturating_since(SimTime::ZERO);
-            let n = req.stages.len();
-            let deps_left: Vec<usize> = req.stages.iter().map(|s| s.preds.len()).collect();
-            let tag = Tag { app: app_id, request: req.request_idx, stage: ARRIVAL_STAGE };
-            sim.set_timer(req.released.saturating_since(now), tag.encode());
-            requests.push(RequestState {
-                done: vec![false; n],
-                deps_left,
-                finish_node: vec![None; n],
-                retries: vec![0; n],
-                failed: false,
-                completed: false,
-                compiled: req,
-                point_idx: 0,
-                finish_at: vec![None; n],
-            });
+        // Arrivals are generated relative to the deployment instant.
+        let released: Vec<SimTime> = app
+            .arrival
+            .generate(self.cfg.seed)
+            .into_iter()
+            .map(|at| now + at.saturating_since(SimTime::ZERO))
+            .collect();
+        for (ri, at) in released.iter().enumerate() {
+            let tag = Tag { app: app_id, request: ri as u32, stage: ARRIVAL_STAGE };
+            sim.set_timer(at.saturating_since(now), tag.encode());
         }
         self.apps.push(AppRuntime {
             id: app_id,
@@ -686,7 +715,14 @@ impl OrchestrationEngine {
             window_missed: 0,
             clean_rounds: 0,
             priority,
-            requests,
+            stages,
+            released,
+            deadline,
+            requests: HashMap::new(),
+            #[cfg(test)]
+            arrived: 0,
+            #[cfg(test)]
+            live_peak: 0,
             completed: 0,
             failed: 0,
             shed: 0,
@@ -771,29 +807,41 @@ impl OrchestrationEngine {
     fn submit_stage(&mut self, sim: &mut SimCore, app_pos: usize, request: u32, stage_idx: usize) {
         let rt = &self.apps[app_pos];
         let app_id = rt.id;
-        let Some(state) = rt.requests.get(request as usize) else { return };
-        if state.failed || state.done[stage_idx] {
+        let Some(state) = rt.requests.get(&request) else { return };
+        if state.stages[stage_idx].finished.is_some() {
             return;
         }
-        let mut stage = state.compiled.stages[stage_idx].clone();
-        let released = state.compiled.released;
+        let template = &rt.stages[stage_idx];
+        let CompiledStage {
+            component_idx,
+            mut work_mc,
+            mem_mb,
+            accel_cfg,
+            mut input_bytes,
+            mut output_bytes,
+            max_latency,
+            security,
+            program,
+            ..
+        } = *template;
+        let released = rt.released[request as usize];
         // Apply the request's operating point (work/bytes scaling).
         if state.point_idx > 0 {
             if let Some(point) = rt.points.get(state.point_idx) {
-                stage.work_mc *= point.work_scale;
-                stage.input_bytes = (stage.input_bytes as f64 * point.bytes_scale) as u64;
-                stage.output_bytes = (stage.output_bytes as f64 * point.bytes_scale) as u64;
+                work_mc *= point.work_scale;
+                input_bytes = (input_bytes as f64 * point.bytes_scale) as u64;
+                output_bytes = (output_bytes as f64 * point.bytes_scale) as u64;
             }
         }
-        let src = if stage.preds.is_empty() {
-            None
-        } else {
-            // Data flows from the most recently finished predecessor.
-            stage.preds.iter().filter_map(|&p| state.finish_node[p]).next_back()
-        };
+        // Data flows from the most recently finished predecessor.
+        let src = template
+            .preds
+            .iter()
+            .filter_map(|&p| state.stages[p].finished.map(|(node, _)| node))
+            .next_back();
 
         let Some(placement) = self.wl.placement(app_id) else { return };
-        let mut dst = placement.node_of(stage.component_idx);
+        let mut dst = placement.node_of(component_idx);
         // If the destination is down and we may adapt, re-place first.
         let dst_up = sim.node(dst).map(|n| n.is_up()).unwrap_or(false);
         if !dst_up && self.cfg.reallocation {
@@ -833,7 +881,7 @@ impl OrchestrationEngine {
                 }
             }
             if let Some(p) = self.wl.placement(app_id) {
-                dst = p.node_of(stage.component_idx);
+                dst = p.node_of(component_idx);
             }
         }
         // Elastic replicas: serve the stage from the host with the
@@ -849,7 +897,7 @@ impl OrchestrationEngine {
         // only cross regions when that beats queueing at home.
         let burst = self.fed.as_ref().and_then(|f| f.burst_target(app_id));
         if let Some(proxy) = self.proxy.as_ref() {
-            let replicas = proxy.replica_nodes(app_id, stage.component_idx);
+            let replicas = proxy.replica_nodes(app_id, component_idx);
             if !replicas.is_empty() || burst.is_some() {
                 let now = sim.now();
                 let est = PlanEstimator::new(sim.network(), now, &self.plan_cache);
@@ -863,17 +911,13 @@ impl OrchestrationEngine {
                         // overhead, exactly as the real submission will.
                         let (work, xfer) = match src {
                             Some(s) if s != n => {
-                                let extra = self.sec.protection_work_mc(
-                                    stage.security,
-                                    s,
-                                    n,
-                                    stage.input_bytes,
-                                );
-                                let wire = stage.input_bytes
-                                    + self.sec.protection_wire_overhead(stage.security, s, n);
-                                (stage.work_mc + extra, est.transfer_us(s, n, wire, Protocol::Mqtt))
+                                let extra =
+                                    self.sec.protection_work_mc(security, s, n, input_bytes);
+                                let wire =
+                                    input_bytes + self.sec.protection_wire_overhead(security, s, n);
+                                (work_mc + extra, est.transfer_us(s, n, wire, Protocol::Mqtt))
                             }
-                            _ => (stage.work_mc, 0.0),
+                            _ => (work_mc, 0.0),
                         };
                         let local = sim
                             .node(n)
@@ -894,39 +938,40 @@ impl OrchestrationEngine {
         }
 
         let tag = Tag { app: app_id, request, stage: stage_idx as u16 };
-        let mut task = TaskInstance::new(sim.fresh_task_id(), stage.work_mc)
-            .with_mem_mb(stage.mem_mb)
-            .with_io_bytes(stage.input_bytes, stage.output_bytes)
+        let mut task = TaskInstance::new(sim.fresh_task_id(), work_mc)
+            .with_mem_mb(mem_mb)
+            .with_io_bytes(input_bytes, output_bytes)
             .with_released(released)
             .with_priority(self.apps[app_pos].priority)
             .with_tag(tag.encode());
-        if let Some(cfg) = stage.accel_cfg {
+        if let Some(cfg) = accel_cfg {
             task = task.with_accel(cfg);
         }
-        if let Some(d) = stage.max_latency {
+        if let Some(d) = max_latency {
             task = task.with_deadline(released + d);
         }
         // Portable body: the stage runs on the task VM when the
         // deployment shipped a program library. The seed derives from
         // the correlation tag, so every attempt of the same stage reads
         // the same input stream regardless of where it executes.
-        if let Some(prog) = stage.program {
+        if let Some(prog) = program {
             if sim.vm_installed() {
                 task = task.with_body(TaskBody::new(prog, self.cfg.seed ^ tag.encode()));
             }
         }
         let primary_id = task.id;
+        // k=2 replicated placement for deadline-critical stages: the
+        // twin is this task as built here, before any hop protection.
+        let twin = (self.cfg.replicate_critical && max_latency.is_some()).then(|| task.clone());
 
         let result = match src {
             None => sim.submit_local(dst, task),
             Some(src_node) if src_node == dst => sim.submit_local(dst, task),
             Some(src_node) => {
                 // Privacy & Security Manager: protect the hop.
-                let extra_mc =
-                    self.sec.protection_work_mc(stage.security, src_node, dst, stage.input_bytes);
+                let extra_mc = self.sec.protection_work_mc(security, src_node, dst, input_bytes);
                 task.work_mc += extra_mc;
-                task.input_bytes +=
-                    self.sec.protection_wire_overhead(stage.security, src_node, dst);
+                task.input_bytes += self.sec.protection_wire_overhead(security, src_node, dst);
                 self.pending_flows.insert(tag.encode(), (src_node, dst, sim.now()));
                 if self.cfg.network_management {
                     let detours_before = self.net_mgr.detours();
@@ -960,56 +1005,38 @@ impl OrchestrationEngine {
             // Destination unusable and no recovery possible: fail the
             // request.
             self.mark_failed(app_pos, request);
-        } else if self.cfg.replicate_critical && stage.max_latency.is_some() {
-            // k=2 replicated placement for deadline-critical stages:
-            // the twin runs on a different surviving node and the first
+        } else if let Some(twin) = twin {
+            // The twin runs on a different surviving node and the first
             // completion cancels the other copy.
-            self.submit_replica(sim, app_pos, &stage, tag.encode(), primary_id, dst, src, released);
+            self.submit_replica(sim, app_pos, component_idx, twin, primary_id, dst, src);
         }
     }
 
-    /// Submits a duplicate of a deadline-critical stage onto a second
-    /// node (never the primary's), pairing the two copies so the first
-    /// completion can cancel the loser. A stage with no distinct
-    /// surviving candidate simply runs unreplicated.
+    /// Submits `twin`, a duplicate of a deadline-critical stage's task,
+    /// onto a second node (never the primary's) under a fresh id,
+    /// pairing the two copies so the first completion can cancel the
+    /// loser. A stage with no distinct surviving candidate simply runs
+    /// unreplicated.
     #[allow(clippy::too_many_arguments)]
     fn submit_replica(
         &mut self,
         sim: &mut SimCore,
         app_pos: usize,
-        stage: &CompiledStage,
-        tag: u64,
+        component_idx: usize,
+        mut twin: TaskInstance,
         primary: TaskId,
         primary_node: NodeId,
         src: Option<NodeId>,
-        released: SimTime,
     ) {
         let rt = &self.apps[app_pos];
-        let Some(dag_pos) =
-            rt.dag.nodes().iter().position(|n| n.component_idx == stage.component_idx)
+        let Some(dag_pos) = rt.dag.nodes().iter().position(|n| n.component_idx == component_idx)
         else {
             return;
         };
         let candidates = self.region_filter(rt.id, self.sec.candidates(sim, &rt.app, &rt.dag));
         let ups = candidates.get(dag_pos).map(Vec::as_slice).unwrap_or(&[]);
         let Some(twin_node) = replica_target(primary_node, ups) else { return };
-        let mut twin = TaskInstance::new(sim.fresh_task_id(), stage.work_mc)
-            .with_mem_mb(stage.mem_mb)
-            .with_io_bytes(stage.input_bytes, stage.output_bytes)
-            .with_released(released)
-            .with_priority(rt.priority)
-            .with_tag(tag);
-        if let Some(cfg) = stage.accel_cfg {
-            twin = twin.with_accel(cfg);
-        }
-        if let Some(d) = stage.max_latency {
-            twin = twin.with_deadline(released + d);
-        }
-        if let Some(prog) = stage.program {
-            if sim.vm_installed() {
-                twin = twin.with_body(TaskBody::new(prog, self.cfg.seed ^ tag));
-            }
-        }
+        twin.id = sim.fresh_task_id();
         let twin_id = twin.id;
         let sent = match src {
             Some(s) if s != twin_node => {
@@ -1054,32 +1081,29 @@ impl OrchestrationEngine {
 
         let Some(pos) = self.app_index(tag.app) else { return };
         let rt = &mut self.apps[pos];
-        let Some(state) = rt.requests.get_mut(tag.request as usize) else { return };
+        let Entry::Occupied(mut live) = rt.requests.entry(tag.request) else { return };
+        let state = live.get_mut();
         let si = tag.stage as usize;
-        if si >= state.done.len() || state.done[si] {
+        if state.stages.get(si).is_none_or(|p| p.finished.is_some()) {
             return;
         }
-        state.done[si] = true;
-        state.finish_node[si] = Some(outcome.node);
-        state.finish_at[si] = Some(outcome.at);
+        state.stages[si].finished = Some((outcome.node, outcome.at));
         // Unlock successors.
         let mut ready = Vec::new();
-        for (j, stage) in state.compiled.stages.iter().enumerate() {
+        for (j, stage) in rt.stages.iter().enumerate() {
             if stage.preds.contains(&si) {
-                state.deps_left[j] -= 1;
-                if state.deps_left[j] == 0 {
+                state.stages[j].deps_left -= 1;
+                if state.stages[j].deps_left == 0 {
                     ready.push(j);
                 }
             }
         }
-        let all_done = state.done.iter().all(|d| *d);
-        let released = state.compiled.released;
-        let deadline = state.compiled.deadline();
-        if all_done && !state.completed && !state.failed {
-            state.completed = true;
-            let latency = outcome.at.saturating_since(released);
+        if state.stages.iter().all(|p| p.finished.is_some()) {
+            // Terminal: the request retires here.
+            let state = live.remove();
+            let latency = outcome.at.saturating_since(rt.released[tag.request as usize]);
             let lat_ms = latency.as_millis_f64();
-            let missed = deadline.is_some_and(|d| latency > d);
+            let missed = rt.deadline.is_some_and(|d| latency > d);
             rt.completed += 1;
             rt.latencies_ms.push(lat_ms);
             rt.window_done += 1;
@@ -1092,28 +1116,17 @@ impl OrchestrationEngine {
             // plus its measured critical path (the chain of binding
             // dependencies that set the end-to-end latency).
             if lat_ms > rt.slowest.latency_ms {
-                let span = |j: usize, stg: &myrtus_workload::compile::CompiledStage| {
-                    Some(StageSpan {
-                        stage: stg.name.clone(),
-                        node: state.finish_node[j]?,
-                        finished_at: state.finish_at[j]?,
-                    })
+                let stages = &rt.stages;
+                let span = |j: usize| {
+                    let (node, finished_at) = state.stages[j].finished?;
+                    Some(StageSpan { stage: stages[j].name.clone(), node, finished_at })
                 };
-                let trace: Vec<StageSpan> = state
-                    .compiled
-                    .stages
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(j, stg)| span(j, stg))
-                    .collect();
-                let preds: Vec<Vec<usize>> =
-                    state.compiled.stages.iter().map(|s| s.preds.clone()).collect();
+                let trace: Vec<StageSpan> = (0..stages.len()).filter_map(span).collect();
+                let preds: Vec<Vec<usize>> = stages.iter().map(|s| s.preds.clone()).collect();
                 let finish_us: Vec<Option<u64>> =
-                    state.finish_at.iter().map(|f| f.map(|t| t.as_micros())).collect();
-                let critical_path: Vec<StageSpan> = causal_chain(&preds, &finish_us)
-                    .into_iter()
-                    .filter_map(|j| span(j, &state.compiled.stages[j]))
-                    .collect();
+                    state.stages.iter().map(|p| p.finished.map(|(_, t)| t.as_micros())).collect();
+                let critical_path: Vec<StageSpan> =
+                    causal_chain(&preds, &finish_us).into_iter().filter_map(span).collect();
                 rt.slowest = SlowestRequest { latency_ms: lat_ms, trace, critical_path };
             }
             self.kb.record_kpi(&rt.app.name, "latency_ms", sim.now(), lat_ms);
@@ -1123,16 +1136,13 @@ impl OrchestrationEngine {
         }
     }
 
-    /// Marks a request failed (once) — degraded, not wedged: its other
-    /// stages keep their terminal accounting and the app's report shows
-    /// the loss instead of the run hanging on it.
+    /// Marks a request failed (once) and retires it — degraded, not
+    /// wedged: the app's report shows the loss instead of the run
+    /// hanging on it, and later events of its stages are ignored.
     fn mark_failed(&mut self, app_pos: usize, request: u32) {
         let rt = &mut self.apps[app_pos];
-        if let Some(st) = rt.requests.get_mut(request as usize) {
-            if !st.failed && !st.completed {
-                st.failed = true;
-                rt.failed += 1;
-            }
+        if rt.requests.remove(&request).is_some() {
+            rt.failed += 1;
         }
     }
 
@@ -1142,21 +1152,19 @@ impl OrchestrationEngine {
     /// is a *policy* outcome, not a fault.
     fn mark_shed(&mut self, app_pos: usize, request: u32) {
         let rt = &mut self.apps[app_pos];
-        if let Some(st) = rt.requests.get_mut(request as usize) {
-            if !st.failed && !st.completed {
-                st.failed = true;
-                rt.shed += 1;
-            }
+        if rt.requests.remove(&request).is_some() {
+            rt.shed += 1;
         }
     }
 
-    /// Whether stage `si` of the tagged request has already completed.
+    /// Whether stage `si` of the tagged (live) request has already
+    /// completed.
     fn stage_done(&self, app_pos: usize, tag: Tag) -> bool {
-        let si = tag.stage as usize;
         self.apps[app_pos]
             .requests
-            .get(tag.request as usize)
-            .is_some_and(|st| si < st.done.len() && st.done[si])
+            .get(&tag.request)
+            .and_then(|st| st.stages.get(tag.stage as usize))
+            .is_some_and(|p| p.finished.is_some())
     }
 
     /// A stage task was dropped by admission control. The simulator has
@@ -1193,16 +1201,20 @@ impl OrchestrationEngine {
         let rt = &self.apps[app_pos];
         let Some(st) = rt
             .requests
-            .get(tag.request as usize)
-            .filter(|st| !st.failed && si < st.done.len() && !st.done[si])
+            .get(&tag.request)
+            .filter(|st| st.stages.get(si).is_some_and(|p| p.finished.is_none()))
         else {
-            // The request already failed, or the stage completed on the
-            // surviving replica: terminate this attempt quietly.
+            // The request is already terminal, or the stage completed on
+            // the surviving replica: terminate this attempt quietly.
             sim.note_give_up(task.id);
             return;
         };
-        let stage = &st.compiled.stages[si];
-        let src = stage.preds.iter().filter_map(|&p| st.finish_node[p]).next_back();
+        let stage = &rt.stages[si];
+        let src = stage
+            .preds
+            .iter()
+            .filter_map(|&p| st.stages[p].finished.map(|(node, _)| node))
+            .next_back();
         let comp_idx = stage.component_idx;
         let target = {
             let candidates = self.region_filter(rt.id, self.sec.candidates(sim, &rt.app, &rt.dag));
@@ -1279,16 +1291,17 @@ impl OrchestrationEngine {
             self.lost_tasks += 1;
             let tag = Tag::decode(t.tag);
             let Some(pos) = self.app_index(tag.app) else { continue };
-            let Some(state) = self.apps[pos].requests.get_mut(tag.request as usize) else {
+            let Some(stage) = self.apps[pos]
+                .requests
+                .get_mut(&tag.request)
+                .and_then(|st| st.stages.get_mut(tag.stage as usize))
+                .filter(|p| p.finished.is_none())
+            else {
                 continue;
             };
-            let si = tag.stage as usize;
-            if si >= state.retries.len() || state.failed || state.done[si] {
-                continue;
-            }
-            if self.cfg.reallocation && state.retries[si] < MAX_RESUBMITS {
-                state.retries[si] += 1;
-                self.submit_stage(sim, pos, tag.request, si);
+            if self.cfg.reallocation && stage.retries < MAX_RESUBMITS {
+                stage.retries += 1;
+                self.submit_stage(sim, pos, tag.request, tag.stage as usize);
             } else {
                 self.mark_failed(pos, tag.request);
             }
@@ -1771,24 +1784,32 @@ impl Driver for OrchestrationEngine {
                     return;
                 }
                 if t.stage == ARRIVAL_STAGE {
-                    // Deployment metadata applied at run time: the request
-                    // executes at the app's *current* operating point.
+                    // The request comes alive: its state is built here
+                    // and retired at its terminal event. Deployment
+                    // metadata applied at run time: the request executes
+                    // at the app's *current* operating point.
                     let Some(pos) = self.app_index(t.app) else { return };
                     let rt = &mut self.apps[pos];
-                    let Some(st) = rt.requests.get_mut(t.request as usize) else { return };
-                    if self.cfg.app_point_adaptation {
-                        st.point_idx = rt.point_idx;
-                    }
-                    let sources: Vec<usize> = st
-                        .compiled
+                    let point_idx = if self.cfg.app_point_adaptation { rt.point_idx } else { 0 };
+                    let stages = rt
                         .stages
                         .iter()
-                        .enumerate()
-                        .filter(|(_, s)| s.preds.is_empty())
-                        .map(|(i, _)| i)
+                        .map(|s| StageProgress {
+                            deps_left: s.preds.len(),
+                            retries: 0,
+                            finished: None,
+                        })
                         .collect();
-                    for s in sources {
-                        self.submit_stage(sim, pos, t.request, s);
+                    rt.requests.insert(t.request, RequestState { point_idx, stages });
+                    #[cfg(test)]
+                    {
+                        rt.arrived += 1;
+                        rt.live_peak = rt.live_peak.max(rt.requests.len());
+                    }
+                    for s in 0..rt.stages.len() {
+                        if self.apps[pos].stages[s].preds.is_empty() {
+                            self.submit_stage(sim, pos, t.request, s);
+                        }
                     }
                 }
             }
@@ -1827,6 +1848,7 @@ mod tests {
     use crate::policies::{GreedyBestFit, LayerPinned, RoundRobin};
     use myrtus_continuum::fault::FaultPlan;
     use myrtus_continuum::topology::ContinuumBuilder;
+    use myrtus_workload::compile::compile_requests;
     use myrtus_workload::scenarios;
 
     fn small_telerehab() -> Application {
@@ -2425,5 +2447,215 @@ mod tests {
         assert!(report.global_qos() >= 0.0 && report.global_qos() <= 1.0);
         assert!(report.energy_per_request_j().is_finite());
         assert!(report.events > 0);
+    }
+
+    /// Runs the E12b surge mix (2× bulk, admission and autoscaler as in
+    /// E12) for `horizon` plus a 1 s drain and returns the engine with
+    /// its per-app state intact.
+    fn surge_engine(horizon: SimTime) -> OrchestrationEngine {
+        use myrtus_continuum::admission::AdmissionPolicy;
+        use myrtus_workload::scenarios::surge::surge_mix_scaled;
+        let mut continuum = ContinuumBuilder::new().build();
+        let mut engine = OrchestrationEngine::new(
+            Box::new(GreedyBestFit::new()),
+            EngineConfig {
+                admission: Some(AdmissionPolicy {
+                    rate_per_window: 20,
+                    ..AdmissionPolicy::default()
+                }),
+                elasticity: Some(ElasticityConfig {
+                    scale_up_queue: 2.0,
+                    scale_up_utilization: 0.5,
+                    ..ElasticityConfig::default()
+                }),
+                ..EngineConfig::default()
+            },
+        );
+        let apps = surge_mix_scaled(7, horizon, 2.0).into_iter().map(|a| (a, SimTime::ZERO));
+        let end = horizon + SimDuration::from_secs(1);
+        engine.launch(&mut continuum, apps.collect(), end).expect("places");
+        continuum.sim_mut().run_until(end, &mut engine);
+        engine
+    }
+
+    #[test]
+    fn request_state_follows_live_work_not_the_horizon() {
+        let short = surge_engine(SimTime::from_secs(60));
+        let long = surge_engine(SimTime::from_secs(240));
+        let peak = |e: &OrchestrationEngine| e.apps.iter().map(|a| a.live_peak).max();
+        assert_eq!(short.apps.len(), long.apps.len());
+        for (s, l) in short.apps.iter().zip(&long.apps) {
+            for rt in [s, l] {
+                // Every fired arrival ends in exactly one terminal state
+                // or is still live.
+                assert_eq!(
+                    rt.completed + rt.failed + rt.shed + rt.requests.len() as u64,
+                    rt.arrived,
+                    "{}: per-request conservation",
+                    rt.app.name
+                );
+                assert!(rt.arrived <= rt.released.len() as u64);
+            }
+            assert!(l.arrived > 3 * s.arrived, "{}: the long run serves more", l.app.name);
+            assert!(l.arrived > 50 * l.live_peak as u64, "{}: peak {}", l.app.name, l.live_peak);
+            assert!(
+                Some(l.live_peak) <= peak(&short),
+                "{}: peak {} at 240 s above the 60 s run's {:?}",
+                l.app.name,
+                l.live_peak,
+                peak(&short)
+            );
+        }
+        // The high-water mark does not grow with the horizon (per app
+        // it moves by a couple of requests either way, because the
+        // surge ramp stretches with the horizon).
+        assert_eq!(peak(&short), peak(&long));
+        assert!(long.apps.iter().any(|a| a.shed > 0), "admission sheds bulk requests");
+    }
+
+    /// Forwards every event to the engine except the completions of the
+    /// listed stages, which it keeps so a test can deliver them late.
+    struct HoldCompletions<'a> {
+        engine: &'a mut OrchestrationEngine,
+        stages: &'a [u16],
+        held: Vec<myrtus_continuum::task::TaskOutcome>,
+    }
+
+    impl Driver for HoldCompletions<'_> {
+        fn on_event(&mut self, sim: &mut SimCore, event: SimEvent) {
+            match event {
+                SimEvent::TaskCompleted(o)
+                    if self.stages.contains(&Tag::decode(o.task.tag).stage) =>
+                {
+                    self.held.push(o);
+                }
+                other => self.engine.on_event(sim, other),
+            }
+        }
+    }
+
+    /// Runs `app` alone for one second with the completions of `stages`
+    /// held back; returns the engine, the continuum and the held
+    /// outcomes in completion order. Round-robin placement puts every
+    /// component on its own node, so each non-source stage's input
+    /// crosses the network.
+    fn run_holding(
+        cfg: EngineConfig,
+        app: Application,
+        stages: &[u16],
+    ) -> (OrchestrationEngine, Continuum, Vec<myrtus_continuum::task::TaskOutcome>) {
+        let mut continuum = ContinuumBuilder::new().build();
+        let mut engine = OrchestrationEngine::new(Box::new(RoundRobin::new()), cfg);
+        let end = SimTime::from_secs(1);
+        engine.launch(&mut continuum, vec![(app, SimTime::ZERO)], end).expect("places");
+        let mut hold = HoldCompletions { engine: &mut engine, stages, held: Vec::new() };
+        continuum.sim_mut().run_until(end, &mut hold);
+        let held = hold.held;
+        (engine, continuum, held)
+    }
+
+    fn tally(rt: &AppRuntime) -> (u64, u64, u64) {
+        (rt.completed, rt.failed, rt.shed)
+    }
+
+    #[test]
+    fn a_twin_completing_after_its_shed_sibling_completes_the_stage_once() {
+        use myrtus_workload::{ArrivalSpec, Component, ComponentKind};
+        let app = Application::new("crit", ArrivalSpec::periodic(SimDuration::from_millis(10), 1))
+            .with_component(
+                Component::new("f", ComponentKind::Function)
+                    .with_work_mc(2.0)
+                    .with_max_latency(SimDuration::from_millis(50)),
+            );
+        let cfg = EngineConfig { replicate_critical: true, ..EngineConfig::default() };
+        let (mut engine, mut continuum, held) = run_holding(cfg, app, &[0]);
+        assert_eq!(held.len(), 2, "primary and twin both ran: {held:?}");
+        let (primary, twin) = (&held[0].task, &held[1]);
+        assert_eq!(engine.replicas.len(), 2, "the pair is registered");
+        assert_eq!(engine.apps[0].requests.len(), 1, "request 0 is live");
+        let sim = continuum.sim_mut();
+        // Admission drops the primary: the twin fights on alone.
+        engine.on_event(
+            sim,
+            SimEvent::TaskShed { node: held[0].node, task: primary.clone(), reason: "queue_full" },
+        );
+        assert_eq!(
+            tally(&engine.apps[0]),
+            (0, 0, 0),
+            "a shed primary with a live twin retires nothing"
+        );
+        assert_eq!(engine.apps[0].requests.len(), 1);
+        engine.on_event(sim, SimEvent::TaskCompleted(twin.clone()));
+        assert_eq!(tally(&engine.apps[0]), (1, 0, 0), "the twin completes the request");
+        assert!(engine.apps[0].requests.is_empty(), "the completed request retires");
+        // Late duplicates of either copy change nothing.
+        engine.on_event(sim, SimEvent::TaskCompleted(twin.clone()));
+        engine.on_event(sim, SimEvent::TaskCompleted(held[0].clone()));
+        assert_eq!(tally(&engine.apps[0]), (1, 0, 0));
+        assert_eq!(engine.apps[0].latencies_ms.len(), 1, "one latency sample for one completion");
+    }
+
+    #[test]
+    fn late_events_of_a_terminal_request_change_no_tally() {
+        use myrtus_workload::{ArrivalSpec, Component, ComponentKind};
+        // `s` fans out to `a` (held, then shed or failed by hand) and
+        // `b` (held, then delivered late, recovered and lost).
+        let app = Application::new("fan", ArrivalSpec::periodic(SimDuration::from_millis(10), 2))
+            .with_component(Component::new("s", ComponentKind::Sensor).with_work_mc(0.5))
+            .with_component(Component::new("a", ComponentKind::Function).with_work_mc(2.0))
+            .with_component(Component::new("b", ComponentKind::Storage).with_work_mc(1.0))
+            .with_connection("s", "a", 2_000, Protocol::Mqtt)
+            .with_connection("s", "b", 2_000, Protocol::Mqtt);
+        let cfg = EngineConfig { retry: Some(RetryPolicy::default()), ..EngineConfig::default() };
+        let (mut engine, mut continuum, held) = run_holding(cfg, app, &[1, 2]);
+        let stage_of = |request: u32, stage: u16| {
+            held.iter()
+                .find(|o| Tag::decode(o.task.tag) == Tag { app: 0, request, stage })
+                .cloned()
+                .expect("held")
+        };
+        assert_eq!(held.len(), 4, "two requests x two held stages");
+        assert_eq!(engine.apps[0].requests.len(), 2, "both requests wait on their held stages");
+        let sim = continuum.sim_mut();
+        for (request, shed) in [(0, true), (1, false)] {
+            let a = stage_of(request, 1);
+            let b = stage_of(request, 2);
+            let terminal = if shed {
+                SimEvent::TaskShed { node: a.node, task: a.task.clone(), reason: "rate_limit" }
+            } else {
+                SimEvent::TaskAbandoned { node: a.node, task: a.task.clone() }
+            };
+            engine.on_event(sim, terminal);
+            let after = tally(&engine.apps[0]);
+            assert_eq!(after, if shed { (0, 0, 1) } else { (0, 1, 1) });
+            assert!(!engine.apps[0].requests.contains_key(&request), "terminal requests retire");
+            // `b` shipped its input from `s`'s host: the Network
+            // Manager's reward for that transfer is still owed.
+            let flow = b.task.tag;
+            assert!(engine.pending_flows.contains_key(&flow), "b crossed the network");
+            engine.on_event(sim, SimEvent::TaskCompleted(b.clone()));
+            assert!(
+                !engine.pending_flows.contains_key(&flow),
+                "a late completion still rewards its flow"
+            );
+            engine.on_event(sim, SimEvent::TaskCompleted(a.clone()));
+            engine.on_event(
+                sim,
+                SimEvent::TaskRecovered { node: b.node, task: b.task.clone(), attempt: 1 },
+            );
+            engine.on_event(sim, SimEvent::TasksLost { node: b.node, tasks: vec![b.task.clone()] });
+            engine.on_event(sim, SimEvent::TaskAbandoned { node: b.node, task: b.task.clone() });
+            engine.on_event(
+                sim,
+                SimEvent::TaskShed { node: b.node, task: b.task, reason: "queue_full" },
+            );
+            assert_eq!(
+                tally(&engine.apps[0]),
+                after,
+                "late events of a terminal request are inert"
+            );
+            assert!(!engine.apps[0].requests.contains_key(&request), "nothing revives it");
+        }
+        assert_eq!(engine.apps[0].latencies_ms.len(), 0);
     }
 }

@@ -96,7 +96,65 @@ impl CompiledRequest {
     }
 }
 
-/// Expands an application into its full request stream.
+/// Builds an application's stage templates: one [`CompiledStage`] per
+/// DAG node in topological order, with preds remapped to positions
+/// within the list and each tag set to `(app_id, request 0, position)`.
+///
+/// Every request of the application instantiates this same list (only
+/// the tag's request field differs), so an engine can keep one copy per
+/// application instead of one per request.
+///
+/// # Errors
+///
+/// Returns the application's validation error if the topology is
+/// malformed.
+pub fn compile_stages(
+    app: &Application,
+    app_id: u16,
+    point: Option<&AppOperatingPoint>,
+) -> Result<Vec<CompiledStage>, ValidateAppError> {
+    let dag = RequestDag::from_application(app)?;
+    let work_scale = point.map_or(1.0, |p| p.work_scale);
+    let bytes_scale = point.map_or(1.0, |p| p.bytes_scale);
+    let topo = dag.topo_order();
+    let mut pos_in_topo = vec![0usize; dag.nodes().len()];
+    for (rank, &i) in topo.iter().enumerate() {
+        pos_in_topo[i] = rank;
+    }
+    Ok(topo
+        .iter()
+        .enumerate()
+        .map(|(si, &i)| {
+            let n = &dag.nodes()[i];
+            let comp = &app.components[n.component_idx];
+            let input: u64 = dag.nodes()[i]
+                .preds
+                .iter()
+                .map(|&p| {
+                    dag.nodes()[p].succs.iter().find(|(s, _)| *s == i).map(|(_, b)| *b).unwrap_or(0)
+                })
+                .sum();
+            let output: u64 = n.succs.iter().map(|(_, b)| *b).sum();
+            CompiledStage {
+                component_idx: n.component_idx,
+                name: n.name.clone(),
+                work_mc: n.work_mc * work_scale,
+                mem_mb: comp.requirements.mem_mb,
+                accel_cfg: comp.requirements.accel_cfg,
+                input_bytes: (input as f64 * bytes_scale) as u64,
+                output_bytes: (output as f64 * bytes_scale) as u64,
+                max_latency: comp.requirements.max_latency,
+                security: comp.requirements.security,
+                program: comp.requirements.program,
+                preds: n.preds.iter().map(|&p| pos_in_topo[p]).collect(),
+                tag: Tag { app: app_id, request: 0, stage: si as u16 },
+            }
+        })
+        .collect())
+}
+
+/// Expands an application into its full request stream: the
+/// [`compile_stages`] templates instantiated once per arrival.
 ///
 /// `app_id` namespaces the tags; `seed` drives stochastic arrivals;
 /// `point` optionally applies an operating point's work/bytes scaling.
@@ -124,58 +182,18 @@ pub fn compile_requests(
     seed: u64,
     point: Option<&AppOperatingPoint>,
 ) -> Result<Vec<CompiledRequest>, ValidateAppError> {
-    let dag = RequestDag::from_application(app)?;
-    let work_scale = point.map_or(1.0, |p| p.work_scale);
-    let bytes_scale = point.map_or(1.0, |p| p.bytes_scale);
-    let arrivals = app.arrival.generate(seed);
-
-    // Stage templates in topological order, with preds remapped to
-    // positions within the stage list.
-    let topo = dag.topo_order();
-    let mut pos_in_topo = vec![0usize; dag.nodes().len()];
-    for (rank, &i) in topo.iter().enumerate() {
-        pos_in_topo[i] = rank;
-    }
-    let templates: Vec<CompiledStage> = topo
-        .iter()
-        .map(|&i| {
-            let n = &dag.nodes()[i];
-            let comp = &app.components[n.component_idx];
-            let input: u64 = dag.nodes()[i]
-                .preds
-                .iter()
-                .map(|&p| {
-                    dag.nodes()[p].succs.iter().find(|(s, _)| *s == i).map(|(_, b)| *b).unwrap_or(0)
-                })
-                .sum();
-            let output: u64 = n.succs.iter().map(|(_, b)| *b).sum();
-            CompiledStage {
-                component_idx: n.component_idx,
-                name: n.name.clone(),
-                work_mc: n.work_mc * work_scale,
-                mem_mb: comp.requirements.mem_mb,
-                accel_cfg: comp.requirements.accel_cfg,
-                input_bytes: (input as f64 * bytes_scale) as u64,
-                output_bytes: (output as f64 * bytes_scale) as u64,
-                max_latency: comp.requirements.max_latency,
-                security: comp.requirements.security,
-                program: comp.requirements.program,
-                preds: n.preds.iter().map(|&p| pos_in_topo[p]).collect(),
-                tag: Tag { app: app_id, request: 0, stage: 0 },
-            }
-        })
-        .collect();
-
-    Ok(arrivals
+    let templates = compile_stages(app, app_id, point)?;
+    Ok(app
+        .arrival
+        .generate(seed)
         .into_iter()
         .enumerate()
         .map(|(ri, released)| {
             let stages = templates
                 .iter()
-                .enumerate()
-                .map(|(si, t)| {
+                .map(|t| {
                     let mut s = t.clone();
-                    s.tag = Tag { app: app_id, request: ri as u32, stage: si as u16 };
+                    s.tag.request = ri as u32;
                     s
                 })
                 .collect();
@@ -203,6 +221,59 @@ mod tests {
             .with_component(Component::new("k", ComponentKind::Storage).with_work_mc(1.0))
             .with_connection("s", "f", 1_000, Protocol::Mqtt)
             .with_connection("f", "k", 200, Protocol::Mqtt)
+    }
+
+    /// `s1` and `s2` both feed `f` (a fan-in stage), which feeds `k`.
+    fn fan_in() -> Application {
+        Application::new("d", ArrivalSpec::periodic(SimDuration::from_millis(5), 4))
+            .with_component(Component::new("s1", ComponentKind::Sensor).with_work_mc(0.5))
+            .with_component(Component::new("s2", ComponentKind::Sensor).with_work_mc(0.7))
+            .with_component(
+                Component::new("f", ComponentKind::Function)
+                    .with_work_mc(3.0)
+                    .with_max_latency(SimDuration::from_millis(15)),
+            )
+            .with_component(Component::new("k", ComponentKind::Storage).with_work_mc(1.0))
+            .with_connection("s1", "f", 800, Protocol::Mqtt)
+            .with_connection("s2", "f", 300, Protocol::Mqtt)
+            .with_connection("f", "k", 100, Protocol::Mqtt)
+    }
+
+    #[test]
+    fn requests_are_the_stage_templates_times_the_arrivals() {
+        let eco = AppOperatingPoint::new("eco", 0.5, 0.25, 0.8);
+        for app in [chain(), fan_in()] {
+            for point in [None, Some(&eco)] {
+                let templates = compile_stages(&app, 3, point).expect("valid");
+                let arrivals = app.arrival.generate(11);
+                let expected: Vec<CompiledRequest> = arrivals
+                    .iter()
+                    .enumerate()
+                    .map(|(ri, &released)| CompiledRequest {
+                        released,
+                        request_idx: ri as u32,
+                        stages: templates
+                            .iter()
+                            .enumerate()
+                            .map(|(si, t)| CompiledStage {
+                                tag: Tag { app: 3, request: ri as u32, stage: si as u16 },
+                                ..t.clone()
+                            })
+                            .collect(),
+                    })
+                    .collect();
+                let reqs = compile_requests(&app, 3, 11, point).expect("valid");
+                assert!(!reqs.is_empty());
+                assert_eq!(reqs, expected, "{} with point {:?}", app.name, point.map(|p| &p.name));
+            }
+        }
+        // The fan-in stage really has two upstream stages and sums both
+        // inbound edges.
+        let st = compile_stages(&fan_in(), 0, None).expect("valid");
+        let f = st.iter().find(|s| s.name == "f").expect("stage f");
+        assert_eq!(f.preds.len(), 2);
+        assert_eq!(f.input_bytes, 1_100);
+        assert!(f.preds.iter().all(|&p| st[p].name.starts_with('s')));
     }
 
     #[test]

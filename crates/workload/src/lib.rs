@@ -31,7 +31,7 @@ pub mod tosca;
 pub mod trace;
 
 pub use arrival::ArrivalSpec;
-pub use compile::{compile_requests, CompiledRequest, CompiledStage, Tag};
+pub use compile::{compile_requests, compile_stages, CompiledRequest, CompiledStage, Tag};
 pub use graph::RequestDag;
 pub use opset::{AppOperatingPoint, AppPointSet};
 pub use tosca::{Application, Component, ComponentKind, SecurityTier};
