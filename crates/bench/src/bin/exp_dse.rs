@@ -2,9 +2,7 @@
 //! heterogeneous edge platform, and MDC reconfigurable-datapath area
 //! savings as more kernels are merged.
 
-use std::time::Instant;
-
-use myrtus::dpe::dse::{explore, explore_serial, standard_edge_platform};
+use myrtus::dpe::dse::{explore, standard_edge_platform};
 use myrtus::dpe::kernels::{detect_cnn, fusion, pose_cnn, preproc};
 use myrtus::dpe::mdc::compose;
 use myrtus_bench::{num, render_table};
@@ -68,32 +66,6 @@ fn main() {
         render_table(
             "E7 — MDC reconfigurable datapath: dedicated vs composed area",
             &["configurations", "dedicated area", "composed area", "savings %", "shared actors"],
-            &rows
-        )
-    );
-    // Serial vs parallel exploration: same points, different wall-clock
-    // (the gap tracks available cores; on one core they tie).
-    let mut rows = Vec::new();
-    for g in &kernels {
-        let t0 = Instant::now();
-        let ser = explore_serial(g, &platform, 5, 12).expect("valid kernel");
-        let serial_ms = t0.elapsed().as_secs_f64() * 1_000.0;
-        let t1 = Instant::now();
-        let par = explore(g, &platform, 5, 12).expect("valid kernel");
-        let parallel_ms = t1.elapsed().as_secs_f64() * 1_000.0;
-        assert_eq!(ser.points, par.points, "parallel DSE must be bit-identical");
-        rows.push(vec![
-            g.name.clone(),
-            num(serial_ms, 2),
-            num(parallel_ms, 2),
-            num(serial_ms / parallel_ms.max(1e-9), 2),
-        ]);
-    }
-    println!(
-        "{}",
-        render_table(
-            "E7 — DSE wall-clock: serial vs rayon fan-out (bit-identical points)",
-            &["kernel", "serial ms", "parallel ms", "speedup ×"],
             &rows
         )
     );

@@ -3,11 +3,9 @@
 //! runtime-manager rule space, each candidate evaluated by a what-if
 //! simulation; the evolved rules are validated on a held-out workload.
 
-use std::time::Instant;
-
 use myrtus::continuum::time::SimTime;
 use myrtus::mirto::engine::{run_orchestration, EngineConfig};
-use myrtus::mirto::frevo::{evaluate_genome, evolve, evolve_serial, EvolutionConfig, Genome};
+use myrtus::mirto::frevo::{evaluate_genome, evolve, EvolutionConfig, Genome};
 use myrtus::mirto::policies::GreedyBestFit;
 use myrtus::workload::scenarios;
 use myrtus_bench::{num, render_table};
@@ -23,29 +21,7 @@ fn main() {
         seed: 11,
         horizon: SimTime::from_secs(4),
     };
-    let t0 = Instant::now();
-    let serial = evolve_serial(&train, cfg);
-    let serial_ms = t0.elapsed().as_secs_f64() * 1_000.0;
-    let t1 = Instant::now();
     let result = evolve(&train, cfg);
-    let parallel_ms = t1.elapsed().as_secs_f64() * 1_000.0;
-    assert_eq!(serial.best, result.best, "parallel evolution must be bit-identical");
-    assert_eq!(serial.history, result.history);
-    println!(
-        "{}",
-        render_table(
-            "E10 — evolution wall-clock: serial vs rayon fan-out (bit-identical)",
-            &["variant", "wall ms", "speedup ×"],
-            &[
-                vec!["serial".into(), num(serial_ms, 1), num(1.0, 2)],
-                vec![
-                    "parallel".into(),
-                    num(parallel_ms, 1),
-                    num(serial_ms / parallel_ms.max(1e-9), 2),
-                ],
-            ],
-        )
-    );
 
     let rows: Vec<Vec<String>> = result
         .history

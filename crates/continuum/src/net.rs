@@ -494,13 +494,13 @@ impl Network {
 ///
 /// Byte counts are used as exact (degenerate) bucket keys: DAG edges
 /// reuse a small set of payload sizes, and exact keys keep cached
-/// results bit-identical to the uncached path — the determinism contract
-/// the parallel evaluators rely on.
+/// results bit-identical to the uncached path, so a plan makes the same
+/// decisions with or without the cache.
 ///
 /// A stale snapshot clears the memo on the next lookup, so a long-lived
 /// cache (e.g. owned by an orchestration engine across monitoring
-/// rounds) is always safe to reuse. Interior locking makes the cache
-/// shareable across scoring threads.
+/// rounds) is always safe to reuse. The memos sit behind interior
+/// locks, so evaluators use the cache through shared references.
 #[derive(Debug, Default)]
 pub struct RouteCache {
     routes: Mutex<RouteMemo>,
@@ -549,9 +549,10 @@ impl RouteCache {
     /// Only the deterministic `route_cache_invalidations` counter
     /// (labels `route` / `estimate`, bumped once per observed topology
     /// epoch change per memo) goes through the observability layer; the
-    /// raw hit/miss counters stay in [`CacheStats`] because concurrent
-    /// scorers can race on a missing key (the estimate is computed
-    /// outside the lock), making those totals nondeterministic.
+    /// raw hit/miss counters stay in [`CacheStats`] because they describe
+    /// the host-side memo, not the simulated run: they move whenever a
+    /// cache is attached, dropped or kept alive longer, while every
+    /// decision stays the same.
     pub fn with_obs(obs: myrtus_obs::Obs) -> Self {
         RouteCache { obs, ..RouteCache::default() }
     }
@@ -621,8 +622,8 @@ impl RouteCache {
             }
             memo.misses += 1;
         }
-        // Compute outside the estimate lock so route memoization (its own
-        // lock) and the path walk don't serialize concurrent scorers.
+        // Compute outside the estimate lock; the route lookup takes the
+        // route memo's own lock.
         let eta = self
             .route(net, from, to)
             .ok()
@@ -649,7 +650,7 @@ impl RouteCache {
 
 /// Cheap, copyable handle binding a [`Network`], a plan instant and a
 /// [`RouteCache`]: the object plan-time evaluators thread through
-/// (possibly parallel) candidate scoring.
+/// candidate scoring.
 ///
 /// All lookups go through the cache; results are exactly what the
 /// uncached [`Network::route`]/[`Network::estimate_transfer`] pair

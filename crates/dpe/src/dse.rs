@@ -212,8 +212,8 @@ fn pareto_front(points: &[DesignPoint]) -> Vec<usize> {
     front
 }
 
-/// Greedy single-actor polish on latency; self-contained and RNG-free,
-/// so samples can be polished concurrently without changing any result.
+/// Greedy single-actor polish on latency; RNG-free, so every sample's
+/// polish depends on its starting mapping alone.
 fn polish(
     graph: &DataflowGraph,
     platform: &[Pe],
@@ -247,54 +247,39 @@ fn polish(
     Ok(mapping)
 }
 
-/// Evaluates `work` through `f`, optionally fanning out across the rayon
-/// pool; results always come back in input order.
-fn map_maybe_parallel<T, R, F>(work: Vec<T>, parallel: bool, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    if parallel {
-        use rayon::prelude::*;
-        work.into_par_iter().map(f).collect()
-    } else {
-        work.into_iter().map(f).collect()
-    }
-}
-
-fn explore_impl(
+/// Explores mappings of `graph` onto `platform`.
+///
+/// Spaces up to 20 000 points are enumerated fully, in odometer order
+/// (actor 0 varies fastest); larger spaces use `samples` random mappings
+/// (seeded) each polished by greedy single-actor moves, deduplicated in
+/// sample order.
+///
+/// # Errors
+///
+/// Propagates graph validation errors.
+pub fn explore(
     graph: &DataflowGraph,
     platform: &[Pe],
     seed: u64,
     samples: usize,
-    parallel: bool,
 ) -> Result<DseResult, IrError> {
     graph.validate()?;
     let n = graph.actors().len();
     let p = platform.len();
     let space = (p as f64).powi(n as i32);
     let mut points: Vec<DesignPoint> = Vec::new();
-    let mut seen = std::collections::HashSet::new();
-    let mut push = |mapping: Mapping, points: &mut Vec<DesignPoint>| -> Result<(), IrError> {
-        if seen.insert(mapping.clone()) {
-            let eval = evaluate_mapping(graph, platform, &mapping)?;
-            if eval.feasible {
-                points.push(DesignPoint { mapping, eval });
-            }
+    let mut keep = |mapping: Mapping| -> Result<(), IrError> {
+        let eval = evaluate_mapping(graph, platform, &mapping)?;
+        if eval.feasible {
+            points.push(DesignPoint { mapping, eval });
         }
         Ok(())
     };
 
     if space <= 20_000.0 {
-        // Materialize the odometer enumeration, evaluate every mapping
-        // in parallel, then fold serially in enumeration order — the
-        // point list (and thus the front) is bit-identical to evaluating
-        // one mapping at a time.
-        let mut all: Vec<Mapping> = Vec::with_capacity(space.max(1.0) as usize);
         let mut counter = vec![0usize; n];
         'enumerate: loop {
-            all.push(counter.clone());
+            keep(counter.clone())?;
             let mut d = 0;
             loop {
                 if d == n {
@@ -308,66 +293,19 @@ fn explore_impl(
                 d += 1;
             }
         }
-        let evals =
-            map_maybe_parallel(all, parallel, |m| (evaluate_mapping(graph, platform, &m), m));
-        for (eval, mapping) in evals {
-            let eval = eval?;
-            if eval.feasible {
-                points.push(DesignPoint { mapping, eval });
+    } else {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut seen = std::collections::HashSet::new();
+        for _ in 0..samples.max(1) {
+            let start: Mapping = (0..n).map(|_| rng.gen_range(0..p)).collect();
+            let mapping = polish(graph, platform, start)?;
+            if seen.insert(mapping.clone()) {
+                keep(mapping)?;
             }
         }
-        let front = pareto_front(&points);
-        return Ok(DseResult { points, front });
-    }
-
-    // Sampled path: draw every starting mapping up front (the polish
-    // consumes no randomness), polish the samples in parallel, then
-    // dedup + collect in sample order — identical to the serial loop.
-    let mut rng = StdRng::seed_from_u64(seed);
-    let initial: Vec<Mapping> =
-        (0..samples.max(1)).map(|_| (0..n).map(|_| rng.gen_range(0..p)).collect()).collect();
-    let polished = map_maybe_parallel(initial, parallel, |m| polish(graph, platform, m));
-    for mapping in polished {
-        push(mapping?, &mut points)?;
     }
     let front = pareto_front(&points);
     Ok(DseResult { points, front })
-}
-
-/// Explores mappings of `graph` onto `platform`.
-///
-/// Spaces up to 20 000 points are enumerated fully; larger spaces use
-/// `samples` random mappings (seeded) each polished by greedy
-/// single-actor moves. Mapping evaluations fan out across the rayon
-/// pool; the result is bit-identical to [`explore_serial`] for the same
-/// inputs.
-///
-/// # Errors
-///
-/// Propagates graph validation errors.
-pub fn explore(
-    graph: &DataflowGraph,
-    platform: &[Pe],
-    seed: u64,
-    samples: usize,
-) -> Result<DseResult, IrError> {
-    explore_impl(graph, platform, seed, samples, true)
-}
-
-/// Single-threaded reference twin of [`explore`]: same algorithm, no
-/// fan-out. Kept public so equivalence tests and benchmarks can compare
-/// against it.
-///
-/// # Errors
-///
-/// Propagates graph validation errors.
-pub fn explore_serial(
-    graph: &DataflowGraph,
-    platform: &[Pe],
-    seed: u64,
-    samples: usize,
-) -> Result<DseResult, IrError> {
-    explore_impl(graph, platform, seed, samples, false)
 }
 
 /// The standard MYRTUS edge platform: one CPU, one FPGA region, one

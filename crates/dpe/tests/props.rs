@@ -1,7 +1,10 @@
 //! Property-based tests of the DPE's transformation invariants.
 
+use std::collections::HashSet;
+
 use proptest::prelude::*;
 
+use myrtus_dpe::dse::{evaluate_mapping, DesignPoint};
 use myrtus_dpe::ir::{Actor, ActorKind, DataflowGraph};
 use myrtus_dpe::mdc::compose;
 use myrtus_dpe::nn::{Layer, NnModel, Shape};
@@ -120,22 +123,50 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Parallel and serial design-space exploration are bit-identical
-    /// for the same inputs — across both the exhaustive branch (short
-    /// chains) and the seeded sampling branch (long chains).
+    /// Exploration agrees with the reference evaluator on both
+    /// branches. Short chains (at most 20,000 mappings) are enumerated:
+    /// `points` is every feasible mapping in odometer order (actor 0
+    /// varies fastest), each scored by `evaluate_mapping`. Long chains
+    /// are sampled: `points` holds no mapping twice and every point is
+    /// feasible as scored; up to 63 samples make polished duplicates
+    /// common enough to test the dedup. Either way the front indexes
+    /// into `points`.
     #[test]
-    fn parallel_and_serial_exploration_agree(
+    fn exploration_matches_the_reference_evaluator(
         spec in proptest::collection::vec((any::<u8>(), 1u16..400), 1..11),
         seed in any::<u16>(),
-        samples in 1usize..10,
+        samples in 1usize..64,
     ) {
         let g = random_chain(&spec);
         let platform = myrtus_dpe::standard_edge_platform();
-        let par = myrtus_dpe::explore(&g, &platform, seed as u64, samples)
+        let res = myrtus_dpe::explore(&g, &platform, seed as u64, samples)
             .expect("valid graph");
-        let ser = myrtus_dpe::dse::explore_serial(&g, &platform, seed as u64, samples)
-            .expect("valid graph");
-        prop_assert_eq!(par.points, ser.points);
-        prop_assert_eq!(par.front, ser.front);
+        let (n, p) = (g.actors().len(), platform.len());
+        let score = |mapping: &Vec<usize>| {
+            evaluate_mapping(&g, &platform, mapping).expect("valid graph")
+        };
+        if (p as f64).powi(n as i32) <= 20_000.0 {
+            let expected: Vec<DesignPoint> = (0..p.pow(n as u32))
+                .filter_map(|code| {
+                    let mapping: Vec<usize> =
+                        (0..n).map(|a| code / p.pow(a as u32) % p).collect();
+                    let eval = score(&mapping);
+                    eval.feasible.then_some(DesignPoint { mapping, eval })
+                })
+                .collect();
+            prop_assert_eq!(&res.points, &expected);
+        } else {
+            let mut seen = HashSet::new();
+            for pt in &res.points {
+                prop_assert!(seen.insert(pt.mapping.clone()), "duplicate {:?}", pt.mapping);
+                prop_assert!(pt.eval.feasible);
+                prop_assert_eq!(pt.eval, score(&pt.mapping));
+            }
+        }
+        let mut front = res.front.clone();
+        front.sort_unstable();
+        front.dedup();
+        prop_assert_eq!(front.len(), res.front.len());
+        prop_assert!(res.front.iter().all(|&i| i < res.points.len()));
     }
 }

@@ -482,8 +482,8 @@ pub struct OrchestrationEngine {
     app_point_switches: u64,
     /// Shared observability handle, cloned into the simulator, the plan
     /// cache and the deployment proxy. Trace events are only emitted
-    /// from this (serial) driver context; parallel scoring paths record
-    /// counters only, keeping output deterministic.
+    /// from this driver context; candidate scoring records counters
+    /// only.
     obs: Obs,
 }
 

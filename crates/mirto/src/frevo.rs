@@ -128,36 +128,23 @@ pub fn evaluate_genome(genome: Genome, apps: &[Application], horizon: SimTime) -
     }
 }
 
-/// Scores a batch of genomes, optionally fanning the (independent)
-/// what-if simulations out across the rayon pool; fitness values come
-/// back in genome order either way.
-fn evaluate_generation(
-    genomes: &[Genome],
-    apps: &[Application],
-    horizon: SimTime,
-    parallel: bool,
-) -> Vec<f64> {
-    if parallel {
-        use rayon::prelude::*;
-        genomes.par_iter().map(|&g| evaluate_genome(g, apps, horizon)).collect()
-    } else {
-        genomes.iter().map(|&g| evaluate_genome(g, apps, horizon)).collect()
-    }
+/// Scores a batch of genomes; fitness values come back in genome order.
+fn evaluate_generation(genomes: &[Genome], apps: &[Application], horizon: SimTime) -> Vec<f64> {
+    genomes.iter().map(|&g| evaluate_genome(g, apps, horizon)).collect()
 }
 
-fn evolve_impl(apps: &[Application], cfg: EvolutionConfig, parallel: bool) -> EvolutionResult {
+/// Runs a (μ+λ) evolution strategy over the rule space against the
+/// given workload. Deterministic per seed.
+pub fn evolve(apps: &[Application], cfg: EvolutionConfig) -> EvolutionResult {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut evaluations = 0usize;
-    // Initial population: the default rules plus mutated variants. All
-    // mutation (the only RNG consumer) happens serially before each
-    // generation's evaluations fan out, so the evolution trajectory is
-    // identical at any thread count.
+    // Initial population: the default rules plus mutated variants.
     let default = Genome::default();
     let mut genomes = vec![default];
     while genomes.len() < cfg.parents.max(1) {
         genomes.push(default.mutate(&mut rng, 2.0));
     }
-    let fits = evaluate_generation(&genomes, apps, cfg.horizon, parallel);
+    let fits = evaluate_generation(&genomes, apps, cfg.horizon);
     evaluations += genomes.len();
     let mut population: Vec<(Genome, f64)> = genomes.into_iter().zip(fits).collect();
     let mut history = Vec::with_capacity(cfg.generations);
@@ -165,7 +152,7 @@ fn evolve_impl(apps: &[Application], cfg: EvolutionConfig, parallel: bool) -> Ev
         let children: Vec<Genome> = (0..cfg.offspring)
             .map(|i| population[i % population.len()].0.mutate(&mut rng, 1.0))
             .collect();
-        let fits = evaluate_generation(&children, apps, cfg.horizon, parallel);
+        let fits = evaluate_generation(&children, apps, cfg.horizon);
         evaluations += children.len();
         population.extend(children.into_iter().zip(fits));
         population.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
@@ -174,21 +161,6 @@ fn evolve_impl(apps: &[Application], cfg: EvolutionConfig, parallel: bool) -> Ev
     }
     let (best, best_fitness) = population[0];
     EvolutionResult { best, best_fitness, history, evaluations }
-}
-
-/// Runs a (μ+λ) evolution strategy over the rule space against the
-/// given workload, fanning each generation's what-if simulations out
-/// across the rayon pool. Deterministic per seed and bit-identical to
-/// [`evolve_serial`].
-pub fn evolve(apps: &[Application], cfg: EvolutionConfig) -> EvolutionResult {
-    evolve_impl(apps, cfg, true)
-}
-
-/// Single-threaded reference twin of [`evolve`]: same algorithm, no
-/// fan-out. Kept public so equivalence tests and benchmarks can compare
-/// against it.
-pub fn evolve_serial(apps: &[Application], cfg: EvolutionConfig) -> EvolutionResult {
-    evolve_impl(apps, cfg, false)
 }
 
 #[cfg(test)]
@@ -233,20 +205,6 @@ mod tests {
         assert!(result.history.windows(2).all(|w| w[1] <= w[0] + 1e-9));
         assert!(result.best_fitness.is_finite());
         assert_eq!(result.evaluations, 2 + 2 * 3);
-    }
-
-    #[test]
-    fn parallel_and_serial_evolution_agree() {
-        let apps = vec![scenarios::telerehab_with(1)];
-        for seed in [1u64, 7, 42] {
-            let cfg = EvolutionConfig { seed, ..tiny_cfg() };
-            let par = evolve(&apps, cfg);
-            let ser = evolve_serial(&apps, cfg);
-            assert_eq!(par.best, ser.best, "seed {seed}");
-            assert_eq!(par.best_fitness.to_bits(), ser.best_fitness.to_bits());
-            assert_eq!(par.history, ser.history);
-            assert_eq!(par.evaluations, ser.evaluations);
-        }
     }
 
     #[test]

@@ -81,10 +81,10 @@ pub struct PlanContext<'a> {
     /// uncached paths return bit-identical values for the same snapshot.
     pub estimator: Option<PlanEstimator<'a>>,
     /// Observability handle: [`evaluate`] counts rejected (infeasible)
-    /// candidates through it, labelled by rejection reason. Counter
-    /// totals stay deterministic under parallel batch scoring because
-    /// every candidate is evaluated exactly once; no trace events are
-    /// emitted from this (possibly parallel) path. Disabled by default.
+    /// candidates through it, labelled by rejection reason. Scoring
+    /// emits counters only, never trace events, so a search that scores
+    /// thousands of candidates adds nothing to the trace ring. Disabled
+    /// by default.
     pub obs: myrtus_obs::Obs,
 }
 
@@ -192,24 +192,11 @@ pub fn evaluate(ctx: &PlanContext<'_>, placement: &Placement) -> PlacementScore 
 
 /// Counts one infeasible candidate (`placement_rejected{reason}` plus
 /// the unlabelled `placement_rejected_total`) and returns the canonical
-/// infeasible score. Safe from parallel scorers: counters are
-/// commutative, so the totals are deterministic.
+/// infeasible score.
 fn reject(ctx: &PlanContext<'_>, reason: &'static str) -> PlacementScore {
     ctx.obs.counter_inc("placement_rejected", reason);
     ctx.obs.counter_inc("placement_rejected_total", "");
     PlacementScore::INFEASIBLE
-}
-
-/// Scores a batch of candidate placements, fanning the (pure,
-/// independent) evaluations out across the rayon pool.
-///
-/// The result vector is index-aligned with `placements`, so callers can
-/// run any order-sensitive selection (first-wins argmin, pareto sweeps)
-/// serially afterwards and obtain bit-identical results to a serial
-/// `evaluate` loop. Tiny batches are scored inline.
-pub fn evaluate_batch(ctx: &PlanContext<'_>, placements: &[Placement]) -> Vec<PlacementScore> {
-    use rayon::prelude::*;
-    placements.par_iter().map(|p| evaluate(ctx, p)).collect()
 }
 
 /// Picks a deterministic recovery/replica host from `candidates`: the
@@ -397,13 +384,13 @@ mod tests {
             obs: obs.clone(),
         };
         // One arity mismatch, two forbidden candidates, one feasible.
-        let batch = vec![
+        let batch = [
             Placement::new(vec![c.cloud()[0]]),
             Placement::new(vec![c.edge()[0]; dag.nodes().len()]),
             Placement::new(vec![c.edge()[1]; dag.nodes().len()]),
             Placement::new(vec![c.cloud()[0]; dag.nodes().len()]),
         ];
-        let scores = evaluate_batch(&ctx, &batch);
+        let scores: Vec<PlacementScore> = batch.iter().map(|p| evaluate(&ctx, p)).collect();
         let rejected = scores.iter().filter(|s| !s.feasible).count() as u64;
         assert_eq!(rejected, 3);
         assert_eq!(obs.counter_value("placement_rejected", "arity_mismatch"), 1);

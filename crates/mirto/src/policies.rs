@@ -14,7 +14,7 @@ use rand::{Rng, SeedableRng};
 use myrtus_continuum::ids::NodeId;
 use myrtus_continuum::node::Layer;
 
-use crate::placement::{evaluate_batch, Placement, PlanContext};
+use crate::placement::{evaluate, Placement, PlanContext};
 
 /// A deployment-time placement strategy.
 pub trait PlacementPolicy {
@@ -217,22 +217,12 @@ impl PlacementPolicy for GreedyBestFit {
         let mut placement = Placement::new(assignment);
         for &i in ctx.dag.topo_order() {
             let comp_idx = ctx.dag.nodes()[i].component_idx;
-            let cands = candidates_or_err(ctx, i)?.to_vec();
-            // Score all candidate moves for this component in parallel;
-            // the serial first-wins argmin below keeps the result
-            // bit-identical to scoring them one at a time.
-            let trials: Vec<Placement> = cands
-                .iter()
-                .map(|&cand| {
-                    let mut p = placement.clone();
-                    p.reassign(comp_idx, cand);
-                    p
-                })
-                .collect();
-            let scores = evaluate_batch(ctx, &trials);
+            // Try every candidate in place; the first strict improvement
+            // in candidate order wins.
             let mut best = (placement.node_of(comp_idx), f64::INFINITY);
-            for (&cand, s) in cands.iter().zip(&scores) {
-                let score = s.objective(self.energy_weight);
+            for &cand in candidates_or_err(ctx, i)? {
+                placement.reassign(comp_idx, cand);
+                let score = evaluate(ctx, &placement).objective(self.energy_weight);
                 if score < best.1 {
                     best = (cand, score);
                 }
@@ -283,7 +273,6 @@ impl PlacementPolicy for KubeLike {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::placement::evaluate;
     use myrtus_continuum::topology::ContinuumBuilder;
     use myrtus_kb::KnowledgeBase;
     use myrtus_workload::graph::RequestDag;

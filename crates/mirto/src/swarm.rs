@@ -74,36 +74,23 @@ impl PsoPlacement {
 
 /// Greedy coordinate descent: repeatedly sweeps the components, moving
 /// each to its best candidate under the objective, until a full sweep
-/// yields no improvement (memetic polish shared by PSO and ACO).
-///
-/// The candidate moves of one component are scored in parallel (each
-/// against the same base assignment); the first-wins argmin below stays
-/// serial and in candidate order, so the descent path is bit-identical
-/// to a fully serial sweep.
+/// yields no improvement (memetic polish shared by PSO and ACO). Each
+/// candidate is scored against the same base assignment, and the first
+/// strict improvement in candidate order wins.
 fn coordinate_polish(
     ctx: &PlanContext<'_>,
     mut assignment: Vec<NodeId>,
-    objective: &(dyn Fn(&[NodeId]) -> f64 + Sync),
+    objective: &dyn Fn(&[NodeId]) -> f64,
 ) -> (Vec<NodeId>, f64) {
-    use rayon::prelude::*;
     let mut best_score = objective(&assignment);
     loop {
         let mut improved = false;
         for d in 0..assignment.len() {
             let original = assignment[d];
-            let cands: Vec<NodeId> =
-                ctx.candidates[d].iter().copied().filter(|&c| c != original).collect();
-            let base = &assignment;
-            let scores: Vec<f64> = cands
-                .par_iter()
-                .map(|&cand| {
-                    let mut trial = base.clone();
-                    trial[d] = cand;
-                    objective(&trial)
-                })
-                .collect();
             let mut best_here = (original, best_score);
-            for (&cand, &s) in cands.iter().zip(&scores) {
+            for &cand in ctx.candidates[d].iter().filter(|&&c| c != original) {
+                assignment[d] = cand;
+                let s = objective(&assignment);
                 if s < best_here.1 {
                     best_here = (cand, s);
                 }
@@ -173,23 +160,21 @@ impl PlacementPolicy for PsoPlacement {
         }
         let mut personal_best = positions.clone();
         let mut personal_score: Vec<f64> = personal_best.iter().map(|p| objective(p)).collect();
-        let mut g_idx = (0..self.particles)
+        let leader = (0..self.particles)
             .min_by(|&a, &b| {
                 personal_score[a]
                     .partial_cmp(&personal_score[b])
                     .unwrap_or(std::cmp::Ordering::Equal)
             })
             .expect("non-empty swarm");
-        let mut global_best = personal_best[g_idx].clone();
-        let mut global_score = personal_score[g_idx];
+        let mut global_best = personal_best[leader].clone();
+        let mut global_score = personal_score[leader];
 
         self.last_trace.clear();
         // Batch-synchronous sweeps: every particle of an iteration moves
-        // against the global best of the *previous* iteration, so the
-        // move phase (the only RNG consumer) is a pure serial prefix and
-        // the scoring phase is an embarrassingly parallel map. Bests are
-        // then folded serially in particle order, which makes the whole
-        // iteration independent of thread count.
+        // against the global best of the *previous* iteration; the moved
+        // swarm is then scored and the bests are folded in particle
+        // order. This update order is part of the pinned results.
         for iter in 0..self.iterations {
             for p in 0..self.particles {
                 // Periodic scatter: one quarter of the swarm restarts from
@@ -212,24 +197,19 @@ impl PlacementPolicy for PsoPlacement {
                     }
                 }
             }
-            let scores: Vec<f64> = {
-                use rayon::prelude::*;
-                positions.par_iter().map(|p| objective(p)).collect()
-            };
-            for (p, &score) in scores.iter().enumerate() {
+            for (p, position) in positions.iter().enumerate() {
+                let score = objective(position);
                 if score < personal_score[p] {
                     personal_score[p] = score;
-                    personal_best[p] = positions[p].clone();
+                    personal_best[p] = position.clone();
                     if score < global_score {
                         global_score = score;
-                        global_best = positions[p].clone();
-                        g_idx = p;
+                        global_best = position.clone();
                     }
                 }
             }
             self.last_trace.push(global_score);
         }
-        let _ = g_idx;
         let (polished, score) = coordinate_polish(ctx, global_best, &objective);
         if let Some(last) = self.last_trace.last_mut() {
             *last = score.min(*last);
@@ -314,48 +294,30 @@ impl PlacementPolicy for AcoPlacement {
 
         self.last_trace.clear();
         for _ in 0..self.iterations {
-            // Construct every ant's trail serially (the roulette wheel is
-            // the only RNG consumer and pheromone only updates after the
-            // whole colony has walked), then score the colony in
-            // parallel. Selection folds in ant order, so the result is
-            // bit-identical to the fully serial colony.
-            let trails: Vec<Vec<usize>> = (0..self.ants)
-                .map(|_| {
-                    let mut choice_idx = Vec::with_capacity(dims);
-                    #[allow(clippy::needless_range_loop)]
-                    for d in 0..dims {
-                        let total: f64 = pheromone[d].iter().sum();
-                        let mut pick = rng.gen::<f64>() * total;
-                        let mut chosen = pheromone[d].len() - 1;
-                        for (k, &ph) in pheromone[d].iter().enumerate() {
-                            if pick < ph {
-                                chosen = k;
-                                break;
-                            }
-                            pick -= ph;
-                        }
-                        choice_idx.push(chosen);
-                    }
-                    choice_idx
-                })
-                .collect();
-            let scored: Vec<(Vec<NodeId>, f64)> = {
-                use rayon::prelude::*;
-                trails
-                    .par_iter()
-                    .map(|choice_idx| {
-                        let assignment: Vec<NodeId> = choice_idx
-                            .iter()
-                            .enumerate()
-                            .map(|(d, &k)| ctx.candidates[d][k])
-                            .collect();
-                        let score = objective(&assignment);
-                        (assignment, score)
-                    })
-                    .collect()
-            };
+            // Batch-synchronous colony: every ant walks the pheromone of
+            // the previous iteration, and the trail update waits until the
+            // whole colony has walked. This update order is part of the
+            // pinned results.
             let mut iteration_best: Option<(Vec<usize>, f64)> = None;
-            for (choice_idx, (assignment, score)) in trails.into_iter().zip(scored) {
+            for _ in 0..self.ants {
+                let mut choice_idx = Vec::with_capacity(dims);
+                #[allow(clippy::needless_range_loop)]
+                for d in 0..dims {
+                    let total: f64 = pheromone[d].iter().sum();
+                    let mut pick = rng.gen::<f64>() * total;
+                    let mut chosen = pheromone[d].len() - 1;
+                    for (k, &ph) in pheromone[d].iter().enumerate() {
+                        if pick < ph {
+                            chosen = k;
+                            break;
+                        }
+                        pick -= ph;
+                    }
+                    choice_idx.push(chosen);
+                }
+                let assignment: Vec<NodeId> =
+                    choice_idx.iter().enumerate().map(|(d, &k)| ctx.candidates[d][k]).collect();
+                let score = objective(&assignment);
                 if iteration_best.as_ref().is_none_or(|(_, s)| score < *s) {
                     iteration_best = Some((choice_idx, score));
                 }
@@ -395,7 +357,9 @@ pub fn exhaustive_best(ctx: &PlanContext<'_>, energy_weight: f64) -> Option<(Pla
     if sizes.contains(&0) {
         return None;
     }
-    let space: usize = sizes.iter().product();
+    // A checked product: candidates^components passes `usize` long
+    // before it would be worth enumerating.
+    let space = sizes.iter().try_fold(1usize, |acc, &k| acc.checked_mul(k))?;
     if space > 2_000_000 {
         return None;
     }
@@ -534,6 +498,22 @@ mod tests {
         ctx.candidates[1] = vec![];
         assert!(PsoPlacement::new(1).place(&ctx).is_err());
         assert!(AcoPlacement::new(1).place(&ctx).is_err());
+        assert!(exhaustive_best(&ctx, 0.0).is_none());
+    }
+
+    #[test]
+    fn exhaustive_best_refuses_spaces_past_its_limit() {
+        let f = Fixture::new();
+        let mut ctx = f.ctx();
+        let all = f.continuum.all_nodes();
+        assert_eq!(all.len(), 11);
+        // 11^7 = 19,487,171: past the limit.
+        ctx.candidates = vec![all.clone(); 7];
+        assert!(exhaustive_best(&ctx, 0.0).is_none());
+        // 11^19 and 4^32 = 2^64 overflow `usize`: refused, not wrapped.
+        ctx.candidates = vec![all.clone(); 19];
+        assert!(exhaustive_best(&ctx, 0.0).is_none());
+        ctx.candidates = vec![all[..4].to_vec(); 32];
         assert!(exhaustive_best(&ctx, 0.0).is_none());
     }
 }

@@ -17,9 +17,10 @@
 //! * **Zero overhead when disabled.** [`Obs`] wraps an
 //!   `Option<Arc<..>>`; the disabled handle is `None` and every
 //!   recording call is a single branch on it.
-//! * **Serial-context traces only.** Trace events must be emitted from
-//!   deterministic (serial) code paths; parallel scoring paths record
-//!   only order-independent counter totals.
+//! * **Counters only from scoring.** Plan-time candidate scoring records
+//!   counter totals, never trace events, so a search that scores
+//!   thousands of candidates leaves the bounded trace ring to the
+//!   simulator and the engine.
 //!
 //! ```
 //! use myrtus_obs::{Obs, ObsConfig, TraceKind};

@@ -10,7 +10,7 @@ use myrtus::kb::raft::RaftCluster;
 use myrtus::mirto::engine::{run_orchestration, EngineConfig, OrchestrationEngine};
 use myrtus::mirto::policies::GreedyBestFit;
 use myrtus::mirto::swarm::PsoPlacement;
-use myrtus::obs::{Obs, ObsConfig, TraceKind};
+use myrtus::obs::{ObsConfig, TraceKind};
 use myrtus::workload::scenarios;
 
 fn fingerprint(r: &myrtus::mirto::engine::OrchestrationReport) -> String {
@@ -238,64 +238,6 @@ fn golden_spans_and_critical_path_match_the_fixture() {
     // the camera source to the session store sink.
     assert_eq!(golden.critical_path.first().map(String::as_str), Some("camera"));
     assert_eq!(golden.critical_path.last().map(String::as_str), Some("session-store"));
-}
-
-#[test]
-fn parallel_and_serial_evaluation_agree_under_observability() {
-    use myrtus::continuum::ids::NodeId;
-    use myrtus::kb::KnowledgeBase;
-    use myrtus::mirto::placement::{evaluate, evaluate_batch, Placement, PlanContext};
-    use myrtus::workload::graph::RequestDag;
-
-    let continuum = ContinuumBuilder::new().build();
-    let app = scenarios::telerehab();
-    let dag = RequestDag::from_application(&app).expect("valid");
-    let kb = KnowledgeBase::new();
-    // Candidates restricted to the cloud: edge-heavy placements in the
-    // batch are rejected, so the rejection counters get real traffic.
-    let candidates = vec![vec![continuum.cloud()[0]]; dag.nodes().len()];
-    let all: Vec<NodeId> = continuum.all_nodes();
-    let batch: Vec<Placement> = (0..64)
-        .map(|i| {
-            Placement::new(
-                (0..dag.nodes().len()).map(|j| all[(i * 5 + j * 3) % all.len()]).collect(),
-            )
-        })
-        .chain(std::iter::once(Placement::new(vec![continuum.cloud()[0]; dag.nodes().len()])))
-        .collect();
-
-    let score = |obs: &Obs, serial: bool| {
-        let ctx = PlanContext {
-            sim: continuum.sim(),
-            kb: &kb,
-            app: &app,
-            dag: &dag,
-            candidates: candidates.clone(),
-            estimator: None,
-            obs: obs.clone(),
-        };
-        if serial {
-            batch.iter().map(|p| evaluate(&ctx, p)).collect::<Vec<_>>()
-        } else {
-            evaluate_batch(&ctx, &batch)
-        }
-    };
-    let obs_par = Obs::new(ObsConfig::on());
-    let obs_ser = Obs::new(ObsConfig::on());
-    let parallel = score(&obs_par, false);
-    let serial = score(&obs_ser, true);
-    assert_eq!(parallel, serial, "batch scoring is order-insensitive");
-    assert_eq!(
-        obs_par.export_metrics_jsonl(),
-        obs_ser.export_metrics_jsonl(),
-        "rejection counters agree between the parallel and serial paths"
-    );
-    assert!(obs_par.counter_value("placement_rejected", "forbidden_candidate") > 0);
-    assert_eq!(
-        obs_par.counter_sum("placement_rejected"),
-        obs_par.counter_value("placement_rejected_total", ""),
-        "every rejection carries a reason label"
-    );
 }
 
 #[test]
