@@ -4,6 +4,7 @@
 //! the number of failed edge nodes grows.
 
 use myrtus::continuum::fault::FaultPlan;
+use myrtus::continuum::retry::RetryPolicy;
 use myrtus::continuum::time::{SimDuration, SimTime};
 use myrtus::continuum::topology::ContinuumBuilder;
 use myrtus::mirto::engine::{EngineConfig, OrchestrationEngine, OrchestrationReport};
@@ -24,6 +25,7 @@ fn run(failures: usize, outage_ms: Option<u64>, adaptive: bool) -> Orchestration
     } else {
         EngineConfig {
             reallocation: false,
+            retry: RetryPolicy::NONE,
             node_adaptation: false,
             network_management: false,
             ..EngineConfig::default()

@@ -43,7 +43,7 @@ pub const SHED_SLO_HOPELESS: &str = "slo_hopeless";
 /// Admission behaviour applied to every task a
 /// [`crate::engine::SimCore`] dispatches while the policy is installed
 /// (`admission: None` keeps the legacy unconditional-dispatch path
-/// byte-identical, same pattern as `retry: None`).
+/// byte-identical).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdmissionPolicy {
     /// Tokens per window. `u32::MAX` disables rate limiting.

@@ -129,7 +129,7 @@ enum EventKind {
     /// with a non-zero scrape interval; re-arms itself).
     Scrape,
     /// A failed attempt's backoff elapsed: re-offer the task to the
-    /// driver for another placement (retry policy installed).
+    /// driver for another placement.
     TaskRecover {
         node: NodeId,
         task: Box<TaskInstance>,
@@ -434,13 +434,10 @@ pub enum SimEvent {
     },
     /// A task completed; the outcome carries latency and deadline info.
     TaskCompleted(TaskOutcome),
-    /// Tasks were lost because their node went down.
-    TasksLost {
-        /// The failed node.
-        node: NodeId,
-        /// The tasks that were running or queued there.
-        tasks: Vec<TaskInstance>,
-    },
+    /// A node went down. Its running and queued tasks are lost; each
+    /// lost attempt rides the recovery queue and surfaces later as
+    /// [`SimEvent::TaskRecovered`] or [`SimEvent::TaskAbandoned`].
+    NodeDown(NodeId),
     /// A node came (back) up.
     NodeRestored(NodeId),
     /// A link was cut or restored.
@@ -453,7 +450,7 @@ pub enum SimEvent {
     /// A message reached its destination.
     MessageDelivered(Message),
     /// A lost or timed-out task finished its backoff and is re-offered
-    /// for another attempt (only with a [`RetryPolicy`] installed). The
+    /// for another attempt (never under [`RetryPolicy::NONE`]). The
     /// driver should re-place and resubmit the task — typically on a
     /// surviving node other than `node` — or call
     /// [`SimCore::note_give_up`] when no placement exists.
@@ -465,8 +462,9 @@ pub enum SimEvent {
         /// Retry number (1-based: the first retry is attempt 1).
         attempt: u32,
     },
-    /// A task exhausted its retry budget and is abandoned; the driver
-    /// should mark the owning request degraded/failed, not wedged.
+    /// A task exhausted its retry budget and is abandoned (under
+    /// [`RetryPolicy::NONE`], at its first loss); the driver should
+    /// mark the owning request degraded/failed, not wedged.
     TaskAbandoned {
         /// The node the final failed attempt targeted.
         node: NodeId,
@@ -603,9 +601,8 @@ pub struct SimCore {
     tasks: TaskTable,
     scrape_armed: bool,
     window: ScrapeWindow,
-    /// Installed retry policy; `None` keeps the legacy drop-on-loss
-    /// semantics (losses surface as [`SimEvent::TasksLost`]).
-    retry: Option<RetryPolicy>,
+    /// Installed retry policy ([`RetryPolicy::NONE`] unless set).
+    retry: InstalledRetry,
     /// Installed admission policy; `None` keeps the legacy
     /// unconditional-dispatch path byte-identical.
     admission: Option<AdmissionPolicy>,
@@ -617,6 +614,18 @@ pub struct SimCore {
     /// Installed portable task-body runtime; `None` keeps the legacy
     /// scalar-cost path byte-identical (see [`SimCore::set_vm`]).
     vm: Option<VmRuntime>,
+}
+
+/// The retry policy a [`SimCore`] runs under. Its default is
+/// [`RetryPolicy::NONE`], not the retrying [`RetryPolicy::default`], so
+/// a fresh core never retries by accident.
+#[derive(Debug, Clone, Copy)]
+struct InstalledRetry(RetryPolicy);
+
+impl Default for InstalledRetry {
+    fn default() -> Self {
+        InstalledRetry(RetryPolicy::NONE)
+    }
 }
 
 /// Configuration of the portable task-body runtime: a library of
@@ -787,19 +796,14 @@ impl SimCore {
         &self.obs
     }
 
-    /// Installs (or removes) the per-task retry policy. With a policy
-    /// installed, lost and timed-out tasks are re-offered to the driver
-    /// as [`SimEvent::TaskRecovered`] after a deterministic backoff
-    /// instead of being dropped with [`SimEvent::TasksLost`]; tasks
-    /// that exhaust the attempt budget surface as
-    /// [`SimEvent::TaskAbandoned`] and count `task_gave_up`.
+    /// Installs the per-task retry policy; `None` installs
+    /// [`RetryPolicy::NONE`]. Lost and timed-out tasks are re-offered
+    /// to the driver as [`SimEvent::TaskRecovered`] after a
+    /// deterministic backoff while the attempt budget lasts; tasks that
+    /// exhaust it surface as [`SimEvent::TaskAbandoned`] and count
+    /// `task_gave_up`.
     pub fn set_retry_policy(&mut self, policy: Option<RetryPolicy>) {
-        self.retry = policy;
-    }
-
-    /// The installed retry policy, if any.
-    pub fn retry_policy(&self) -> Option<RetryPolicy> {
-        self.retry
+        self.retry = InstalledRetry(policy.unwrap_or(RetryPolicy::NONE));
     }
 
     /// Installs (or removes) the admission policy. With a policy
@@ -966,12 +970,10 @@ impl SimCore {
 
     /// Books a dispatch against the retry policy: counts the attempt
     /// and arms the per-attempt timeout guard when one is configured.
-    /// No-op without a policy.
     fn arm_attempt(&mut self, node: NodeId, task: TaskId) {
-        let Some(policy) = self.retry else { return };
         let raw = task.as_raw();
         let attempt = self.tasks.book_first_attempt(raw);
-        if let Some(timeout) = policy.attempt_timeout {
+        if let Some(timeout) = self.retry.0.attempt_timeout {
             self.push(self.now + timeout, EventKind::AttemptTimeout { node, task, attempt });
         }
     }
@@ -986,18 +988,11 @@ impl SimCore {
         task: TaskInstance,
         driver: &mut D,
     ) {
-        let Some(policy) = self.retry else { return };
+        let policy = self.retry.0;
         let raw = task.id.as_raw();
         let used = self.tasks.attempts(raw).unwrap_or(1);
-        if policy.may_retry(used) && self.recovery_outstanding >= policy.recovery_queue_cap {
-            // Retry-storm guard: the recovery queue is full, so this
-            // attempt is abandoned instead of amplifying the overload.
-            self.obs.counter_inc("recovery_queue_rejections", "");
-            self.obs.counter_inc("task_gave_up", "");
-            self.tasks.mark_finished(raw);
-            self.tasks.clear_attempts(raw);
-            driver.on_event(self, SimEvent::TaskAbandoned { node, task });
-        } else if policy.may_retry(used) {
+        let may_retry = policy.may_retry(used);
+        if may_retry && self.recovery_outstanding < policy.recovery_queue_cap {
             self.tasks.set_attempts(raw, used + 1);
             self.recovery_outstanding += 1;
             let backoff = policy.backoff_for(used, raw);
@@ -1006,16 +1001,20 @@ impl SimCore {
                 EventKind::TaskRecover { node, task: Box::new(task), attempt: used },
             );
         } else {
-            self.obs.counter_inc("task_gave_up", "");
-            self.tasks.mark_finished(raw);
-            self.tasks.clear_attempts(raw);
+            if may_retry {
+                // Retry-storm guard: the recovery queue is full, so this
+                // attempt is abandoned instead of amplifying the overload.
+                self.obs.counter_inc("recovery_queue_rejections", "");
+            }
+            self.note_give_up(task.id);
             driver.on_event(self, SimEvent::TaskAbandoned { node, task });
         }
     }
 
-    /// Records that the driver could not re-place a recovered task
-    /// (e.g. every candidate node is down): the task terminates in the
-    /// give-up state and any pending retry machinery for it goes stale.
+    /// Terminates `task` in the give-up state (`task_gave_up`); any
+    /// pending retry machinery for it goes stale. The engine calls it
+    /// when an attempt is abandoned, and drivers when they cannot
+    /// re-place a recovered task (e.g. every candidate node is down).
     pub fn note_give_up(&mut self, task: TaskId) {
         let raw = task.as_raw();
         self.obs.counter_inc("task_gave_up", "");
@@ -1279,10 +1278,10 @@ impl SimCore {
     /// lost (`task_migrations_cold`, `migration_bytes{cold}`).
     ///
     /// Admission control is not re-run — the task passed it at
-    /// submission. With a retry policy installed the migration opens a
-    /// fresh attempt epoch, so a timeout guard armed at the source can
-    /// never cancel the migrated instance (the exactly-one-live-
-    /// instance discipline; see the `mc` migration model).
+    /// submission. The migration opens a fresh attempt epoch, so a
+    /// timeout guard armed at the source can never cancel the migrated
+    /// instance (the exactly-one-live-instance discipline; see the `mc`
+    /// migration model).
     ///
     /// Returns the arrival instant at `to`, or `None` when the
     /// migration is impossible: unknown or down destination, no route,
@@ -1364,13 +1363,11 @@ impl SimCore {
         }
         let eta = self.network.transfer(now, &path, wire_bytes, protocol);
         self.note_dispatch(to, task);
-        if let Some(policy) = self.retry {
-            // New attempt epoch: stale guards from the source go inert.
-            let attempt = self.tasks.attempts(raw).map_or(1, |a| a + 1);
-            self.tasks.set_attempts(raw, attempt);
-            if let Some(timeout) = policy.attempt_timeout {
-                self.push(now + timeout, EventKind::AttemptTimeout { node: to, task, attempt });
-            }
+        // New attempt epoch: stale guards from the source go inert.
+        let attempt = self.tasks.attempts(raw).map_or(1, |a| a + 1);
+        self.tasks.set_attempts(raw, attempt);
+        if let Some(timeout) = self.retry.0.attempt_timeout {
+            self.push(now + timeout, EventKind::AttemptTimeout { node: to, task, attempt });
         }
         if mutation_double_resume() {
             self.push(eta, EventKind::TaskArrival { node: to, task: Box::new(inst.clone()) });
@@ -1675,11 +1672,7 @@ impl SimCore {
                         now.as_micros(),
                         TraceKind::TaskLost { node: node.as_raw(), task: raw },
                     );
-                    if self.retry.is_some() {
-                        self.handle_attempt_failure(node, task, driver);
-                    } else {
-                        driver.on_event(self, SimEvent::TasksLost { node, tasks: vec![task] });
-                    }
+                    self.handle_attempt_failure(node, task, driver);
                     return;
                 }
                 let tid = task.id;
@@ -1730,10 +1723,8 @@ impl SimCore {
                     self.note_start(node, next_id);
                     driver.on_event(self, SimEvent::TaskStarted { node, task: next_id, mode });
                 }
-                if self.retry.is_some() {
-                    self.tasks.mark_finished(task.as_raw());
-                    self.tasks.clear_attempts(task.as_raw());
-                }
+                self.tasks.mark_finished(task.as_raw());
+                self.tasks.clear_attempts(task.as_raw());
                 let latency = now.saturating_since(done.released);
                 let deadline_met = !done.misses_deadline(now);
                 self.tasks_completed += 1;
@@ -1802,16 +1793,11 @@ impl SimCore {
                         );
                     }
                 }
-                if self.retry.is_some() {
-                    // The crash itself is still surfaced (trust models
-                    // key off it), but the lost tasks ride the recovery
-                    // queue instead of the notification.
-                    driver.on_event(self, SimEvent::TasksLost { node, tasks: Vec::new() });
-                    for t in lost {
-                        self.handle_attempt_failure(node, t, driver);
-                    }
-                } else {
-                    driver.on_event(self, SimEvent::TasksLost { node, tasks: lost });
+                // The crash itself is surfaced (trust models key off
+                // it); the lost tasks ride the recovery queue.
+                driver.on_event(self, SimEvent::NodeDown(node));
+                for t in lost {
+                    self.handle_attempt_failure(node, t, driver);
                 }
             }
             EventKind::NodeUp(node) => {
@@ -2045,7 +2031,7 @@ mod tests {
     struct Recorder {
         started: Vec<TaskId>,
         completed: Vec<TaskOutcome>,
-        lost: Vec<TaskInstance>,
+        crashes: Vec<NodeId>,
         recovered: Vec<(TaskId, u32)>,
         abandoned: Vec<TaskId>,
         shed: Vec<(TaskId, &'static str)>,
@@ -2058,7 +2044,7 @@ mod tests {
             match event {
                 SimEvent::TaskStarted { task, .. } => self.started.push(task),
                 SimEvent::TaskCompleted(o) => self.completed.push(o),
-                SimEvent::TasksLost { tasks, .. } => self.lost.extend(tasks),
+                SimEvent::NodeDown(node) => self.crashes.push(node),
                 SimEvent::TaskRecovered { node, task, attempt } => {
                     self.recovered.push((task.id, attempt));
                     let id = task.id;
@@ -2137,13 +2123,39 @@ mod tests {
         sim.schedule_node_up(node, SimTime::from_millis(200));
         let mut rec = Recorder::default();
         sim.run_until(SimTime::from_secs(5), &mut rec);
-        assert_eq!(rec.lost.len(), 2);
+        assert_eq!(rec.crashes, vec![node]);
+        assert_eq!(rec.abandoned.len(), 2, "no retry: each lost task is abandoned");
         assert_eq!(rec.completed.len(), 0);
         // Node is back: new work completes.
         let t = TaskInstance::new(sim.fresh_task_id(), 1.5);
         sim.submit_local(node, t).expect("node is back up");
         sim.run_until(SimTime::from_secs(6), &mut rec);
         assert_eq!(rec.completed.len(), 1);
+    }
+
+    #[test]
+    fn no_retry_policy_abandons_each_lost_task_exactly_once() {
+        let (mut sim, node) = one_node_sim();
+        sim.set_obs(Obs::new(myrtus_obs::ObsConfig::on()));
+        sim.set_retry_policy(None);
+        // Four cores: four running tasks and two queued behind them.
+        let ids: Vec<TaskId> = (0..6)
+            .map(|_| {
+                let t = TaskInstance::new(sim.fresh_task_id(), 1_500_000.0);
+                let id = t.id;
+                sim.submit_local(node, t).expect("submit");
+                id
+            })
+            .collect();
+        sim.schedule_node_down(node, SimTime::from_millis(100));
+        sim.schedule_node_up(node, SimTime::from_millis(200));
+        let mut rec = Recorder::default();
+        sim.run_until(SimTime::from_secs(5), &mut rec);
+        assert_eq!(rec.abandoned, ids, "one TaskAbandoned per resident task");
+        assert!(rec.recovered.is_empty(), "RetryPolicy::NONE re-offers nothing");
+        assert!(rec.completed.is_empty());
+        assert_eq!(sim.obs().counter_value("task_gave_up", ""), ids.len() as u64);
+        assert_eq!(sim.obs().counter_value("task_retries", ""), 0);
     }
 
     #[test]
@@ -2168,7 +2180,7 @@ mod tests {
         sim.run_until(SimTime::from_secs(5), &mut rec);
         // The crash still loses the attempts, but they are re-offered
         // (backoff 150 ms lands after the 200 ms recovery) and finish.
-        assert!(rec.lost.is_empty(), "losses ride the recovery queue, not TasksLost");
+        assert_eq!(rec.crashes, vec![node], "the crash itself is still surfaced");
         assert_eq!(rec.recovered.len(), 2);
         assert_eq!(rec.completed.len(), 2);
         assert!(rec.abandoned.is_empty());

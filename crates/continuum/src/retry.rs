@@ -14,7 +14,7 @@
 use crate::time::SimDuration;
 
 /// Retry behaviour applied to every task a [`crate::engine::SimCore`]
-/// dispatches while the policy is installed.
+/// dispatches ([`RetryPolicy::NONE`] unless another is installed).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Total attempts a task may consume, including the first dispatch
@@ -68,6 +68,19 @@ pub(crate) fn mix(mut z: u64) -> u64 {
 }
 
 impl RetryPolicy {
+    /// The no-retry policy: one attempt per task, so each lost or
+    /// timed-out attempt ends as exactly one
+    /// [`crate::engine::SimEvent::TaskAbandoned`].
+    pub const NONE: RetryPolicy = RetryPolicy {
+        max_attempts: 1,
+        base_backoff: SimDuration::ZERO,
+        backoff_cap: SimDuration::ZERO,
+        jitter_frac: 0.0,
+        attempt_timeout: None,
+        seed: 0,
+        recovery_queue_cap: u32::MAX,
+    };
+
     /// Effective attempt ceiling (at least one).
     pub fn attempts(&self) -> u32 {
         self.max_attempts.max(1)

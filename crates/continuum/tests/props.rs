@@ -20,7 +20,7 @@ impl Driver for Counter {
     fn on_event(&mut self, _sim: &mut SimCore, event: SimEvent) {
         match event {
             SimEvent::TaskCompleted(_) => self.completed += 1,
-            SimEvent::TasksLost { tasks, .. } => self.lost += tasks.len() as u64,
+            SimEvent::TaskAbandoned { .. } => self.lost += 1,
             _ => {}
         }
     }
@@ -29,8 +29,9 @@ impl Driver for Counter {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Conservation: every submitted task either completes or is lost —
-    /// never duplicated, never silently dropped — given enough time.
+    /// Conservation: every submitted task either completes or is lost
+    /// (abandoned: no retry policy is installed) — never duplicated,
+    /// never silently dropped — given enough time.
     #[test]
     fn tasks_are_conserved(
         works in proptest::collection::vec(0.1f64..50.0, 1..40),

@@ -30,7 +30,9 @@
 //! - **Exact completion cost**: a completed bodied task has retired
 //!   exactly the program's full step count, no matter how many times
 //!   (or across which ISAs) it migrated.
-//! - **Exactly one terminal event per task** (completion or loss).
+//! - **Exactly one terminal event per task** (completion, or loss:
+//!   with no retry policy installed a lost attempt surfaces as
+//!   `TaskAbandoned`).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -130,24 +132,24 @@ impl Driver for Harness {
             SimEvent::TaskCompleted(outcome) => {
                 self.mark_terminal(outcome.task.id.as_raw(), TaskPhase::Completed, "completion");
             }
-            SimEvent::TasksLost { tasks, .. } => {
-                for t in tasks {
-                    self.mark_terminal(t.id.as_raw(), TaskPhase::Lost, "loss");
-                }
+            SimEvent::TaskAbandoned { task, .. } => {
+                // No retry policy is installed: a lost attempt is
+                // abandoned at once.
+                self.mark_terminal(task.id.as_raw(), TaskPhase::Lost, "loss");
             }
             SimEvent::TaskShed { task, .. } => {
                 // No admission policy is installed: a shed is drift.
                 self.violation = Some(format!("unexpected shed of task {}", task.id.as_raw()));
             }
-            SimEvent::TaskAbandoned { task, .. } | SimEvent::TaskRecovered { task, .. } => {
-                // No retry policy is installed: the recovery machinery
-                // must stay dormant.
+            SimEvent::TaskRecovered { task, .. } => {
+                // Under `RetryPolicy::NONE` nothing is ever re-offered.
                 self.violation = Some(format!(
-                    "retry machinery fired for task {} without a policy",
+                    "retry machinery re-offered task {} under RetryPolicy::NONE",
                     task.id.as_raw()
                 ));
             }
             SimEvent::TaskStarted { .. }
+            | SimEvent::NodeDown(_)
             | SimEvent::NodeRestored(_)
             | SimEvent::LinkChanged { .. }
             | SimEvent::MessageDelivered(_)

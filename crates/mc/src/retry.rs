@@ -26,8 +26,6 @@
 //! - **Six-term conservation**, cross-checked against the engine's own
 //!   counters: `dispatched = completed + shed + gave-up + cancelled +
 //!   in-flight + resubmissions`.
-//! - **Losses ride the recovery queue**: with a retry policy
-//!   installed, `TasksLost` never carries tasks.
 //!
 //! No symmetry reduction here: actions name absolute node indices
 //! (crash node 0, submit rotates over nodes), so node identities are
@@ -209,16 +207,8 @@ impl Driver for Harness {
                     }
                 }
             }
-            SimEvent::TasksLost { tasks, .. } => {
-                if !tasks.is_empty() && self.violation.is_none() {
-                    self.violation = Some(format!(
-                        "TasksLost carried {} tasks despite an installed retry policy — \
-                         losses must ride the recovery queue",
-                        tasks.len()
-                    ));
-                }
-            }
             SimEvent::TaskStarted { .. }
+            | SimEvent::NodeDown(_)
             | SimEvent::NodeRestored(_)
             | SimEvent::LinkChanged { .. }
             | SimEvent::MessageDelivered(_)

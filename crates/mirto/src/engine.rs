@@ -59,9 +59,6 @@ const MONITOR_TAG: u64 = u64::MAX;
 /// subsequent arrivals, so the drain only has to move the backlog that
 /// already committed to a home node.
 const BURST_MIGRATE_CAP: usize = 8;
-/// Resubmissions of a lost stage on the legacy path (no
-/// [`EngineConfig::retry`] policy) before its request fails.
-const MAX_RESUBMITS: u32 = 2;
 /// Stage field value marking a request-arrival timer.
 const ARRIVAL_STAGE: u16 = 0xFFFF;
 /// Stage field value marking a deferred application deployment.
@@ -121,17 +118,23 @@ pub struct EngineConfig {
     pub node_adaptation: bool,
     /// Let the Network Manager pick routes.
     pub network_management: bool,
-    /// Allow runtime reallocation and loss recovery (cognitive mode).
+    /// Allow runtime reallocation (cognitive mode): the WL Manager
+    /// moves components off unhealthy nodes each MAPE round and
+    /// re-places a stage whose host is down at submission. Loss
+    /// recovery does not depend on it; [`EngineConfig::retry`] alone
+    /// governs that.
     pub reallocation: bool,
     /// Let MIRTO switch *application* operating points at run time
     /// (quality degradation under overload, refs \[29\]\[30\]).
     pub app_point_adaptation: bool,
     /// Simulator-level retry policy: lost and timed-out attempts ride
     /// the recovery queue (deterministic backoff, same task id) and are
-    /// re-offered to the engine as [`SimEvent::TaskRecovered`] instead
-    /// of being dropped. `None` keeps the legacy lose-and-resubmit path
-    /// (at most two resubmissions per stage).
-    pub retry: Option<RetryPolicy>,
+    /// re-offered to the engine as [`SimEvent::TaskRecovered`], which
+    /// re-places each one on a surviving node; an attempt past the
+    /// budget surfaces as [`SimEvent::TaskAbandoned`] and fails its
+    /// request. The default allows three attempts;
+    /// [`RetryPolicy::NONE`] abandons every lost attempt at once.
+    pub retry: RetryPolicy,
     /// Simulator-level admission control: token-bucket rate limiting,
     /// bounded run queues and SLO-aware shedding at dispatch. Tasks of
     /// deadline-bound (high-QoS) applications carry a protected
@@ -179,7 +182,7 @@ impl Default for EngineConfig {
             network_management: true,
             reallocation: true,
             app_point_adaptation: true,
-            retry: None,
+            retry: RetryPolicy::default(),
             admission: None,
             elasticity: None,
             replicate_critical: false,
@@ -193,13 +196,15 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// A fully static configuration (no cognition at all) for baselines.
+    /// A fully static configuration (no cognition at all, no retries)
+    /// for baselines.
     pub fn static_baseline() -> Self {
         EngineConfig {
             node_adaptation: false,
             network_management: false,
             reallocation: false,
             app_point_adaptation: false,
+            retry: RetryPolicy::NONE,
             ..EngineConfig::default()
         }
     }
@@ -224,8 +229,6 @@ struct RequestState {
 struct StageProgress {
     /// Upstream stages not yet finished.
     deps_left: usize,
-    /// Resubmissions on the legacy loss path.
-    retries: u32,
     /// Host and instant of the stage's completion, once done.
     finished: Option<(NodeId, SimTime)>,
 }
@@ -382,7 +385,8 @@ pub struct OrchestrationReport {
     pub op_switches: u64,
     /// Network detours taken.
     pub detours: u64,
-    /// Tasks lost to failures (before retries).
+    /// Task attempts lost to a crash or timed out; each counts once,
+    /// whether it was retried or abandoned.
     pub lost_tasks: u64,
     /// Accelerator reconfigurations across all nodes.
     pub accel_reconfigurations: u64,
@@ -589,7 +593,7 @@ impl OrchestrationEngine {
     ) -> Result<(), PlaceError> {
         self.horizon = horizon;
         continuum.sim_mut().set_obs(self.obs.clone());
-        continuum.sim_mut().set_retry_policy(self.cfg.retry);
+        continuum.sim_mut().set_retry_policy(Some(self.cfg.retry));
         continuum.sim_mut().set_admission(self.cfg.admission);
         self.proxy = Some(DeploymentProxy::new(continuum.sim()).with_obs(self.obs.clone()));
         for (i, (app, start)) in apps.into_iter().enumerate() {
@@ -1285,29 +1289,6 @@ impl OrchestrationEngine {
         }
     }
 
-    fn on_tasks_lost(&mut self, sim: &mut SimCore, node: NodeId, tasks: Vec<TaskInstance>) {
-        self.sec.observe(node, myrtus_security::trust::Observation::TaskFailed);
-        for t in tasks {
-            self.lost_tasks += 1;
-            let tag = Tag::decode(t.tag);
-            let Some(pos) = self.app_index(tag.app) else { continue };
-            let Some(stage) = self.apps[pos]
-                .requests
-                .get_mut(&tag.request)
-                .and_then(|st| st.stages.get_mut(tag.stage as usize))
-                .filter(|p| p.finished.is_none())
-            else {
-                continue;
-            };
-            if self.cfg.reallocation && stage.retries < MAX_RESUBMITS {
-                stage.retries += 1;
-                self.submit_stage(sim, pos, tag.request, tag.stage as usize);
-            } else {
-                self.mark_failed(pos, tag.request);
-            }
-        }
-    }
-
     fn monitoring_round(&mut self, sim: &mut SimCore) {
         let now_us = sim.now().as_micros();
         self.obs.counter_inc("mape_rounds", "");
@@ -1794,11 +1775,7 @@ impl Driver for OrchestrationEngine {
                     let stages = rt
                         .stages
                         .iter()
-                        .map(|s| StageProgress {
-                            deps_left: s.preds.len(),
-                            retries: 0,
-                            finished: None,
-                        })
+                        .map(|s| StageProgress { deps_left: s.preds.len(), finished: None })
                         .collect();
                     rt.requests.insert(t.request, RequestState { point_idx, stages });
                     #[cfg(test)]
@@ -1814,7 +1791,9 @@ impl Driver for OrchestrationEngine {
                 }
             }
             SimEvent::TaskCompleted(outcome) => self.on_stage_completed(sim, &outcome),
-            SimEvent::TasksLost { node, tasks } => self.on_tasks_lost(sim, node, tasks),
+            SimEvent::NodeDown(node) => {
+                self.sec.observe(node, myrtus_security::trust::Observation::TaskFailed);
+            }
             SimEvent::TaskRecovered { node, task, .. } => self.on_task_recovered(sim, node, task),
             SimEvent::TaskAbandoned { task, .. } => self.on_task_abandoned(&task),
             SimEvent::TaskShed { task, .. } => self.on_task_shed(&task),
@@ -1936,6 +1915,7 @@ mod tests {
                 Box::new(RoundRobin::new()),
                 EngineConfig {
                     reallocation: realloc,
+                    retry: if realloc { RetryPolicy::default() } else { RetryPolicy::NONE },
                     node_adaptation: false,
                     network_management: false,
                     ..EngineConfig::default()
@@ -1964,7 +1944,7 @@ mod tests {
 
     #[test]
     fn retry_policy_recovers_crashed_work_and_bounds_failures() {
-        let run = |retry: Option<RetryPolicy>| {
+        let run = |retry: RetryPolicy| {
             let mut continuum = ContinuumBuilder::new().build();
             let victim = continuum.edge()[3];
             FaultPlan::new()
@@ -1977,12 +1957,12 @@ mod tests {
             .run(&mut continuum, vec![small_telerehab()], SimTime::from_secs(5))
             .expect("places")
         };
-        let plain = run(None);
-        let retried = run(Some(RetryPolicy::default()));
+        let plain = run(RetryPolicy::NONE);
+        let retried = run(RetryPolicy::default());
         assert_eq!(
             plain.obs.counter_value("task_retries", ""),
             0,
-            "no policy installed, no retries"
+            "RetryPolicy::NONE never retries"
         );
         let a = &retried.apps[0];
         assert!(
@@ -2001,12 +1981,37 @@ mod tests {
     }
 
     #[test]
+    fn static_baseline_never_retries_and_the_default_does() {
+        let run = |cfg: EngineConfig| {
+            let mut continuum = ContinuumBuilder::new().build();
+            // The static arm runs the pipeline on the first edge node
+            // and the default one also uses the fourth: crash both.
+            let victims: Vec<_> = continuum.edge()[0..4].to_vec();
+            for v in victims {
+                FaultPlan::new()
+                    .crash(v, SimTime::from_millis(300), Some(SimDuration::from_millis(400)))
+                    .apply(continuum.sim_mut());
+            }
+            OrchestrationEngine::new(
+                Box::new(GreedyBestFit::new()),
+                EngineConfig { obs: ObsConfig::on(), ..cfg },
+            )
+            .run(&mut continuum, vec![small_telerehab()], SimTime::from_secs(5))
+            .expect("places")
+        };
+        let fixed = run(EngineConfig::static_baseline());
+        assert_eq!(fixed.obs.counter_value("task_retries", ""), 0, "the static arm never retries");
+        assert!(fixed.obs.counter_value("task_gave_up", "") > 0, "its lost attempts give up");
+        let cognitive = run(EngineConfig::default());
+        assert!(cognitive.obs.counter_value("task_retries", "") > 0, "the default retries");
+    }
+
+    #[test]
     fn replicated_placement_dedups_on_first_completion() {
         let report = run_orchestration(
             Box::new(GreedyBestFit::new()),
             EngineConfig {
                 obs: ObsConfig::on(),
-                retry: Some(RetryPolicy::default()),
                 replicate_critical: true,
                 ..EngineConfig::default()
             },
@@ -2606,8 +2611,7 @@ mod tests {
             .with_component(Component::new("b", ComponentKind::Storage).with_work_mc(1.0))
             .with_connection("s", "a", 2_000, Protocol::Mqtt)
             .with_connection("s", "b", 2_000, Protocol::Mqtt);
-        let cfg = EngineConfig { retry: Some(RetryPolicy::default()), ..EngineConfig::default() };
-        let (mut engine, mut continuum, held) = run_holding(cfg, app, &[1, 2]);
+        let (mut engine, mut continuum, held) = run_holding(EngineConfig::default(), app, &[1, 2]);
         let stage_of = |request: u32, stage: u16| {
             held.iter()
                 .find(|o| Tag::decode(o.task.tag) == Tag { app: 0, request, stage })
@@ -2643,7 +2647,7 @@ mod tests {
                 sim,
                 SimEvent::TaskRecovered { node: b.node, task: b.task.clone(), attempt: 1 },
             );
-            engine.on_event(sim, SimEvent::TasksLost { node: b.node, tasks: vec![b.task.clone()] });
+            engine.on_event(sim, SimEvent::NodeDown(b.node));
             engine.on_event(sim, SimEvent::TaskAbandoned { node: b.node, task: b.task.clone() });
             engine.on_event(
                 sim,

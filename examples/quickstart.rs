@@ -60,7 +60,7 @@ fn obs_engine() -> OrchestrationEngine {
         Box::new(GreedyBestFit::new()),
         EngineConfig {
             obs: ObsConfig::on(),
-            retry: Some(retry),
+            retry,
             replicate_critical: true,
             ..EngineConfig::default()
         },

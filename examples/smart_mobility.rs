@@ -6,6 +6,7 @@
 //! ```
 
 use myrtus::continuum::fault::FaultPlan;
+use myrtus::continuum::retry::RetryPolicy;
 use myrtus::continuum::time::{SimDuration, SimTime};
 use myrtus::continuum::topology::ContinuumBuilder;
 use myrtus::mirto::engine::{EngineConfig, OrchestrationEngine, OrchestrationReport};
@@ -55,6 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Box::new(RoundRobin::new()),
         EngineConfig {
             reallocation: false,
+            retry: RetryPolicy::NONE,
             node_adaptation: false,
             network_management: false,
             ..EngineConfig::default()

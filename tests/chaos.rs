@@ -190,9 +190,10 @@ fn wide_continuum() -> Continuum {
         .build()
 }
 
-/// One wide chaos run over a seeded random fault plan, with or without
-/// the retry subsystem, so the two arms see the *same* faults.
-fn wide_chaos_run(seed: u64, retry: Option<RetryPolicy>) -> OrchestrationReport {
+/// One wide chaos run over a seeded random fault plan under `retry`
+/// (`RetryPolicy::NONE` for the no-retry arm), so the two arms see the
+/// *same* faults.
+fn wide_chaos_run(seed: u64, retry: RetryPolicy) -> OrchestrationReport {
     let mut continuum = wide_continuum();
     assert_eq!(continuum.all_nodes().len(), 32, "the acceptance gate is a 32-node run");
     let nodes = continuum.all_nodes();
@@ -228,10 +229,10 @@ fn retries_complete_nearly_every_dispatched_task_under_chaos() {
     // strands work when retries are off — that loss is the documented
     // baseline the retry arm is measured against.
     let (seed, baseline) = (0..32)
-        .map(|seed| (seed, wide_chaos_run(seed, None)))
+        .map(|seed| (seed, wide_chaos_run(seed, RetryPolicy::NONE)))
         .find(|(_, r)| reconstruct(&r.obs.trace_events()).lost >= 1)
         .expect("some seed in 0..32 hits the workload");
-    let retried = wide_chaos_run(seed, Some(RetryPolicy::default()));
+    let retried = wide_chaos_run(seed, RetryPolicy::default());
 
     let base_spans = reconstruct(&baseline.obs.trace_events());
     assert!(
@@ -266,7 +267,7 @@ fn every_task_ends_in_exactly_one_final_state_with_retries_on() {
     // in-flight, and the trace's retry ledger agrees with the
     // counters.
     for seed in 0..6 {
-        let report = wide_chaos_run(seed, Some(RetryPolicy::default()));
+        let report = wide_chaos_run(seed, RetryPolicy::default());
         let obs = &report.obs;
         assert_eq!(obs.trace_dropped(), 0, "seed {seed}: reconstruction needs every event");
         let spans = reconstruct(&obs.trace_events());
@@ -345,11 +346,7 @@ fn killing_the_busiest_node_mid_run_is_absorbed_by_retries() {
         .apply(continuum.sim_mut());
     let engine = OrchestrationEngine::new(
         Box::new(GreedyBestFit::new()),
-        EngineConfig {
-            obs: ObsConfig::on(),
-            retry: Some(RetryPolicy::default()),
-            ..EngineConfig::default()
-        },
+        EngineConfig { obs: ObsConfig::on(), ..EngineConfig::default() },
     );
     let report = engine
         .run(&mut continuum, vec![scenarios::telerehab_with(2)], HORIZON)
@@ -386,11 +383,7 @@ fn permanent_total_outage_gives_up_boundedly_instead_of_livelocking() {
     plan.apply(continuum.sim_mut());
     let engine = OrchestrationEngine::new(
         Box::new(GreedyBestFit::new()),
-        EngineConfig {
-            obs: ObsConfig::on(),
-            retry: Some(RetryPolicy::default()),
-            ..EngineConfig::default()
-        },
+        EngineConfig { obs: ObsConfig::on(), ..EngineConfig::default() },
     );
     let report = engine
         .run(&mut continuum, vec![scenarios::telerehab_with(2)], HORIZON)

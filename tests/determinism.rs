@@ -80,10 +80,10 @@ fn golden_engine() -> OrchestrationEngine {
             // crash window); a tighter timeout churns healthy-but-
             // queued attempts into a retry storm that starves request
             // completion.
-            retry: Some(RetryPolicy {
+            retry: RetryPolicy {
                 attempt_timeout: Some(SimDuration::from_millis(150)),
                 ..RetryPolicy::default()
-            }),
+            },
             replicate_critical: true,
             ..EngineConfig::default()
         },

@@ -2,7 +2,6 @@
 //! continuum simulation, exercising every pillar in one path.
 
 use myrtus::continuum::fault::FaultPlan;
-use myrtus::continuum::retry::RetryPolicy;
 use myrtus::continuum::time::{SimDuration, SimTime};
 use myrtus::continuum::topology::ContinuumBuilder;
 use myrtus::dpe::deploy::DeploymentSpec;
@@ -162,11 +161,7 @@ fn recovery_path_delivers_lost_tasks_back_to_completion() {
         .apply(continuum.sim_mut());
     let report = OrchestrationEngine::new(
         Box::new(GreedyBestFit::new()),
-        EngineConfig {
-            obs: ObsConfig::on(),
-            retry: Some(RetryPolicy::default()),
-            ..EngineConfig::default()
-        },
+        EngineConfig { obs: ObsConfig::on(), ..EngineConfig::default() },
     )
     .run(&mut continuum, vec![scenarios::telerehab_with(1)], SimTime::from_secs(3))
     .expect("placement precedes the crash");

@@ -118,7 +118,7 @@ fn quickstart_run(backend: EngineBackend) -> OrchestrationReport {
         Box::new(GreedyBestFit::new()),
         EngineConfig {
             obs: ObsConfig::on(),
-            retry: Some(retry),
+            retry,
             replicate_critical: true,
             ..EngineConfig::default()
         },
@@ -236,7 +236,7 @@ fn collision_run(backend: EngineBackend) -> OrchestrationReport {
         Box::new(GreedyBestFit::new()),
         EngineConfig {
             obs: ObsConfig::on(),
-            retry: Some(retry),
+            retry,
             replicate_critical: true,
             ..EngineConfig::default()
         },

@@ -93,12 +93,7 @@ fn fault_tolerant(obs: ObsConfig) -> OrchestrationEngine {
     };
     OrchestrationEngine::new(
         Box::new(GreedyBestFit::new()),
-        EngineConfig {
-            obs,
-            retry: Some(retry),
-            replicate_critical: true,
-            ..EngineConfig::default()
-        },
+        EngineConfig { obs, retry, replicate_critical: true, ..EngineConfig::default() },
     )
 }
 

@@ -9,7 +9,6 @@
 use myrtus::continuum::admission::AdmissionPolicy;
 use myrtus::continuum::fault::FaultPlan;
 use myrtus::continuum::ids::LinkId;
-use myrtus::continuum::retry::RetryPolicy;
 use myrtus::continuum::time::{SimDuration, SimTime};
 use myrtus::continuum::topology::ContinuumBuilder;
 use myrtus::mirto::engine::{
@@ -171,10 +170,7 @@ fn overload_chaos_keeps_the_protected_tenant_above_ninety_percent() {
             SimDuration::from_secs(1),
         )
         .apply(continuum.sim_mut());
-        let engine = OrchestrationEngine::new(
-            Box::new(GreedyBestFit::new()),
-            EngineConfig { retry: Some(RetryPolicy::default()), ..elastic_config() },
-        );
+        let engine = OrchestrationEngine::new(Box::new(GreedyBestFit::new()), elastic_config());
         let report = engine
             .run(&mut continuum, surge::surge_mix(seed, SURGE_WINDOW), HORIZON)
             .expect("time-zero placement precedes every fault");
@@ -266,7 +262,6 @@ fn scale_down_during_chaos_never_wedges_the_run() {
             Box::new(GreedyBestFit::new()),
             EngineConfig {
                 obs: ObsConfig::on(),
-                retry: Some(RetryPolicy::default()),
                 app_point_adaptation: false,
                 reallocation: false,
                 elasticity: Some(ElasticityConfig {
