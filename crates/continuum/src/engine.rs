@@ -25,7 +25,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::OnceLock;
 
-use myrtus_obs::{Obs, TraceKind};
+use myrtus_obs::{Obs, SeriesId, TraceKind};
 use myrtus_vm::{Checkpoint, CostTable, IsaClass, OpCounts, Program, VmState};
 
 use crate::admission::{AdmissionDecision, AdmissionPolicy, AdmissionState};
@@ -378,7 +378,7 @@ impl TaskTable {
 /// Struct-of-arrays mirror of the per-node values the scrape timer
 /// samples, maintained at the engine's node-mutation sites so a scrape
 /// walks contiguous arrays instead of dereferencing every `NodeState`
-/// (and re-formatting every label) per sample.
+/// per sample.
 #[derive(Debug, Default)]
 struct NodeHot {
     up: Vec<bool>,
@@ -386,8 +386,6 @@ struct NodeHot {
     queued: Vec<u32>,
     cores: Vec<f64>,
     layer_idx: Vec<u8>,
-    /// Precomputed `"{layer}/{name}"` series labels.
-    labels: Vec<String>,
     /// Energy figures refreshed at scrape time.
     energy: Vec<f64>,
 }
@@ -399,7 +397,6 @@ impl NodeHot {
         self.queued.push(0);
         self.cores.push(spec.cores() as f64);
         self.layer_idx.push(spec.layer().index() as u8);
-        self.labels.push(format!("{}/{}", spec.layer().label(), spec.name()));
         self.energy.push(0.0);
     }
 
@@ -409,7 +406,6 @@ impl NodeHot {
         self.queued.reserve(additional);
         self.cores.reserve(additional);
         self.layer_idx.reserve(additional);
-        self.labels.reserve(additional);
         self.energy.reserve(additional);
     }
 
@@ -582,8 +578,6 @@ pub struct SimCore {
     nodes: Vec<NodeState>,
     /// SoA mirror of the per-node values the scrape path samples.
     hot: NodeHot,
-    /// Per-link `"l<id>"` series labels, grown lazily at scrape time.
-    link_labels: Vec<String>,
     network: Network,
     next_task: u64,
     next_msg: u64,
@@ -600,6 +594,9 @@ pub struct SimCore {
     /// timed-out-in-flight marks.
     tasks: TaskTable,
     scrape_armed: bool,
+    /// Series handles of the installed obs handle, resolved at the
+    /// first scrape after [`SimCore::set_obs`].
+    scrape_ids: Option<ScrapeIds>,
     window: ScrapeWindow,
     /// Installed retry policy ([`RetryPolicy::NONE`] unless set).
     retry: InstalledRetry,
@@ -694,6 +691,49 @@ struct VmImage {
     vm: VmState,
 }
 
+/// Series per node, in the order of [`ScrapeIds::nodes`].
+const NODE_SERIES: [&str; 5] =
+    ["node_utilization", "node_queue_len", "run_queue_depth", "node_energy_j", "node_up"];
+
+/// Windowed-rate series, in the order of [`ScrapeIds::rates`].
+const RATE_SERIES: [&str; 4] =
+    ["throughput_per_s", "dispatch_rate_per_s", "loss_rate_per_s", "deadline_miss_rate"];
+
+/// The ids of every series the scrape writes, resolved against one obs
+/// handle, so a scrape sample costs no text lookup. Node and link ids
+/// are resolved as the scrape first meets each node or link.
+#[derive(Debug)]
+struct ScrapeIds {
+    /// Per node, the [`NODE_SERIES`] labelled `{layer}/{name}`.
+    nodes: Vec<[SeriesId; 5]>,
+    /// Per layer (by [`Layer::index`]): mean utilization, queue sum.
+    layers: [[SeriesId; 2]; 3],
+    /// Per raw link id: `link_up{l<id>}`.
+    links: Vec<SeriesId>,
+    /// The [`RATE_SERIES`].
+    rates: [SeriesId; 4],
+}
+
+impl ScrapeIds {
+    fn new(obs: &Obs) -> Self {
+        ScrapeIds {
+            nodes: Vec::new(),
+            layers: Layer::ALL.map(|l| {
+                [
+                    series_id(obs, "layer_utilization", l.label()),
+                    series_id(obs, "layer_queue_len", l.label()),
+                ]
+            }),
+            links: Vec::new(),
+            rates: RATE_SERIES.map(|name| series_id(obs, name, "")),
+        }
+    }
+}
+
+fn series_id(obs: &Obs, name: &'static str, label: &str) -> SeriesId {
+    obs.ts_id(name, label).expect("the scrape runs only with obs on")
+}
+
 /// Counter values at the previous scrape; deltas against the current
 /// values yield the windowed throughput / miss / loss rates.
 #[derive(Debug, Default, Clone, Copy)]
@@ -780,6 +820,7 @@ impl SimCore {
     /// (see [`SimCore::scrape`] for the series catalogue).
     pub fn set_obs(&mut self, obs: Obs) {
         self.obs = obs;
+        self.scrape_ids = None;
         // Windowed rates count from the install instant, as the
         // handle's own counters do.
         self.window.completed = self.tasks_completed;
@@ -841,11 +882,6 @@ impl SimCore {
     /// The state of a node.
     pub fn node(&self, id: NodeId) -> Option<&NodeState> {
         self.nodes.get(id.index())
-    }
-
-    /// Mutable state of a node (prefer the dedicated operations below).
-    pub fn node_mut(&mut self, id: NodeId) -> Option<&mut NodeState> {
-        self.nodes.get_mut(id.index())
     }
 
     /// All nodes in id order.
@@ -1945,18 +1981,22 @@ impl SimCore {
         for (n, e) in self.nodes.iter().zip(self.hot.energy.iter_mut()) {
             *e = n.energy_j_at(now);
         }
+        let ids = self.scrape_ids.get_or_insert_with(|| ScrapeIds::new(&self.obs));
+        for n in &self.nodes[ids.nodes.len()..] {
+            let label = format!("{}/{}", n.spec().layer().label(), n.spec().name());
+            ids.nodes.push(NODE_SERIES.map(|name| series_id(&self.obs, name, &label)));
+        }
         let hot = &self.hot;
-        for i in 0..hot.labels.len() {
-            let label = hot.labels[i].as_str();
+        for (i, &[util_id, queue_id, depth_id, energy_id, up_id]) in ids.nodes.iter().enumerate() {
             let up = hot.up[i];
             // Same expression as `NodeState::utilization` (bit-exact).
             let util = if up { hot.running[i] as f64 / hot.cores[i] } else { 0.0 };
-            self.obs.ts_record("node_utilization", label, at, util);
-            self.obs.ts_record("node_queue_len", label, at, hot.queued[i] as f64);
+            self.obs.ts_record_id(util_id, at, util);
+            self.obs.ts_record_id(queue_id, at, hot.queued[i] as f64);
             let depth = if up { hot.running[i] + hot.queued[i] } else { 0 };
-            self.obs.ts_record("run_queue_depth", label, at, depth as f64);
-            self.obs.ts_record("node_energy_j", label, at, hot.energy[i]);
-            self.obs.ts_record("node_up", label, at, if up { 1.0 } else { 0.0 });
+            self.obs.ts_record_id(depth_id, at, depth as f64);
+            self.obs.ts_record_id(energy_id, at, hot.energy[i]);
+            self.obs.ts_record_id(up_id, at, if up { 1.0 } else { 0.0 });
             let li = hot.layer_idx[i] as usize;
             if up {
                 layer_util[li] += util;
@@ -1964,20 +2004,19 @@ impl SimCore {
             }
             layer_queue[li] += hot.queued[i] as u64;
         }
-        for layer in Layer::ALL {
-            let li = layer.index();
+        for (li, &[util_id, queue_id]) in ids.layers.iter().enumerate() {
             let mean =
                 if layer_nodes[li] > 0 { layer_util[li] / layer_nodes[li] as f64 } else { 0.0 };
-            self.obs.ts_record("layer_utilization", layer.label(), at, mean);
-            self.obs.ts_record("layer_queue_len", layer.label(), at, layer_queue[li] as f64);
+            self.obs.ts_record_id(util_id, at, mean);
+            self.obs.ts_record_id(queue_id, at, layer_queue[li] as f64);
         }
         for (id, _, state) in self.network.iter_links() {
             let raw = id.as_raw() as usize;
-            while self.link_labels.len() <= raw {
-                self.link_labels.push(format!("l{}", self.link_labels.len()));
+            while ids.links.len() <= raw {
+                let label = format!("l{}", ids.links.len());
+                ids.links.push(series_id(&self.obs, "link_up", &label));
             }
-            let label = self.link_labels[raw].as_str();
-            self.obs.ts_record("link_up", label, at, if state.is_up() { 1.0 } else { 0.0 });
+            self.obs.ts_record_id(ids.links[raw], at, if state.is_up() { 1.0 } else { 0.0 });
         }
         let cur = ScrapeWindow {
             completed: self.tasks_completed,
@@ -1989,22 +2028,17 @@ impl SimCore {
         if interval_s > 0.0 {
             let d_completed = cur.completed - self.window.completed;
             let d_misses = cur.misses - self.window.misses;
-            self.obs.ts_record("throughput_per_s", "", at, d_completed as f64 / interval_s);
-            self.obs.ts_record(
-                "dispatch_rate_per_s",
-                "",
-                at,
-                (cur.dispatched - self.window.dispatched) as f64 / interval_s,
-            );
-            self.obs.ts_record(
-                "loss_rate_per_s",
-                "",
-                at,
-                (cur.lost - self.window.lost) as f64 / interval_s,
-            );
             let miss_rate =
                 if d_completed > 0 { d_misses as f64 / d_completed as f64 } else { 0.0 };
-            self.obs.ts_record("deadline_miss_rate", "", at, miss_rate);
+            let rates = [
+                d_completed as f64 / interval_s,
+                (cur.dispatched - self.window.dispatched) as f64 / interval_s,
+                (cur.lost - self.window.lost) as f64 / interval_s,
+                miss_rate,
+            ];
+            for (&id, value) in ids.rates.iter().zip(rates) {
+                self.obs.ts_record_id(id, at, value);
+            }
         }
         self.window = cur;
     }
@@ -2351,6 +2385,35 @@ mod tests {
         // Sample stamps are the scrape instants.
         assert_eq!(throughput[0].at_us, 100_000);
         assert_eq!(throughput[9].at_us, 1_000_000);
+    }
+
+    #[test]
+    fn scrape_handles_follow_new_nodes_links_and_obs_handles() {
+        use myrtus_obs::{Obs, ObsConfig};
+        let (mut sim, node) = one_node_sim();
+        let first = Obs::new(ObsConfig::on().with_scrape_interval_us(0));
+        sim.set_obs(first.clone());
+        sim.scrape();
+        assert_eq!(first.ts_sample_count(), 5 + 6);
+        // A node and links added after the first scrape get their series.
+        let late = sim.add_node(NodeSpec::preset_cloud_server("late"));
+        sim.network_mut().add_duplex(node, late, SimDuration::from_millis(5), 100.0);
+        sim.scrape();
+        assert_eq!(first.ts_series("node_utilization", "edge/n").len(), 2);
+        assert_eq!(first.ts_series("node_up", "cloud/late").len(), 1);
+        assert_eq!(first.ts_series("link_up", "l1").len(), 1);
+        assert_eq!(first.ts_sample_count(), 11 + 10 + 6 + 2);
+        // A fresh handle gets the scrape from its install on, and the
+        // old one keeps what it had.
+        let second = Obs::new(ObsConfig::on().with_scrape_interval_us(0));
+        sim.set_obs(second.clone());
+        sim.scrape();
+        assert_eq!(second.ts_sample_count(), 10 + 6 + 2);
+        assert_eq!(second.ts_series("node_up", "cloud/late").len(), 1);
+        assert_eq!(first.ts_sample_count(), 29);
+        // With no interval there are no rates: their handles stay empty
+        // and out of the exports.
+        assert!(!second.export_timeseries_csv().contains("throughput_per_s"));
     }
 
     #[test]

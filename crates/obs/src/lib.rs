@@ -12,8 +12,10 @@
 //!   microseconds (`at_us`); exports never contain host timestamps, so
 //!   two runs with the same seed export byte-identical artifacts.
 //! * **Static names.** Metrics are keyed by `&'static str` names and
-//!   labels and stored in `BTreeMap`s, so export order is the sorted
-//!   key order — never `HashMap` iteration order.
+//!   labels. Values sit in `Vec`s in first-use order; a sorted text
+//!   index gives the export order (sorted key order, never `HashMap`
+//!   iteration order), and an address memo finds the slot of a series
+//!   already recorded without comparing text.
 //! * **Zero overhead when disabled.** [`Obs`] wraps an
 //!   `Option<Arc<..>>`; the disabled handle is `None` and every
 //!   recording call is a single branch on it.
@@ -47,7 +49,7 @@ pub mod trace;
 
 pub use metrics::{Histogram, MetricsRegistry, MetricsSnapshot};
 pub use span::{SpanOutcome, SpanSet, TaskSpan};
-pub use timeseries::{TimeSeriesStore, TsSample};
+pub use timeseries::{SeriesId, TimeSeriesStore, TsSample};
 pub use trace::{TraceBuffer, TraceEvent, TraceKind};
 
 use std::sync::{Arc, Mutex};
@@ -245,6 +247,29 @@ impl Obs {
         }
     }
 
+    /// The id of time series `name{label}`, for [`Obs::ts_record_id`]
+    /// (`None` when disabled). A writer that records into one stream
+    /// many times resolves its id once and skips the text lookup of
+    /// [`Obs::ts_record`] on every later sample. Resolving records
+    /// nothing, and the id is valid only with this handle and its
+    /// clones.
+    pub fn ts_id(&self, name: &'static str, label: &str) -> Option<SeriesId> {
+        self.0.as_ref().map(|i| i.timeseries.id(name, label))
+    }
+
+    /// Appends a sample to the time series `id` names, like
+    /// [`Obs::ts_record`].
+    ///
+    /// # Panics
+    ///
+    /// When `id` was resolved through a handle that shares no store
+    /// with this one.
+    pub fn ts_record_id(&self, id: SeriesId, at_us: u64, value: f64) {
+        if let Some(inner) = &self.0 {
+            inner.timeseries.record_id(id, at_us, value);
+        }
+    }
+
     /// All samples of time series `name{label}`, oldest first.
     pub fn ts_series(&self, name: &'static str, label: &str) -> Vec<TsSample> {
         self.0.as_ref().map_or_else(Vec::new, |i| i.timeseries.series(name, label))
@@ -328,6 +353,7 @@ mod tests {
         obs.observe("h", "", &[1.0], 0.5);
         obs.trace(0, TraceKind::MapePhase { phase: "monitor" });
         obs.ts_record("util", "edge", 0, 0.5);
+        assert_eq!(obs.ts_id("util", "edge"), None);
         assert_eq!(obs.counter_value("c", "l"), 0);
         assert_eq!(obs.trace_len(), 0);
         assert_eq!(obs.ts_sample_count(), 0);
@@ -369,7 +395,8 @@ mod tests {
         let obs = Obs::new(ObsConfig::on());
         assert_eq!(obs.scrape_interval_us(), ObsConfig::DEFAULT_SCRAPE_INTERVAL_US);
         obs.ts_record("util", "edge", 0, 0.25);
-        obs.ts_record("util", "edge", 100, 0.5);
+        let id = obs.ts_id("util", "edge").expect("enabled");
+        obs.ts_record_id(id, 100, 0.5);
         assert_eq!(obs.ts_series("util", "edge").len(), 2);
         assert_eq!(obs.ts_last_n("util", "edge", 1)[0].value, 0.5);
         assert_eq!(obs.ts_sample_count(), 2);

@@ -1,8 +1,14 @@
 //! Deterministic metrics registry: monotonic counters, gauges and
-//! fixed-bucket histograms keyed by static names, stored in `BTreeMap`s
-//! so every snapshot and export is in sorted key order.
+//! fixed-bucket histograms keyed by static names.
+//!
+//! Each kind keeps its values in a `Vec`, in first-use order. A sorted
+//! text index serves reads and snapshots, so every export is in sorted
+//! `(name, label)` order whatever order the series were first used in.
+//! Recording into a series that already exists finds its slot through
+//! an address memo and compares no text.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Mutex;
 
 /// Key of a metric series: `(name, label)`. The label discriminates
@@ -38,11 +44,106 @@ impl Histogram {
     }
 }
 
+/// A [`SeriesKey`] by identity: the address and length of its name and
+/// of its label.
+type AddrKey = (usize, usize, usize, usize);
+
+fn addr_key((name, label): SeriesKey) -> AddrKey {
+    (name.as_ptr() as usize, name.len(), label.as_ptr() as usize, label.len())
+}
+
+/// Multiply-rotate hasher over machine words. The memo's keys are
+/// addresses of the program's own strings, never outside input, so the
+/// default hasher's protection against crafted collisions buys nothing
+/// there and costs most of a lookup.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl WordHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for WordHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.add(word as u64);
+    }
+}
+
+/// The series of one metric kind: values in first-use order, and the
+/// two indexes that find them.
+struct Family<T> {
+    values: Vec<T>,
+    /// Sorted text index; reads, sums and snapshots walk it.
+    index: BTreeMap<SeriesKey, usize>,
+    /// Address memo, consulted before the text index. It is sound
+    /// because a `&'static str` is never freed or mutated: equal
+    /// address and length mean equal text for the life of the program.
+    /// The converse does not hold (two literals with the same text may
+    /// sit at different addresses), so a miss falls back to the text
+    /// index, which maps both addresses to the one slot.
+    memo: HashMap<AddrKey, usize, BuildHasherDefault<WordHasher>>,
+}
+
+impl<T> Default for Family<T> {
+    fn default() -> Self {
+        Family { values: Vec::new(), index: BTreeMap::new(), memo: HashMap::default() }
+    }
+}
+
+impl<T> Family<T> {
+    /// The value of `key`, created with `init` on the key's first use.
+    fn slot(&mut self, key: SeriesKey, init: impl FnOnce() -> T) -> &mut T {
+        let addr = addr_key(key);
+        let i = match self.memo.get(&addr) {
+            Some(&i) => i,
+            None => {
+                let next = self.values.len();
+                let i = *self.index.entry(key).or_insert(next);
+                if i == next {
+                    self.values.push(init());
+                }
+                self.memo.insert(addr, i);
+                i
+            }
+        };
+        &mut self.values[i]
+    }
+
+    fn get(&self, key: SeriesKey) -> Option<&T> {
+        self.index.get(&key).map(|&i| &self.values[i])
+    }
+
+    /// Every series whose name is `name`, in label order.
+    fn named(&self, name: &'static str) -> impl Iterator<Item = &T> {
+        self.index
+            .range((name, "")..)
+            .take_while(move |(k, _)| k.0 == name)
+            .map(|(_, &i)| &self.values[i])
+    }
+
+    /// Every series in `(name, label)` order.
+    fn sorted(&self) -> impl Iterator<Item = (SeriesKey, &T)> {
+        self.index.iter().map(|(k, &i)| (*k, &self.values[i]))
+    }
+}
+
 #[derive(Default)]
 struct Store {
-    counters: BTreeMap<SeriesKey, u64>,
-    gauges: BTreeMap<SeriesKey, f64>,
-    histograms: BTreeMap<SeriesKey, Histogram>,
+    counters: Family<u64>,
+    gauges: Family<f64>,
+    histograms: Family<Histogram>,
 }
 
 /// A sorted, point-in-time copy of every metric — the only way data
@@ -66,9 +167,11 @@ impl MetricsSnapshot {
 
 /// Thread-safe registry of counters, gauges and histograms.
 ///
-/// A single mutex guards all three maps: recording is far off any
-/// per-event hot path (the simulator records a handful of counters per
-/// dispatched task) and one lock keeps snapshots consistent.
+/// A single mutex guards all three kinds, so snapshots are consistent.
+/// Recording sits on per-event paths: the simulator records a handful
+/// of counters and histograms per dispatched task, so a busy run makes
+/// hundreds of thousands of updates. An update of an existing series is
+/// one memo lookup by address plus the arithmetic.
 pub struct MetricsRegistry {
     store: Mutex<Store>,
 }
@@ -91,22 +194,22 @@ impl MetricsRegistry {
 
     /// Adds `delta` to counter `name{label}`, creating it at 0 first.
     pub fn counter_add(&self, name: &'static str, label: &'static str, delta: u64) {
-        *self.lock().counters.entry((name, label)).or_insert(0) += delta;
+        *self.lock().counters.slot((name, label), || 0) += delta;
     }
 
     /// Current value of counter `name{label}` (0 when absent).
     pub fn counter_value(&self, name: &'static str, label: &'static str) -> u64 {
-        self.lock().counters.get(&(name, label)).copied().unwrap_or(0)
+        self.lock().counters.get((name, label)).copied().unwrap_or(0)
     }
 
     /// Sum of counter `name` across all labels.
     pub fn counter_sum(&self, name: &'static str) -> u64 {
-        self.lock().counters.iter().filter(|((n, _), _)| *n == name).map(|(_, v)| v).sum()
+        self.lock().counters.named(name).sum()
     }
 
     /// Sets gauge `name{label}` to `value`.
     pub fn gauge_set(&self, name: &'static str, label: &'static str, value: f64) {
-        self.lock().gauges.insert((name, label), value);
+        *self.lock().gauges.slot((name, label), || value) = value;
     }
 
     /// Records `value` into histogram `name{label}`; the first
@@ -118,20 +221,16 @@ impl MetricsRegistry {
         bounds: &'static [f64],
         value: f64,
     ) {
-        self.lock()
-            .histograms
-            .entry((name, label))
-            .or_insert_with(|| Histogram::new(bounds))
-            .observe(value);
+        self.lock().histograms.slot((name, label), || Histogram::new(bounds)).observe(value);
     }
 
     /// Sorted snapshot of everything.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let s = self.lock();
         MetricsSnapshot {
-            counters: s.counters.iter().map(|(k, v)| (*k, *v)).collect(),
-            gauges: s.gauges.iter().map(|(k, v)| (*k, *v)).collect(),
-            histograms: s.histograms.iter().map(|(k, v)| (*k, v.clone())).collect(),
+            counters: s.counters.sorted().map(|(k, v)| (k, *v)).collect(),
+            gauges: s.gauges.sorted().map(|(k, v)| (k, *v)).collect(),
+            histograms: s.histograms.sorted().map(|(k, v)| (k, v.clone())).collect(),
         }
     }
 }
@@ -198,11 +297,44 @@ mod tests {
 
     #[test]
     fn snapshot_is_sorted_by_key() {
+        static BOUNDS: &[f64] = &[1.0];
         let r = MetricsRegistry::new();
+        for (name, label) in [("zeta", ""), ("alpha", "b"), ("alpha", "a")] {
+            r.counter_add(name, label, 1);
+            r.gauge_set(name, label, 1.0);
+            r.observe(name, label, BOUNDS, 1.0);
+        }
+        // A second round goes through the memo, not the text index.
         r.counter_add("zeta", "", 1);
-        r.counter_add("alpha", "b", 1);
-        r.counter_add("alpha", "a", 1);
-        let keys: Vec<SeriesKey> = r.snapshot().counters.into_iter().map(|(k, _)| k).collect();
-        assert_eq!(keys, vec![("alpha", "a"), ("alpha", "b"), ("zeta", "")]);
+        let want = vec![("alpha", "a"), ("alpha", "b"), ("zeta", "")];
+        let snap = r.snapshot();
+        assert_eq!(snap.counters.iter().map(|(k, _)| *k).collect::<Vec<_>>(), want);
+        assert_eq!(snap.gauges.iter().map(|(k, _)| *k).collect::<Vec<_>>(), want);
+        assert_eq!(snap.histograms.iter().map(|(k, _)| *k).collect::<Vec<_>>(), want);
+        assert_eq!(snap.counters[2].1, 2);
+    }
+
+    #[test]
+    fn one_text_at_two_addresses_is_one_series() {
+        static BOUNDS: &[f64] = &[1.0];
+        let leaked: &'static str = Box::leak(String::from("hits").into_boxed_str());
+        assert_ne!(leaked.as_ptr(), "hits".as_ptr());
+        let r = MetricsRegistry::new();
+        r.gauge_set("hits", "x", 1.0);
+        r.gauge_set(leaked, "x", 2.0);
+        r.gauge_set("hits", "x", 3.0);
+        assert_eq!(r.snapshot().gauges, vec![(("hits", "x"), 3.0)]);
+        r.gauge_set(leaked, "x", 4.0);
+        assert_eq!(r.snapshot().gauges, vec![(("hits", "x"), 4.0)]);
+        for name in ["hits", leaked, "hits", leaked] {
+            r.counter_add(name, "x", 1);
+            r.observe(name, "x", BOUNDS, 0.5);
+        }
+        assert_eq!(r.counter_value("hits", "x"), 4);
+        assert_eq!(r.counter_sum(leaked), 4);
+        let snap = r.snapshot();
+        assert_eq!(snap.counters, vec![(("hits", "x"), 4)]);
+        assert_eq!(snap.histograms.len(), 1);
+        assert_eq!(snap.histograms[0].1.count, 4);
     }
 }

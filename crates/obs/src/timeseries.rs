@@ -8,6 +8,7 @@
 //! and JSONL exports are byte-reproducible across identical-seed runs.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
 
 /// One sample of a time series: a value at a simulated instant.
@@ -19,33 +20,95 @@ pub struct TsSample {
     pub value: f64,
 }
 
-/// One label's sample stream within a series family.
-#[derive(Debug)]
-struct LabeledSeries {
-    label: String,
-    samples: Vec<TsSample>,
+/// Handle of one `(series, label)` stream, issued by
+/// [`TimeSeriesStore::id`]. It stays valid for the life of the store
+/// that issued it, whatever series are added later, and is rejected by
+/// any other store.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SeriesId {
+    store: u32,
+    slot: u32,
 }
 
-/// Append-only store of time series: a `BTreeMap` per series name, each
-/// holding its labels as a label-sorted vector. Exports therefore still
-/// walk `(series, label)` in sorted order, but the hot `record` path
-/// finds an existing label by binary search **without allocating** — a
-/// label `String` is only built the first time a series appears. With
-/// tens of thousands of nodes sampled every scrape tick, that removes
-/// one allocation per node per sample.
+/// Streams in first-use order, and the sorted text index over them.
 #[derive(Debug, Default)]
+struct Streams {
+    samples: Vec<Vec<TsSample>>,
+    index: BTreeMap<&'static str, BTreeMap<String, u32>>,
+}
+
+impl Streams {
+    /// The slot of `name{label}`, opened empty on first use. A label
+    /// `String` is only built the first time a series appears.
+    fn slot(&mut self, name: &'static str, label: &str) -> u32 {
+        let labels = self.index.entry(name).or_default();
+        if let Some(&slot) = labels.get(label) {
+            return slot;
+        }
+        let slot = u32::try_from(self.samples.len()).expect("fewer than 2^32 series");
+        labels.insert(label.to_owned(), slot);
+        self.samples.push(Vec::new());
+        slot
+    }
+
+    fn get(&self, name: &'static str, label: &str) -> Option<&[TsSample]> {
+        let &slot = self.index.get(name)?.get(label)?;
+        Some(&self.samples[slot as usize])
+    }
+
+    /// Every stream with at least one sample, in `(series, label)`
+    /// order. A stream opened by [`TimeSeriesStore::id`] but never
+    /// recorded into is not there yet.
+    fn sorted(&self) -> impl Iterator<Item = (&'static str, &str, &[TsSample])> {
+        self.index.iter().flat_map(move |(name, labels)| {
+            labels.iter().filter_map(move |(label, &slot)| {
+                let s = &self.samples[slot as usize];
+                (!s.is_empty()).then_some((*name, label.as_str(), s.as_slice()))
+            })
+        })
+    }
+}
+
+/// Append-only store of time series. The streams sit in a `Vec`
+/// indexed by [`SeriesId`]; a text index (series name, then label,
+/// both sorted) serves the reads by name and the exports, so exports
+/// walk `(series, label)` in sorted order. A writer that records into
+/// the same streams again and again resolves each one's id once and
+/// then records through [`TimeSeriesStore::record_id`], which does no
+/// text comparison at all.
+#[derive(Debug)]
 pub struct TimeSeriesStore {
-    series: Mutex<BTreeMap<&'static str, Vec<LabeledSeries>>>,
+    /// Stamped into every issued [`SeriesId`], so an id from another
+    /// store cannot land in an unrelated stream.
+    tag: u32,
+    streams: Mutex<Streams>,
+}
+
+impl Default for TimeSeriesStore {
+    fn default() -> Self {
+        TimeSeriesStore::new()
+    }
 }
 
 impl TimeSeriesStore {
     /// An empty store.
     pub fn new() -> Self {
-        TimeSeriesStore::default()
+        static NEXT_TAG: AtomicU32 = AtomicU32::new(0);
+        // Relaxed: the tag only has to differ between stores; it
+        // publishes no other data.
+        let tag = NEXT_TAG.fetch_add(1, Ordering::Relaxed);
+        TimeSeriesStore { tag, streams: Mutex::new(Streams::default()) }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<&'static str, Vec<LabeledSeries>>> {
-        self.series.lock().expect("timeseries lock")
+    fn lock(&self) -> std::sync::MutexGuard<'_, Streams> {
+        self.streams.lock().expect("timeseries lock")
+    }
+
+    /// The id of `name{label}`, for [`TimeSeriesStore::record_id`].
+    /// Resolving an id records nothing: the stream shows in reads and
+    /// exports from its first sample on.
+    pub fn id(&self, name: &'static str, label: &str) -> SeriesId {
+        SeriesId { store: self.tag, slot: self.lock().slot(name, label) }
     }
 
     /// Appends a sample to `name{label}`.
@@ -53,15 +116,19 @@ impl TimeSeriesStore {
     /// Samples are expected (but not required) to arrive in
     /// non-decreasing `at_us` order — the scrape timer guarantees that.
     pub fn record(&self, name: &'static str, label: &str, at_us: u64, value: f64) {
-        let mut map = self.lock();
-        let labels = map.entry(name).or_default();
-        let sample = TsSample { at_us, value };
-        match labels.binary_search_by(|ls| ls.label.as_str().cmp(label)) {
-            Ok(i) => labels[i].samples.push(sample),
-            Err(i) => {
-                labels.insert(i, LabeledSeries { label: label.to_owned(), samples: vec![sample] })
-            }
-        }
+        let mut s = self.lock();
+        let slot = s.slot(name, label);
+        s.samples[slot as usize].push(TsSample { at_us, value });
+    }
+
+    /// Appends a sample to the stream `id` names.
+    ///
+    /// # Panics
+    ///
+    /// When `id` was issued by another store.
+    pub fn record_id(&self, id: SeriesId, at_us: u64, value: f64) {
+        assert_eq!(id.store, self.tag, "SeriesId issued by another store");
+        self.lock().samples[id.slot as usize].push(TsSample { at_us, value });
     }
 
     /// All samples of `name{label}`, oldest first (empty when absent).
@@ -72,28 +139,19 @@ impl TimeSeriesStore {
     /// The last `n` samples of `name{label}`, oldest first. Copies only
     /// the tail, so the cost is O(n), not O(series length).
     pub fn last_n(&self, name: &'static str, label: &str, n: usize) -> Vec<TsSample> {
-        let map = self.lock();
-        let Some(labels) = map.get(name) else { return Vec::new() };
-        match labels.binary_search_by(|ls| ls.label.as_str().cmp(label)) {
-            Ok(i) => {
-                let s = &labels[i].samples;
-                s[s.len().saturating_sub(n)..].to_vec()
-            }
-            Err(_) => Vec::new(),
-        }
+        let s = self.lock();
+        let samples = s.get(name, label).unwrap_or_default();
+        samples[samples.len().saturating_sub(n)..].to_vec()
     }
 
     /// Sorted `(series, label)` keys present in the store.
     pub fn keys(&self) -> Vec<(&'static str, String)> {
-        self.lock()
-            .iter()
-            .flat_map(|(name, labels)| labels.iter().map(|ls| (*name, ls.label.clone())))
-            .collect()
+        self.lock().sorted().map(|(name, label, _)| (name, label.to_owned())).collect()
     }
 
     /// Total number of samples across all series.
     pub fn sample_count(&self) -> usize {
-        self.lock().values().flat_map(|labels| labels.iter().map(|ls| ls.samples.len())).sum()
+        self.lock().samples.iter().map(Vec::len).sum()
     }
 
     /// The whole store as CSV: `series,label,at_us,value`, sorted by
@@ -102,15 +160,13 @@ impl TimeSeriesStore {
     /// distinguishable from "an empty table".
     pub fn export_csv(&self) -> String {
         let s = self.lock();
-        if s.is_empty() {
-            return String::new();
-        }
-        let mut out = String::from("series,label,at_us,value\n");
-        for (name, labels) in s.iter() {
-            for ls in labels {
-                for smp in &ls.samples {
-                    out.push_str(&format!("{name},{},{},{}\n", ls.label, smp.at_us, smp.value));
-                }
+        let mut out = String::new();
+        for (name, label, samples) in s.sorted() {
+            if out.is_empty() {
+                out.push_str("series,label,at_us,value\n");
+            }
+            for smp in samples {
+                out.push_str(&format!("{name},{label},{},{}\n", smp.at_us, smp.value));
             }
         }
         out
@@ -120,17 +176,15 @@ impl TimeSeriesStore {
     pub fn export_jsonl(&self) -> String {
         let s = self.lock();
         let mut out = String::new();
-        for (name, labels) in s.iter() {
-            for ls in labels {
-                for smp in &ls.samples {
-                    out.push_str(&format!(
-                        "{{\"series\":\"{}\",\"label\":\"{}\",\"at_us\":{},\"value\":{}}}\n",
-                        crate::export::esc(name),
-                        crate::export::esc(&ls.label),
-                        smp.at_us,
-                        smp.value
-                    ));
-                }
+        for (name, label, samples) in s.sorted() {
+            for smp in samples {
+                out.push_str(&format!(
+                    "{{\"series\":\"{}\",\"label\":\"{}\",\"at_us\":{},\"value\":{}}}\n",
+                    crate::export::esc(name),
+                    crate::export::esc(label),
+                    smp.at_us,
+                    smp.value
+                ));
             }
         }
         out
@@ -175,6 +229,38 @@ mod tests {
         assert_eq!(ts.series("util", "cloud"), vec![]);
         assert_eq!(ts.sample_count(), 3);
         assert_eq!(ts.keys(), vec![("util", "edge".to_owned()), ("util", "fog".to_owned())]);
+    }
+
+    #[test]
+    fn ids_and_names_fill_one_stream() {
+        let ts = TimeSeriesStore::new();
+        let id = ts.id("util", "m");
+        // Opening a stream records nothing.
+        assert_eq!(ts.keys(), vec![]);
+        assert!(ts.export_csv().is_empty());
+        ts.record_id(id, 0, 0.5);
+        ts.record("util", "m", 100, 0.75);
+        // Series that sort before it, under its name and under another.
+        ts.record("util", "a", 0, 9.0);
+        ts.record("aaa", "", 0, 9.0);
+        ts.record_id(id, 200, 1.0);
+        assert_eq!(ts.id("util", "m"), id);
+        let want: Vec<f64> = ts.series("util", "m").iter().map(|s| s.value).collect();
+        assert_eq!(want, vec![0.5, 0.75, 1.0]);
+        assert_eq!(ts.sample_count(), 5);
+        assert_eq!(
+            ts.keys(),
+            vec![("aaa", String::new()), ("util", "a".to_owned()), ("util", "m".to_owned())]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "another store")]
+    fn ids_do_not_cross_stores() {
+        let issuer = TimeSeriesStore::new();
+        let other = TimeSeriesStore::new();
+        other.record("util", "m", 0, 0.5);
+        other.record_id(issuer.id("util", "m"), 0, 0.5);
     }
 
     #[test]
