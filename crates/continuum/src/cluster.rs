@@ -10,13 +10,11 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use serde::{Deserialize, Serialize};
-
 use crate::engine::SimCore;
 use crate::ids::{ClusterId, NodeId, PodId};
 
 /// Resource requests and placement constraints of one pod.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PodSpec {
     name: String,
     cpu_millis: u32,
@@ -64,7 +62,7 @@ impl PodSpec {
 }
 
 /// A bound pod.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BoundPod {
     /// The pod spec.
     pub spec: PodSpec,
@@ -100,7 +98,7 @@ impl std::fmt::Display for ScheduleError {
 
 impl std::error::Error for ScheduleError {}
 
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Alloc {
     cpu_millis: u32,
     mem_mb: u64,
@@ -284,7 +282,7 @@ impl Cluster {
 }
 
 /// Where a federated pod ended up.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FederatedPlacement {
     /// The cluster that bound the pod.
     pub cluster: ClusterId,

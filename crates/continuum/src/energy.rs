@@ -5,8 +5,6 @@
 //! work the paper builds on (refs \[29\], \[30\]). The [`EnergyMeter`]
 //! integrates power over busy/idle intervals to yield joules.
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::{SimDuration, SimTime};
 
 /// One DVFS / configuration operating point of a computing component.
@@ -23,7 +21,7 @@ use crate::time::{SimDuration, SimTime};
 /// let op = OperatingPoint::new("half-speed", 0.5, 2.0, 0.4);
 /// assert!(op.active_w() > op.idle_w());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OperatingPoint {
     name: String,
     freq_scale: f64,
@@ -84,7 +82,7 @@ impl OperatingPoint {
 /// assert_eq!(set.len(), 2);
 /// assert_eq!(set.point(1).name(), "eco");
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OperatingPointSet {
     points: Vec<OperatingPoint>,
 }

@@ -7,7 +7,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::engine::SimCore;
 use crate::ids::{LinkId, NodeId};
@@ -15,7 +14,7 @@ use crate::time::{SimDuration, SimTime};
 
 /// One crash window: the node goes down at `at` and recovers after
 /// `outage` (or never, if `outage` is `None`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fault {
     /// The affected node.
     pub node: NodeId,
@@ -26,7 +25,7 @@ pub struct Fault {
 }
 
 /// One link-cut window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkFault {
     /// The affected link.
     pub link: LinkId,
@@ -49,7 +48,7 @@ pub struct LinkFault {
 ///     .crash(NodeId::from_raw(0), SimTime::from_secs(1), Some(SimDuration::from_secs(2)));
 /// assert_eq!(plan.faults().len(), 1);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     faults: Vec<Fault>,
     link_faults: Vec<LinkFault>,

@@ -23,8 +23,6 @@
 //!   shape built into *one* [`SimCore`] (one event queue, one clock),
 //!   with a WAN full mesh between region ingress nodes so bursted tasks
 //!   pay real inter-region transfer latency.
-
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 use crate::engine::SimCore;
@@ -43,7 +41,7 @@ fn mix(mut x: u64) -> u64 {
 /// Versioned resource advert of one region — everything a peer needs to
 /// price a burst without talking to the region directly. The registry
 /// stamps `version` on publish; all other fields are the publisher's.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RegionDigest {
     /// The advertising region.
     pub region: RegionId,

@@ -6,14 +6,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 macro_rules! define_id {
     ($(#[$doc:meta])* $name:ident, $prefix:literal, $repr:ty) => {
         $(#[$doc])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub struct $name($repr);
 
         impl $name {

@@ -8,8 +8,6 @@
 //! monitoring lives with the orchestrator, which owns the per-request
 //! view. Snapshots feed the Knowledge Base's Resource Registry.
 
-use serde::{Deserialize, Serialize};
-
 use crate::engine::SimCore;
 use crate::ids::{LinkId, NodeId};
 use crate::node::Layer;
@@ -17,7 +15,7 @@ use crate::stats::OnlineStats;
 use crate::time::{SimDuration, SimTime};
 
 /// Infrastructure-monitor snapshot of one node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeSnapshot {
     /// Node id.
     pub node: NodeId,
@@ -47,7 +45,7 @@ pub struct NodeSnapshot {
 }
 
 /// Telemetry-monitor snapshot of one link.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkSnapshot {
     /// Link id.
     pub link: LinkId,
@@ -64,7 +62,7 @@ pub struct LinkSnapshot {
 }
 
 /// Full infrastructure + telemetry report at one instant.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MonitoringReport {
     /// Snapshot instant.
     pub at: SimTime,

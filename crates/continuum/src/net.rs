@@ -9,14 +9,12 @@
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Mutex;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{LinkId, MsgId, NodeId};
 use crate::time::{SimDuration, SimTime};
 
 /// Application-layer protocol carried by a message, with its overhead
 /// model (header bytes and session-establishment round trips).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Protocol {
     /// HTTP over TCP+TLS-like session: heavier headers, one setup RTT on
     /// a fresh connection (amortized here as a per-message half RTT).
@@ -60,7 +58,7 @@ impl std::fmt::Display for Protocol {
 }
 
 /// Immutable description of one directed link.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkSpec {
     from: NodeId,
     to: NodeId,
@@ -173,7 +171,7 @@ impl LinkState {
 }
 
 /// One network message in flight.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Message {
     /// Unique message id.
     pub id: MsgId,

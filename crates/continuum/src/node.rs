@@ -6,15 +6,13 @@
 //! high-capacity servers. Each node is described by an immutable
 //! [`NodeSpec`] and simulated through a mutable [`NodeState`].
 
-use serde::{Deserialize, Serialize};
-
 use crate::energy::{EnergyMeter, OperatingPoint, OperatingPointSet};
 use crate::ids::{NodeId, TaskId};
 use crate::task::TaskInstance;
 use crate::time::{SimDuration, SimTime};
 
 /// The continuum layer a node belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Layer {
     /// Devices close to the data source: sensors, HMPSoCs, RISC-V boards.
     Edge,
@@ -56,7 +54,7 @@ impl std::fmt::Display for Layer {
 
 /// Concrete hardware family of a node, matching the components the paper
 /// enumerates per layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeKind {
     /// Commercial multicore at the edge.
     EdgeMulticore,
@@ -104,7 +102,7 @@ impl std::fmt::Display for NodeKind {
 }
 
 /// FPGA / CGRA accelerator fabric attached to a node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AcceleratorSpec {
     regions: u32,
     speedup: f64,
@@ -153,7 +151,7 @@ impl AcceleratorSpec {
 /// let cloud = NodeSpec::preset_cloud_server("dc-0");
 /// assert!(cloud.cores() > hmpsoc.cores());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeSpec {
     name: String,
     kind: NodeKind,
@@ -362,7 +360,7 @@ impl NodeSpecBuilder {
 }
 
 /// How a task ended up executing on a node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutionMode {
     /// Plain software execution on a core.
     Software,

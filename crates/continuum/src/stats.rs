@@ -1,7 +1,5 @@
 //! Small statistics helpers shared by monitors and experiment harnesses.
 
-use serde::{Deserialize, Serialize};
-
 /// Streaming mean/variance accumulator (Welford's algorithm).
 ///
 /// # Examples
@@ -16,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.count(), 3);
 /// assert!((s.mean() - 2.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OnlineStats {
     n: u64,
     mean: f64,
@@ -101,7 +99,7 @@ impl OnlineStats {
 }
 
 /// Summary of a sample set with order statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Summary {
     /// Sample count.
     pub count: usize,

@@ -8,8 +8,6 @@
 //! Higher-level application models (TOSCA topologies, dataflow graphs)
 //! live in the `myrtus-workload` crate and compile down to these.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::TaskId;
 use crate::time::SimTime;
 
@@ -30,7 +28,7 @@ use crate::time::SimTime;
 /// assert_eq!(t.mem_mb, 64);
 /// assert_eq!(t.input_bytes, 4_096);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskInstance {
     /// Unique id of this instance.
     pub id: TaskId,
@@ -70,7 +68,7 @@ pub struct TaskInstance {
 /// Reference to a portable task body: a program in the installed
 /// [`crate::engine::VmConfig`] library plus the seed of its
 /// deterministic input stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TaskBody {
     /// Index into the installed program library.
     pub program: u32,
@@ -166,7 +164,7 @@ impl TaskInstance {
 
 /// Outcome record of one completed (or failed) task, produced by the
 /// simulation core for the driver's bookkeeping.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskOutcome {
     /// The task.
     pub task: TaskInstance,

@@ -8,8 +8,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// An absolute instant on the simulation clock, in microseconds since the
 /// start of the simulation.
 ///
@@ -22,9 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t.as_micros(), 3_000);
 /// assert_eq!(t - SimTime::ZERO, SimDuration::from_micros(3_000));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {
@@ -87,9 +83,7 @@ impl fmt::Display for SimTime {
 /// let d = SimDuration::from_millis(2) + SimDuration::from_micros(500);
 /// assert_eq!(d.as_micros(), 2_500);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimDuration {

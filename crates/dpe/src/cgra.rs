@@ -8,12 +8,10 @@
 //! initiation interval follows from the tile count, and a configuration
 //! stream (the "bitstream" of a CGRA) is sized from the used PEs.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ir::{ActorKind, DataflowGraph, IrError};
 
 /// A rectangular CGRA fabric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CgraFabric {
     /// Rows of processing elements.
     pub rows: u32,
@@ -43,7 +41,7 @@ impl CgraFabric {
 }
 
 /// Mapping of one actor onto the fabric.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ActorMapping {
     /// Actor name.
     pub actor: String,
@@ -57,7 +55,7 @@ pub struct ActorMapping {
 
 /// Mapping of a whole graph: per-actor results plus a time-multiplexed
 /// schedule when the graph needs more PEs than the fabric has.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CgraMapping {
     /// The fabric mapped onto.
     pub fabric: CgraFabric,

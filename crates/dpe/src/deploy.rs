@@ -9,13 +9,11 @@
 //! snippets) and the operating-point metadata of refs \[29\]\[30\]; it
 //! serializes to a single text "archive" with a validating parser.
 
-use serde::{Deserialize, Serialize};
-
 use myrtus_workload::opset::{AppOperatingPoint, AppPointSet};
 use myrtus_workload::tosca::{Application, ParseProfileError};
 
 /// Kind of a generated artifact.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArtifactKind {
     /// Host/CPU executable.
     Executable,
@@ -53,7 +51,7 @@ impl ArtifactKind {
 }
 
 /// One generated artifact.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Artifact {
     /// Artifact name (e.g. `pose.bit`).
     pub name: String,
@@ -66,7 +64,7 @@ pub struct Artifact {
 }
 
 /// The full deployment specification handed from pillar 3 to pillar 2.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeploymentSpec {
     /// The application topology.
     pub application: Application,

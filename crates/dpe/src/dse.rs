@@ -10,13 +10,12 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::hls::{estimate_actor, Resources};
 use crate::ir::{DataflowGraph, IrError};
 
 /// One processing element of the target platform.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Pe {
     /// Software core: `ops_per_cycle` sustained at `mhz`.
     Cpu {
@@ -55,7 +54,7 @@ use Pe::{Cpu, Fpga, RiscvCgra};
 pub type Mapping = Vec<usize>;
 
 /// Evaluation of one mapping.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MappingEval {
     /// Steady-state latency of one graph iteration, microseconds.
     pub latency_us: f64,
@@ -150,7 +149,7 @@ pub fn evaluate_mapping(
 }
 
 /// One explored design point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DesignPoint {
     /// The mapping.
     pub mapping: Mapping,
@@ -159,7 +158,7 @@ pub struct DesignPoint {
 }
 
 /// DSE result: explored feasible points and the Pareto front.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DseResult {
     /// All evaluated feasible points (deduplicated).
     pub points: Vec<DesignPoint>,

@@ -12,8 +12,6 @@
 //!    deployment specification (executables, bitstreams, swarm rules,
 //!    countermeasure snippets, operating points) for MIRTO.
 
-use serde::{Deserialize, Serialize};
-
 use myrtus_security::adt::{standard_defense_library, Adt, Gate};
 use myrtus_workload::graph::RequestDag;
 use myrtus_workload::opset::AppPointSet;
@@ -69,7 +67,7 @@ impl From<IrError> for FlowError {
 }
 
 /// Step-1 output: KPI estimates and threat analysis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AnalysisReport {
     /// Lower-bound end-to-end latency (reference platform), microseconds.
     pub critical_path_us: f64,

@@ -7,12 +7,10 @@
 //! initiation interval (II), iteration latency, and a resource vector
 //! (LUT / DSP / BRAM), with per-[`ActorKind`] coefficients.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ir::{ActorKind, DataflowGraph, IrError};
 
 /// FPGA resource estimate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Resources {
     /// Lookup tables.
     pub luts: u64,
@@ -49,7 +47,7 @@ impl Resources {
 }
 
 /// HLS estimate for one actor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ActorEstimate {
     /// Initiation interval in cycles (new firing accepted every II).
     pub ii: u64,
@@ -60,7 +58,7 @@ pub struct ActorEstimate {
 }
 
 /// HLS estimate for a whole pipelined graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GraphEstimate {
     /// Per-actor estimates, actor order.
     pub actors: Vec<ActorEstimate>,

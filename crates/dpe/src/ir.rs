@@ -9,13 +9,11 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 /// Index of an actor within a graph.
 pub type ActorId = usize;
 
 /// The computational class of an actor (drives HLS estimation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ActorKind {
     /// Produces tokens from the environment.
     Source,
@@ -32,7 +30,7 @@ pub enum ActorKind {
 }
 
 /// One dataflow actor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Actor {
     /// Unique actor name within the graph.
     pub name: String,
@@ -58,7 +56,7 @@ impl Actor {
 }
 
 /// A channel between two actors with SDF rates.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Channel {
     /// Producing actor.
     pub from: ActorId,
@@ -120,7 +118,7 @@ fn lcm(a: u64, b: u64) -> u64 {
 }
 
 /// A synchronous dataflow graph.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DataflowGraph {
     /// Graph name.
     pub name: String,

@@ -7,13 +7,11 @@
 //! [`Composition::area_report`] quantifies the headline benefit: shared
 //! area vs. the sum of dedicated datapaths.
 
-use serde::{Deserialize, Serialize};
-
 use crate::hls::{estimate_actor, Resources};
 use crate::ir::{Actor, Channel, DataflowGraph, IrError};
 
 /// One actor of the composed datapath.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SharedActor {
     /// The actor definition.
     pub actor: Actor,
@@ -22,7 +20,7 @@ pub struct SharedActor {
 }
 
 /// One channel of the composed datapath, tagged with its configuration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaggedChannel {
     /// The channel (actor ids refer to the composed actor list).
     pub channel: Channel,
@@ -35,7 +33,7 @@ pub struct TaggedChannel {
 const MUX_LUT_OVERHEAD: u64 = 24;
 
 /// A composed multi-dataflow datapath.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Composition {
     /// Composed (shared) actors.
     pub actors: Vec<SharedActor>,
@@ -48,7 +46,7 @@ pub struct Composition {
 }
 
 /// Area comparison of the composed datapath vs. dedicated ones.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AreaReport {
     /// Sum of the dedicated datapaths' resources.
     pub dedicated: Resources,

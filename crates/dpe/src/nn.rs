@@ -7,12 +7,10 @@
 //! / activation layers — and lowers it to the dataflow IR with exact
 //! per-layer operation counts, ready for HLS, MDC and the DSE.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ir::{Actor, ActorKind, DataflowGraph, IrError};
 
 /// A tensor shape `(channels, height, width)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Shape {
     /// Channels.
     pub c: u32,
@@ -35,7 +33,7 @@ impl Shape {
 }
 
 /// One layer of a sequential model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Layer {
     /// 2-D convolution with square `kernel`, `out_channels` filters,
     /// stride 1, same padding.
@@ -94,7 +92,7 @@ impl From<IrError> for NnError {
 }
 
 /// A sequential inference model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NnModel {
     /// Model name.
     pub name: String,

@@ -1,7 +1,6 @@
 //! Replicated state-machine commands.
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 
 /// A command applied to the replicated key-value state machine once its
 /// log entry commits.
@@ -64,14 +63,13 @@ impl KvCommand {
 }
 
 /// A change event delivered to watchers.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WatchEvent {
     /// A key was created or updated.
     Put {
         /// Key.
         key: String,
         /// New value.
-        #[serde(with = "bytes_serde")]
         value: Vec<u8>,
         /// Store revision at which the change happened.
         revision: u64,
@@ -98,21 +96,6 @@ impl WatchEvent {
         match self {
             WatchEvent::Put { revision, .. } | WatchEvent::Delete { revision, .. } => *revision,
         }
-    }
-}
-
-// Only referenced through `#[serde(with = "bytes_serde")]`, which the
-// vendored no-op derive does not expand; keep it for wire-format parity.
-#[allow(dead_code)]
-mod bytes_serde {
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-
-    pub fn serialize<S: Serializer>(v: &[u8], s: S) -> Result<S::Ok, S::Error> {
-        v.serialize(s)
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<Vec<u8>, D::Error> {
-        Vec::<u8>::deserialize(d)
     }
 }
 

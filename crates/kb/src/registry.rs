@@ -7,7 +7,6 @@
 //! establishing deployment or reallocation directives.
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 
 use myrtus_continuum::ids::NodeId;
 use myrtus_continuum::monitor::NodeSnapshot;
@@ -18,7 +17,7 @@ use crate::command::KvCommand;
 use crate::store::KvStore;
 
 /// One registry record describing a continuum component.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeRecord {
     /// The node.
     pub node: NodeId,

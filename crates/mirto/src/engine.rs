@@ -31,10 +31,9 @@ use myrtus_continuum::stats::Summary;
 use myrtus_continuum::task::{TaskBody, TaskInstance};
 use myrtus_continuum::time::{SimDuration, SimTime};
 use myrtus_continuum::topology::Continuum;
-use myrtus_kb::history::trend_rising;
 use myrtus_kb::KnowledgeBase;
 use myrtus_obs::span::causal_chain;
-use myrtus_obs::{index_label, Obs, ObsConfig, TraceKind};
+use myrtus_obs::{index_label, Obs, ObsConfig, TraceKind, TsSample};
 use myrtus_workload::compile::{compile_stages, CompiledStage, Tag};
 use myrtus_workload::graph::RequestDag;
 use myrtus_workload::opset::AppPointSet;
@@ -1404,9 +1403,9 @@ impl OrchestrationEngine {
                 // instantaneous 0.2 threshold does. Obs records the
                 // same sample for export only.
                 self.obs.ts_record("app_window_miss_rate", app_label, now_us, miss_rate);
-                let key = format!("app_window_miss_rate/{app_label}");
-                self.kb.history_mut().append(&key, sim.now(), miss_rate);
-                let recent = self.kb.history().last_n(&key, 3);
+                let history = self.kb.history_mut();
+                history.record("app_window_miss_rate", app_label, now_us, miss_rate);
+                let recent = history.last_n("app_window_miss_rate", app_label, 3);
                 let trending = recent.len() == 3
                     && trend_rising(&recent)
                     && recent.last().is_some_and(|s| s.value >= 0.1);
@@ -1636,7 +1635,7 @@ impl OrchestrationEngine {
     /// KB, ask the autoscaler for a decision and execute it through the
     /// deployment proxy.
     fn elasticity_round(&mut self, sim: &mut SimCore, now_us: u64, mgr: &mut ElasticityManager) {
-        let miss_rate = self.kb.history().latest("deadline_miss_rate").map_or(0.0, |s| s.value);
+        let miss_rate = self.kb.history().latest("deadline_miss_rate", "").map_or(0.0, |s| s.value);
         let now = sim.now();
         for pos in 0..self.apps.len() {
             let app_id = self.apps[pos].id;
@@ -1656,8 +1655,8 @@ impl OrchestrationEngine {
                 // single sample catches a pegged node at a momentary
                 // zero and flaps the fleet down mid-overload.
                 let history = self.kb.history();
-                let peak = |metric: &str| {
-                    let recent = history.last_n(&format!("{name}/{metric}"), 3);
+                let peak = |metric: &'static str| {
+                    let recent = history.last_n(metric, name, 3);
                     recent.iter().map(|s| s.value).fold(0.0f64, f64::max)
                 };
                 let replicas = self.proxy.as_ref().map_or(0, |p| p.replica_count(app_id, comp));
@@ -1821,6 +1820,18 @@ pub fn run_orchestration(
     OrchestrationEngine::new(policy, cfg).run(&mut continuum, apps, horizon)
 }
 
+/// Whether a window of samples shows a (weakly) rising trend: at least
+/// two samples, non-decreasing throughout, and strictly higher at the
+/// end than at the start. The Analyze phase uses this over rolling
+/// windows to react to *degradation trends* rather than single
+/// snapshots.
+fn trend_rising(samples: &[TsSample]) -> bool {
+    samples.len() >= 2
+        && samples.windows(2).all(|w| w[1].value >= w[0].value)
+        && samples.last().map(|s| s.value).unwrap_or(0.0)
+            > samples.first().map(|s| s.value).unwrap_or(0.0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1829,6 +1840,20 @@ mod tests {
     use myrtus_continuum::topology::ContinuumBuilder;
     use myrtus_workload::compile::compile_requests;
     use myrtus_workload::scenarios;
+
+    #[test]
+    fn trend_detection() {
+        let s = |vals: &[f64]| -> Vec<TsSample> {
+            vals.iter().enumerate().map(|(i, &v)| TsSample { at_us: i as u64, value: v }).collect()
+        };
+        assert!(trend_rising(&s(&[0.1, 0.2, 0.3])));
+        assert!(trend_rising(&s(&[0.1, 0.1, 0.3])));
+        assert!(!trend_rising(&s(&[0.3, 0.2, 0.1])));
+        assert!(!trend_rising(&s(&[0.1, 0.1, 0.1])));
+        assert!(!trend_rising(&s(&[0.1, 0.3, 0.2])));
+        assert!(!trend_rising(&s(&[0.5])));
+        assert!(!trend_rising(&[]));
+    }
 
     fn small_telerehab() -> Application {
         scenarios::telerehab_with(2) // 60 frames

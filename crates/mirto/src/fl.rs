@@ -10,14 +10,12 @@
 //! its own applications), and [`fed_avg`] aggregates the models
 //! FedAvg-style, weighted by sample count.
 
-use serde::{Deserialize, Serialize};
-
 /// Feature vector length: bias, work (mc), input (KiB), inverse speed,
 /// and the work × inverse-speed interaction (compute time).
 pub const FEATURES: usize = 5;
 
 /// A linear latency model over [`FEATURES`] features.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyModel {
     /// Model weights.
     pub w: [f64; FEATURES],

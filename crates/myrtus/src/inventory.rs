@@ -4,10 +4,8 @@
 //! the `table1` binary cross-references it against the EU-CEI building
 //! blocks.
 
-use serde::{Deserialize, Serialize};
-
 /// A MYRTUS technical pillar.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pillar {
     /// Pillar 1: Continuum Computing Infrastructure.
     Infrastructure,
@@ -29,7 +27,7 @@ impl std::fmt::Display for Pillar {
 }
 
 /// One technology of the inventory.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Technology {
     /// Owning pillar.
     pub pillar: Pillar,

@@ -1,7 +1,7 @@
 //! Deterministic exporters: JSON Lines and fixed-width tables.
 //!
-//! JSON is emitted by hand (the workspace's vendored `serde` stub has
-//! no serializer backend) with a fixed key order per record type, so a
+//! JSON is emitted by hand (the workspace has no serializer crate)
+//! with a fixed key order per record type, so a
 //! byte-for-byte comparison of two exports is a valid determinism
 //! check. Floats use Rust's shortest round-trip `Display`, which is
 //! itself deterministic.

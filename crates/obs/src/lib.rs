@@ -2,9 +2,12 @@
 //!
 //! Deterministic observability substrate for the MYRTUS continuum
 //! reproduction: a [`MetricsRegistry`] of monotonic counters, gauges and
-//! fixed-bucket histograms, plus a bounded [`TraceBuffer`] of structured,
-//! sim-time-stamped [`TraceEvent`]s — all behind a cheap, clonable
-//! [`Obs`] handle that is a no-op when disabled.
+//! fixed-bucket histograms, a bounded [`TraceBuffer`] of structured,
+//! sim-time-stamped [`TraceEvent`]s and a [`TimeSeriesStore`] of scraped
+//! series — all behind a cheap, clonable [`Obs`] handle that is a no-op
+//! when disabled. The Knowledge Base keeps its history in a
+//! [`TimeSeriesStore`] of its own, so the workspace has one time-series
+//! type.
 //!
 //! Design rules (see DESIGN.md § Observability):
 //!
@@ -52,7 +55,7 @@ pub use span::{SpanOutcome, SpanSet, TaskSpan};
 pub use timeseries::{SeriesId, TimeSeriesStore, TsSample};
 pub use trace::{TraceBuffer, TraceEvent, TraceKind};
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Configuration for the observability layer.
 ///
@@ -117,8 +120,14 @@ impl Default for ObsConfig {
 struct Inner {
     metrics: MetricsRegistry,
     traces: Mutex<TraceBuffer>,
-    timeseries: TimeSeriesStore,
+    timeseries: Mutex<TimeSeriesStore>,
     scrape_interval_us: u64,
+}
+
+impl Inner {
+    fn timeseries(&self) -> MutexGuard<'_, TimeSeriesStore> {
+        self.timeseries.lock().expect("timeseries lock")
+    }
 }
 
 impl std::fmt::Debug for Inner {
@@ -148,7 +157,8 @@ impl Obs {
         Obs(Some(Arc::new(Inner {
             metrics: MetricsRegistry::new(),
             traces: Mutex::new(TraceBuffer::new(cfg.trace_capacity)),
-            timeseries: TimeSeriesStore::new(),
+            // The export keeps every sample of the run.
+            timeseries: Mutex::new(TimeSeriesStore::new(usize::MAX)),
             scrape_interval_us: cfg.scrape_interval_us,
         })))
     }
@@ -243,7 +253,7 @@ impl Obs {
     /// contexts (the scrape timer and the MAPE monitoring round).
     pub fn ts_record(&self, name: &'static str, label: &str, at_us: u64, value: f64) {
         if let Some(inner) = &self.0 {
-            inner.timeseries.record(name, label, at_us, value);
+            inner.timeseries().record(name, label, at_us, value);
         }
     }
 
@@ -254,7 +264,7 @@ impl Obs {
     /// nothing, and the id is valid only with this handle and its
     /// clones.
     pub fn ts_id(&self, name: &'static str, label: &str) -> Option<SeriesId> {
-        self.0.as_ref().map(|i| i.timeseries.id(name, label))
+        self.0.as_ref().map(|i| i.timeseries().id(name, label))
     }
 
     /// Appends a sample to the time series `id` names, like
@@ -266,35 +276,35 @@ impl Obs {
     /// with this one.
     pub fn ts_record_id(&self, id: SeriesId, at_us: u64, value: f64) {
         if let Some(inner) = &self.0 {
-            inner.timeseries.record_id(id, at_us, value);
+            inner.timeseries().record_id(id, at_us, value);
         }
     }
 
     /// All samples of time series `name{label}`, oldest first.
     pub fn ts_series(&self, name: &'static str, label: &str) -> Vec<TsSample> {
-        self.0.as_ref().map_or_else(Vec::new, |i| i.timeseries.series(name, label))
+        self.0.as_ref().map_or_else(Vec::new, |i| i.timeseries().series(name, label))
     }
 
     /// The last `n` samples of time series `name{label}`, oldest first.
     pub fn ts_last_n(&self, name: &'static str, label: &str, n: usize) -> Vec<TsSample> {
-        self.0.as_ref().map_or_else(Vec::new, |i| i.timeseries.last_n(name, label, n))
+        self.0.as_ref().map_or_else(Vec::new, |i| i.timeseries().last_n(name, label, n))
     }
 
     /// Total number of time-series samples recorded so far.
     pub fn ts_sample_count(&self) -> usize {
-        self.0.as_ref().map_or(0, |i| i.timeseries.sample_count())
+        self.0.as_ref().map_or(0, |i| i.timeseries().sample_count())
     }
 
     /// All time series as deterministic CSV (`series,label,at_us,value`
     /// rows in sorted series order; empty string when disabled or when
     /// nothing was scraped).
     pub fn export_timeseries_csv(&self) -> String {
-        self.0.as_ref().map_or_else(String::new, |i| i.timeseries.export_csv())
+        self.0.as_ref().map_or_else(String::new, |i| i.timeseries().export_csv())
     }
 
     /// All time series as deterministic JSON Lines.
     pub fn export_timeseries_jsonl(&self) -> String {
-        self.0.as_ref().map_or_else(String::new, |i| i.timeseries.export_jsonl())
+        self.0.as_ref().map_or_else(String::new, |i| i.timeseries().export_jsonl())
     }
 
     /// A copy of the retained trace events, oldest first.

@@ -9,15 +9,13 @@
 //! best-risk-reduction-per-cost defenses within a budget — the "Threat
 //! Counter Measures" library instantiation.
 
-use serde::{Deserialize, Serialize};
-
 /// Index of a node within an [`Adt`].
 pub type AdtNodeId = usize;
 /// Index of a defense within an [`Adt`].
 pub type DefenseId = usize;
 
 /// How a non-leaf attack combines its children.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Gate {
     /// All child attacks must succeed.
     And,
@@ -26,7 +24,7 @@ pub enum Gate {
 }
 
 /// One attack node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttackNode {
     /// Human-readable attack name.
     pub name: String,
@@ -41,7 +39,7 @@ pub struct AttackNode {
 }
 
 /// One defensive countermeasure from the customizable-primitives library.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Defense {
     /// Countermeasure name (e.g. `"mutual-tls"`).
     pub name: String,
@@ -72,7 +70,7 @@ impl std::fmt::Display for AdtError {
 impl std::error::Error for AdtError {}
 
 /// An attack-defence tree; node 0 is the root goal.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Adt {
     nodes: Vec<AttackNode>,
     defenses: Vec<Defense>,

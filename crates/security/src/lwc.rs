@@ -9,10 +9,8 @@
 //! the published figures — plus a selector that picks the lightest
 //! function fitting a component's area/security budget.
 
-use serde::{Deserialize, Serialize};
-
 /// Cost model of one lightweight hash function.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LightweightHash {
     /// Function name as cited.
     pub name: &'static str,

@@ -8,12 +8,10 @@
 //! pqm4 / SUPERCOP benchmark ratios (documented in DESIGN.md). Symmetric
 //! and hash primitives, by contrast, are real implementations.
 
-use serde::{Deserialize, Serialize};
-
 use myrtus_continuum::time::SimDuration;
 
 /// Cost model of one public-key scheme.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PkScheme {
     /// Scheme name as the paper cites it.
     pub name: &'static str,

@@ -11,8 +11,6 @@
 //! public-key operations, so experiments measure genuine relative
 //! overhead between the levels.
 
-use serde::{Deserialize, Serialize};
-
 use myrtus_continuum::time::SimDuration;
 
 use crate::aes::{Aes, AesVariant};
@@ -21,7 +19,7 @@ use crate::pk::{PkScheme, DILITHIUM2, ECDSA_P256, KYBER_768, RSA_2048};
 use crate::sha2::{hmac_sha256, sha256, sha512};
 
 /// The envisioned security levels (Table II).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SecurityLevel {
     /// Lightweight non-PQC considering component capabilities.
     Low,
@@ -94,7 +92,7 @@ impl std::fmt::Display for SecurityLevel {
 }
 
 /// Symmetric encryption role.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SymmetricAlg {
     /// AES-256 in CTR mode with an HMAC-SHA-256 tag (encrypt-then-MAC).
     Aes256,
@@ -125,7 +123,7 @@ impl SymmetricAlg {
 }
 
 /// Hashing role.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HashAlg {
     /// SHA-512.
     Sha512,
@@ -155,7 +153,7 @@ impl HashAlg {
 }
 
 /// Handshake cost summary (mutual authentication + key encapsulation).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HandshakeCost {
     /// CPU cycles on the initiator.
     pub initiator_cycles: u64,

@@ -11,12 +11,10 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use myrtus_continuum::ids::NodeId;
 
 /// One observed interaction outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Observation {
     /// The component served a task correctly and on time.
     TaskOk,
@@ -28,7 +26,7 @@ pub enum Observation {
 }
 
 /// Beta-reputation evidence for one component.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Reputation {
     alpha: f64,
     beta: f64,

@@ -8,12 +8,11 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use myrtus_continuum::time::{SimDuration, SimTime};
 
 /// A request arrival process.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ArrivalSpec {
     /// One request every `period`, `count` times, starting at `period`.
     Periodic {

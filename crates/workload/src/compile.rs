@@ -6,8 +6,6 @@
 //! work, data volumes and a correlation [`Tag`] per stage, ready for the
 //! WL Manager to place onto continuum nodes.
 
-use serde::{Deserialize, Serialize};
-
 use myrtus_continuum::time::{SimDuration, SimTime};
 
 use crate::graph::RequestDag;
@@ -18,7 +16,7 @@ use crate::tosca::{Application, SecurityTier, ValidateAppError};
 /// stage (16 bit)`. Travels in
 /// [`TaskInstance::tag`](myrtus_continuum::task::TaskInstance) so drivers
 /// can attribute completions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Tag {
     /// Application id.
     pub app: u16,
@@ -45,7 +43,7 @@ impl Tag {
 }
 
 /// One stage (DAG node) of a compiled request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledStage {
     /// Index into the application's component list.
     pub component_idx: usize,
@@ -74,7 +72,7 @@ pub struct CompiledStage {
 }
 
 /// One request instance: a released DAG of stages in topological order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledRequest {
     /// Release instant.
     pub released: SimTime,

@@ -5,14 +5,12 @@
 //! volume. [`RequestDag`] provides topological order, stage depths and a
 //! critical-path latency estimator used by deployment-time planning.
 
-use serde::{Deserialize, Serialize};
-
 use myrtus_continuum::time::SimDuration;
 
 use crate::tosca::{Application, ValidateAppError};
 
 /// One node of the request DAG (mirrors a component).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DagNode {
     /// Component name.
     pub name: String,
@@ -27,7 +25,7 @@ pub struct DagNode {
 }
 
 /// Per-request dataflow DAG of an application.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RequestDag {
     nodes: Vec<DagNode>,
     topo: Vec<usize>,

@@ -7,10 +7,8 @@
 //! quality for latency and energy. [`AppPointSet::pareto_front`] extracts
 //! the non-dominated points the manager actually considers.
 
-use serde::{Deserialize, Serialize};
-
 /// One application-level operating point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppOperatingPoint {
     /// Human-readable name (e.g. `"720p"`).
     pub name: String,
@@ -48,7 +46,7 @@ impl AppOperatingPoint {
 }
 
 /// An indexed set of application operating points; index 0 is nominal.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppPointSet {
     points: Vec<AppOperatingPoint>,
 }

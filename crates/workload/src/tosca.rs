@@ -10,8 +10,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use myrtus_continuum::net::Protocol;
 use myrtus_continuum::node::Layer;
 use myrtus_continuum::time::SimDuration;
@@ -19,7 +17,7 @@ use myrtus_continuum::time::SimDuration;
 use crate::arrival::ArrivalSpec;
 
 /// Required security tier of a component (paper Table II rows).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SecurityTier {
     /// Lightweight non-PQC primitives.
     Low,
@@ -57,7 +55,7 @@ impl std::fmt::Display for SecurityTier {
 }
 
 /// Functional role of a component.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ComponentKind {
     /// Data source (camera, IMU, vehicle sensor).
     Sensor,
@@ -95,7 +93,7 @@ impl std::fmt::Display for ComponentKind {
 }
 
 /// Per-request resource and policy requirements of a component.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Requirements {
     /// Software work per request, megacycles.
     pub work_mc: f64,
@@ -133,7 +131,7 @@ impl Default for Requirements {
 }
 
 /// One node template of the application topology.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Component {
     /// Unique component name within the application.
     pub name: String,
@@ -193,7 +191,7 @@ impl Component {
 }
 
 /// A directed relationship: `from` streams data to `to`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Connection {
     /// Producer component name.
     pub from: String,
@@ -206,7 +204,7 @@ pub struct Connection {
 }
 
 /// A complete TOSCA-like application topology.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Application {
     /// Application name.
     pub name: String,

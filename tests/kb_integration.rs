@@ -90,7 +90,7 @@ fn logical_kb_view_matches_simulation_truth() {
     // Energy history exists for the cloud server with a positive value.
     let cloud_name =
         continuum.sim().node(continuum.cloud()[0]).expect("exists").spec().name().to_string();
-    let latest = kb.history().latest(&format!("{cloud_name}/energy_j")).expect("sampled");
+    let latest = kb.history().latest("energy_j", &cloud_name).expect("sampled");
     assert!(latest.value > 0.0);
 }
 
