@@ -3,7 +3,10 @@
 //!
 //! The history itself is a [`myrtus_obs::TimeSeriesStore`]; this module
 //! fixes its retention and checks that the store a fresh KB holds
-//! evicts at exactly that cap.
+//! evicts at exactly that cap. The retention applies to the streams the
+//! control plane reads back; the ingest keeps only the newest sample of
+//! the others (`energy_j`, `queue`, `link_util`) with
+//! [`TimeSeriesStore::set_id`](myrtus_obs::TimeSeriesStore::set_id).
 
 /// Samples each KB history stream keeps; recording one more evicts the
 /// oldest.

@@ -11,6 +11,17 @@
 //! [`raft::RaftCluster`] is the *distributed implementation view* whose
 //! consistency and scalability the experiments measure.
 //!
+//! The logical view keeps what the control plane reads, in the form it
+//! reads it. Its registry is a column of one [`NodeRecord`] per node,
+//! overwritten in place by each monitoring ingest; it no longer lives
+//! under `/registry/` in the facade's KV store, which holds only the
+//! keys commands write (the federation shards). Raft replicas still
+//! carry registry records under `/registry/nodes/<id>`, and
+//! [`RegistryView::new`] reads them there. Its history keeps a
+//! [`history::RETENTION`]-sample ring for the streams the managers read
+//! back (`util`, `depth`, the miss rates, per-app KPIs) and only the
+//! newest sample of `energy_j`, `queue` and `link_util`.
+//!
 //! ## Quick start
 //!
 //! ```

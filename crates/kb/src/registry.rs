@@ -2,9 +2,10 @@
 //!
 //! The KB keeps "a snapshot of the components availability and their
 //! status": per-node records with layer, capacity, utilization, security
-//! capability and liveness, stored under `/registry/nodes/<id>` in the
-//! replicated KV store. MIRTO's WL Manager reads this snapshot when
-//! establishing deployment or reallocation directives.
+//! capability and liveness. The [`KnowledgeBase`](crate::facade::KnowledgeBase)
+//! keeps them as a column of records indexed by node, updated in place
+//! on every monitoring ingest; a Raft replica keeps them encoded under
+//! `/registry/nodes/<id>` in its KV store. [`RegistryView`] reads either.
 
 use bytes::Bytes;
 
@@ -61,6 +62,23 @@ impl NodeRecord {
             energy_j: s.energy_j,
             updated_at: at,
         }
+    }
+
+    /// Overwrites this record with a newer snapshot of a node of the
+    /// same name, so that it equals [`NodeRecord::from_snapshot`] of it
+    /// without copying the name.
+    pub(crate) fn update(&mut self, s: &NodeSnapshot, max_security_tier: u8, at: SimTime) {
+        debug_assert_eq!(self.name, s.name);
+        self.node = s.node;
+        self.layer = s.layer;
+        self.up = s.up;
+        self.utilization = s.utilization;
+        self.queue_len = s.queue_len;
+        self.mem_free_mb = s.mem_free_mb;
+        self.max_security_tier = max_security_tier;
+        self.point_idx = s.point_idx;
+        self.energy_j = s.energy_j;
+        self.updated_at = at;
     }
 
     /// Registry key for a node.
@@ -129,30 +147,52 @@ impl NodeRecord {
     }
 }
 
-/// Read-side view over the registry section of a KV store.
+/// Read-side view over a registry: the registry section of a KV store,
+/// or the KB facade's column of records.
 #[derive(Debug, Clone, Copy)]
 pub struct RegistryView<'a> {
-    store: &'a KvStore,
+    source: Source<'a>,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Source<'a> {
+    /// Records encoded under `/registry/nodes/` in a KV store.
+    Store(&'a KvStore),
+    /// Records at their node's `NodeId::index()`.
+    Column(&'a [Option<NodeRecord>]),
 }
 
 impl<'a> RegistryView<'a> {
     /// Wraps a store.
     pub fn new(store: &'a KvStore) -> Self {
-        RegistryView { store }
+        RegistryView { source: Source::Store(store) }
+    }
+
+    /// Wraps a column of records indexed by `NodeId::index()`.
+    pub(crate) fn column(records: &'a [Option<NodeRecord>]) -> Self {
+        RegistryView { source: Source::Column(records) }
     }
 
     /// Reads one node's record.
     pub fn node(&self, node: NodeId) -> Option<NodeRecord> {
-        self.store.get(&NodeRecord::key(node)).and_then(|e| NodeRecord::decode(&e.value))
+        match self.source {
+            Source::Store(store) => {
+                store.get(&NodeRecord::key(node)).and_then(|e| NodeRecord::decode(&e.value))
+            }
+            Source::Column(records) => records.get(node.index())?.clone(),
+        }
     }
 
     /// All records, in node-id order.
     pub fn all(&self) -> Vec<NodeRecord> {
-        self.store
-            .range("/registry/nodes/")
-            .into_iter()
-            .filter_map(|(_, e)| NodeRecord::decode(&e.value))
-            .collect()
+        match self.source {
+            Source::Store(store) => store
+                .range("/registry/nodes/")
+                .into_iter()
+                .filter_map(|(_, e)| NodeRecord::decode(&e.value))
+                .collect(),
+            Source::Column(records) => records.iter().flatten().cloned().collect(),
+        }
     }
 
     /// Up nodes of a layer, least-utilized first.

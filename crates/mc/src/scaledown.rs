@@ -225,7 +225,7 @@ impl Model for ScaleDownModel {
         for comp in 0..self.comps {
             // Route table mirrors the spec stack exactly, in order.
             let want: Vec<NodeId> = s.mirror[comp].iter().map(|&c| self.candidates[c]).collect();
-            let got = s.proxy.replica_nodes(self.app_id, comp);
+            let got: Vec<NodeId> = s.proxy.replica_nodes(self.app_id, comp).collect();
             if got != want {
                 return Err(format!(
                     "replica route table diverged for component {comp}: proxy says {got:?}, \

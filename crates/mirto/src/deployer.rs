@@ -310,11 +310,8 @@ impl DeploymentProxy {
     }
 
     /// Nodes hosting replicas of a component, in scale-up order.
-    pub fn replica_nodes(&self, app: u16, component: usize) -> Vec<NodeId> {
-        self.replica_pods
-            .get(&(app, component))
-            .map(|v| v.iter().map(|(_, _, n)| *n).collect())
-            .unwrap_or_default()
+    pub fn replica_nodes(&self, app: u16, component: usize) -> impl Iterator<Item = NodeId> + '_ {
+        self.replica_pods.get(&(app, component)).into_iter().flatten().map(|&(_, _, n)| n)
     }
 
     /// Number of live replicas of a component (excluding the primary).
@@ -405,7 +402,7 @@ mod tests {
         proxy.scale_up(0, &app, 1, r1).expect("scale up");
         proxy.scale_up(0, &app, 1, r2).expect("scale up");
         assert_eq!(proxy.replica_count(0, 1), 2);
-        assert_eq!(proxy.replica_nodes(0, 1), vec![r1, r2]);
+        assert_eq!(proxy.replica_nodes(0, 1).collect::<Vec<_>>(), vec![r1, r2]);
         assert!(proxy.requested_cpu_millis(r2) > 0);
         // Scale-down pops the newest replica first.
         assert_eq!(proxy.scale_down(0, 1).expect("evicts"), Some(r2));

@@ -900,8 +900,8 @@ impl OrchestrationEngine {
         // only cross regions when that beats queueing at home.
         let burst = self.fed.as_ref().and_then(|f| f.burst_target(app_id));
         if let Some(proxy) = self.proxy.as_ref() {
-            let replicas = proxy.replica_nodes(app_id, component_idx);
-            if !replicas.is_empty() || burst.is_some() {
+            let mut replicas = proxy.replica_nodes(app_id, component_idx).peekable();
+            if replicas.peek().is_some() || burst.is_some() {
                 let now = sim.now();
                 let est = PlanEstimator::new(sim.network(), now, &self.plan_cache);
                 let best = std::iter::once(dst)
@@ -1685,8 +1685,8 @@ impl OrchestrationEngine {
                                 .chain(
                                     self.proxy
                                         .as_ref()
-                                        .map(|p| p.replica_nodes(app_id, comp))
-                                        .unwrap_or_default(),
+                                        .into_iter()
+                                        .flat_map(|p| p.replica_nodes(app_id, comp)),
                                 )
                                 .collect();
                             candidates

@@ -6,33 +6,49 @@
 //! check. Floats use Rust's shortest round-trip `Display`, which is
 //! itself deterministic.
 
+use std::fmt::{self, Write as _};
+
 use crate::metrics::MetricsSnapshot;
 use crate::trace::{TraceEvent, TraceKind};
 
-/// Escapes a string for embedding inside a JSON string literal.
-pub(crate) fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// A string escaped for embedding inside a JSON string literal, written
+/// straight into the output that formats it.
+struct Esc<'a>(&'a str);
+
+impl fmt::Display for Esc<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for c in self.0.chars() {
+            match c {
+                '"' => f.write_str("\\\"")?,
+                '\\' => f.write_str("\\\\")?,
+                '\n' => f.write_str("\\n")?,
+                '\r' => f.write_str("\\r")?,
+                '\t' => f.write_str("\\t")?,
+                c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                c => f.write_char(c)?,
+            }
         }
+        Ok(())
     }
-    out
 }
 
-/// Serializes one trace event as a single JSON object (no newline).
-/// Key order is fixed: `seq`, `at_us`, `type`, then payload fields in
-/// declaration order.
-pub fn trace_event_json(e: &TraceEvent) -> String {
-    let head =
-        format!("{{\"seq\":{},\"at_us\":{},\"type\":\"{}\"", e.seq, e.at_us, e.kind.type_name());
-    let tail = match e.kind {
+/// Escapes a string for embedding inside a JSON string literal.
+pub(crate) fn esc(s: &str) -> String {
+    Esc(s).to_string()
+}
+
+/// Appends one trace event to `out` as a single JSON object (no
+/// newline). Key order is fixed: `seq`, `at_us`, `type`, then payload
+/// fields in declaration order.
+fn write_trace_event(out: &mut String, e: &TraceEvent) {
+    let _ = write!(
+        out,
+        "{{\"seq\":{},\"at_us\":{},\"type\":\"{}\"",
+        e.seq,
+        e.at_us,
+        e.kind.type_name()
+    );
+    let _ = match e.kind {
         TraceKind::TaskDispatch { node, task }
         | TraceKind::TaskArrive { node, task }
         | TraceKind::TaskStart { node, task }
@@ -41,40 +57,40 @@ pub fn trace_event_json(e: &TraceEvent) -> String {
         | TraceKind::TaskCancelled { node, task }
         | TraceKind::TaskAdmitted { node, task }
         | TraceKind::TaskResume { node, task } => {
-            format!(",\"node\":{node},\"task\":{task}}}")
+            write!(out, ",\"node\":{node},\"task\":{task}}}")
         }
         TraceKind::TaskCheckpoint { node, task, bytes } => {
-            format!(",\"node\":{node},\"task\":{task},\"bytes\":{bytes}}}")
+            write!(out, ",\"node\":{node},\"task\":{task},\"bytes\":{bytes}}}")
         }
         TraceKind::TaskShed { node, task, reason } => {
-            format!(",\"node\":{node},\"task\":{task},\"reason\":\"{}\"}}", esc(reason))
+            write!(out, ",\"node\":{node},\"task\":{task},\"reason\":\"{}\"}}", Esc(reason))
         }
         TraceKind::TaskRetry { node, task, attempt } => {
-            format!(",\"node\":{node},\"task\":{task},\"attempt\":{attempt}}}")
+            write!(out, ",\"node\":{node},\"task\":{task},\"attempt\":{attempt}}}")
         }
         TraceKind::TaskComplete { node, task, deadline_met } => {
-            format!(",\"node\":{node},\"task\":{task},\"deadline_met\":{deadline_met}}}")
+            write!(out, ",\"node\":{node},\"task\":{task},\"deadline_met\":{deadline_met}}}")
         }
         TraceKind::NodeCrash { node } | TraceKind::NodeRecover { node } => {
-            format!(",\"node\":{node}}}")
+            write!(out, ",\"node\":{node}}}")
         }
-        TraceKind::LinkDown { link } | TraceKind::LinkUp { link } => format!(",\"link\":{link}}}"),
-        TraceKind::MapePhase { phase } => format!(",\"phase\":\"{}\"}}", esc(phase)),
-        TraceKind::ManagerAction { manager, action, subject } => {
-            format!(
-                ",\"manager\":\"{}\",\"action\":\"{}\",\"subject\":{subject}}}",
-                esc(manager),
-                esc(action)
-            )
+        TraceKind::LinkDown { link } | TraceKind::LinkUp { link } => {
+            write!(out, ",\"link\":{link}}}")
         }
+        TraceKind::MapePhase { phase } => write!(out, ",\"phase\":\"{}\"}}", Esc(phase)),
+        TraceKind::ManagerAction { manager, action, subject } => write!(
+            out,
+            ",\"manager\":\"{}\",\"action\":\"{}\",\"subject\":{subject}}}",
+            Esc(manager),
+            Esc(action)
+        ),
         TraceKind::Deploy { app, component, node } => {
-            format!(",\"app\":{app},\"component\":{component},\"node\":{node}}}")
+            write!(out, ",\"app\":{app},\"component\":{component},\"node\":{node}}}")
         }
         TraceKind::Migrate { app, component, from, to } => {
-            format!(",\"app\":{app},\"component\":{component},\"from\":{from},\"to\":{to}}}")
+            write!(out, ",\"app\":{app},\"component\":{component},\"from\":{from},\"to\":{to}}}")
         }
     };
-    head + &tail
 }
 
 /// The whole trace as JSON Lines, oldest event first. Empty input
@@ -82,7 +98,7 @@ pub fn trace_event_json(e: &TraceEvent) -> String {
 pub fn trace_jsonl(events: &[TraceEvent]) -> String {
     let mut out = String::new();
     for e in events {
-        out.push_str(&trace_event_json(e));
+        write_trace_event(&mut out, e);
         out.push('\n');
     }
     out
@@ -93,37 +109,40 @@ pub fn trace_jsonl(events: &[TraceEvent]) -> String {
 pub fn metrics_jsonl(snap: &MetricsSnapshot) -> String {
     let mut out = String::new();
     for ((name, label), value) in &snap.counters {
-        out.push_str(&format!(
-            "{{\"kind\":\"counter\",\"metric\":\"{}\",\"label\":\"{}\",\"value\":{value}}}\n",
-            esc(name),
-            esc(label)
-        ));
+        let _ = writeln!(
+            out,
+            "{{\"kind\":\"counter\",\"metric\":\"{}\",\"label\":\"{}\",\"value\":{value}}}",
+            Esc(name),
+            Esc(label)
+        );
     }
     for ((name, label), value) in &snap.gauges {
-        out.push_str(&format!(
-            "{{\"kind\":\"gauge\",\"metric\":\"{}\",\"label\":\"{}\",\"value\":{value}}}\n",
-            esc(name),
-            esc(label)
-        ));
+        let _ = writeln!(
+            out,
+            "{{\"kind\":\"gauge\",\"metric\":\"{}\",\"label\":\"{}\",\"value\":{value}}}",
+            Esc(name),
+            Esc(label)
+        );
     }
     for ((name, label), h) in &snap.histograms {
-        let mut buckets = String::from("[");
-        for (i, count) in h.buckets.iter().enumerate() {
-            if i > 0 {
-                buckets.push(',');
-            }
-            let bound =
-                h.bounds.get(i).map_or_else(|| "\"+inf\"".to_owned(), |b| format!("\"{b}\""));
-            buckets.push_str(&format!("[{bound},{count}]"));
-        }
-        buckets.push(']');
-        out.push_str(&format!(
-            "{{\"kind\":\"histogram\",\"metric\":\"{}\",\"label\":\"{}\",\"count\":{},\"sum\":{},\"buckets\":{buckets}}}\n",
-            esc(name),
-            esc(label),
+        let _ = write!(
+            out,
+            "{{\"kind\":\"histogram\",\"metric\":\"{}\",\"label\":\"{}\",\"count\":{},\"sum\":{},\"buckets\":[",
+            Esc(name),
+            Esc(label),
             h.count,
             h.sum
-        ));
+        );
+        for (i, count) in h.buckets.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = match h.bounds.get(i) {
+                Some(bound) => write!(out, "[\"{bound}\",{count}]"),
+                None => write!(out, "[\"+inf\",{count}]"),
+            };
+        }
+        out.push_str("]}\n");
     }
     out
 }
@@ -534,5 +553,6 @@ mod tests {
     fn escaping_handles_specials() {
         assert_eq!(esc("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(esc("\u{1}"), "\\u0001");
+        assert_eq!(esc("é\"ü\u{1f}"), "é\\\"ü\\u001f", "multi-byte text around escapes");
     }
 }

@@ -141,6 +141,21 @@ impl TimeSeriesStore {
         self.push(slot, at_us, value);
     }
 
+    /// Replaces every sample of the stream `id` names with this one: the
+    /// stream then holds only its newest sample, whatever the retention.
+    ///
+    /// # Panics
+    ///
+    /// When `id` was issued by another store; in debug builds, when the
+    /// sample is older than the one it replaces.
+    pub fn set_id(&mut self, id: SeriesId, at_us: u64, value: f64) {
+        assert_eq!(id.store, self.tag, "SeriesId issued by another store");
+        let s = &mut self.streams[id.slot as usize];
+        debug_assert!(s.back().is_none_or(|b| b.at_us <= at_us), "samples must be in time order");
+        s.clear();
+        s.push_back(TsSample { at_us, value });
+    }
+
     /// Appends a sample to the stream `id` names.
     ///
     /// # Panics
@@ -368,6 +383,26 @@ mod tests {
         assert_eq!(all.len(), 20_000);
         assert_eq!(all[0].value, 1.0);
         assert_eq!(ts.latest("s", "").map(|s| s.value), Some(20_000.0));
+    }
+
+    #[test]
+    fn set_id_keeps_only_the_newest_sample() {
+        let mut ts = filled(4, 3);
+        let s = ts.id("s", "");
+        ts.set_id(s, 10_000, 9.0);
+        assert_eq!(
+            ts.series("s", ""),
+            vec![TsSample { at_us: 10_000, value: 9.0 }],
+            "ring replaced"
+        );
+        let t = ts.id("t", "a");
+        ts.set_id(t, 5, 1.0);
+        ts.set_id(t, 6, 2.0);
+        assert_eq!(ts.series("t", "a"), vec![TsSample { at_us: 6, value: 2.0 }]);
+        assert_eq!(ts.sample_count(), 2);
+        // A later append grows the stream from its one sample again.
+        ts.record("t", "a", 7, 3.0);
+        assert_eq!(values(&ts.series("t", "a")), vec![2.0, 3.0]);
     }
 
     #[test]
