@@ -29,7 +29,7 @@ use myrtus_obs::{Obs, SeriesId, TraceKind};
 use myrtus_vm::{Checkpoint, CostTable, IsaClass, OpCounts, Program, VmState};
 
 use crate::admission::{AdmissionDecision, AdmissionPolicy, AdmissionState};
-use crate::ids::{MsgId, NodeId, TaskId, TimerId};
+use crate::ids::{LinkId, MsgId, NodeId, TaskId, TimerId};
 use crate::net::{Message, Network, NetworkError, Protocol};
 use crate::node::{ExecutionMode, Layer, NodeKind, NodeSpec, NodeState};
 use crate::retry::RetryPolicy;
@@ -119,8 +119,8 @@ enum EventKind {
     },
     NodeDown(NodeId),
     NodeUp(NodeId),
-    LinkDown(crate::ids::LinkId),
-    LinkUp(crate::ids::LinkId),
+    LinkDown(LinkId),
+    LinkUp(LinkId),
     Timer {
         id: TimerId,
         tag: u64,
@@ -439,7 +439,7 @@ pub enum SimEvent {
     /// A link was cut or restored.
     LinkChanged {
         /// The link.
-        link: crate::ids::LinkId,
+        link: LinkId,
         /// Its new state.
         up: bool,
     },
@@ -744,6 +744,10 @@ struct ScrapeWindow {
     lost: u64,
 }
 
+/// A task a node put into a free core: id, finish epoch, service time
+/// and execution mode.
+type Started = (TaskId, u64, SimDuration, ExecutionMode);
+
 /// Upper bounds (milliseconds) of the `task_latency_ms` histogram.
 pub const TASK_LATENCY_BOUNDS_MS: &[f64] = &[1.0, 5.0, 10.0, 50.0, 100.0, 500.0, 1_000.0, 5_000.0];
 
@@ -939,23 +943,54 @@ impl SimCore {
     ///
     /// Returns [`SimError::UnknownNode`] / [`SimError::NodeDown`].
     pub fn submit_local(&mut self, node: NodeId, task: TaskInstance) -> Result<(), SimError> {
+        self.check_up(node)?;
+        self.admit_submission(node, task, None);
+        Ok(())
+    }
+
+    /// Fails unless `node` exists and is up: every submit path checks
+    /// this first.
+    fn check_up(&self, node: NodeId) -> Result<(), SimError> {
         let st = self.nodes.get(node.index()).ok_or(SimError::UnknownNode(node))?;
-        if !st.is_up() {
-            return Err(SimError::NodeDown(node));
+        if st.is_up() {
+            Ok(())
+        } else {
+            Err(SimError::NodeDown(node))
         }
-        let id = task.id;
-        match self.admission_decision(node, &task) {
+    }
+
+    /// Runs a submission towards `node` through admission control. A
+    /// shed task ends here. An admitted one is dispatched, its input
+    /// sent along `route` (none: the data is already at `node`) once
+    /// the backpressure delay elapses, and its arrival and attempt
+    /// guard are scheduled. The decision precedes the transfer, so a
+    /// shed task never occupies link capacity. Returns the arrival
+    /// instant, or now for a shed task.
+    fn admit_submission(
+        &mut self,
+        node: NodeId,
+        task: TaskInstance,
+        route: Option<(&[LinkId], Protocol)>,
+    ) -> SimTime {
+        let delay = match self.admission_decision(node, &task) {
             AdmissionDecision::Shed { reason } => {
                 self.shed_task(node, task, reason);
+                return self.now;
             }
-            AdmissionDecision::Admit { delay } => {
-                self.note_dispatch(node, id);
-                self.note_admitted(node, id);
-                self.push(self.now + delay, EventKind::TaskArrival { node, task: Box::new(task) });
-                self.arm_attempt(node, id);
+            AdmissionDecision::Admit { delay } => delay,
+        };
+        let eta = match route {
+            Some((path, protocol)) => {
+                self.network.transfer(self.now + delay, path, task.input_bytes, protocol)
             }
-        }
-        Ok(())
+            None => self.now + delay,
+        };
+        let id = task.id;
+        self.note_dispatch(node, id);
+        self.note_admitted(node, id);
+        self.push(eta, EventKind::TaskArrival { node, task: Box::new(task) });
+        self.arm_attempt(node, id);
+        eta
     }
 
     /// Runs the installed admission policy for a submission towards
@@ -1071,34 +1106,12 @@ impl SimCore {
         self.tasks.mark_finished(raw);
         self.tasks.clear_attempts(raw);
         self.vm_evict(node, task);
-        let now = self.now;
-        if let Some((_, next)) =
-            self.nodes.get_mut(node.index()).and_then(|st| st.cancel(now, task))
-        {
-            self.sync_hot(node);
-            self.tasks.take_queued(raw);
+        if let Some((_, next)) = self.take_off(node, task) {
             self.obs.trace(
-                now.as_micros(),
+                self.now.as_micros(),
                 TraceKind::TaskCancelled { node: node.as_raw(), task: raw },
             );
-            if let Some((next_id, ep, service, mode)) = next {
-                // The driver holds the core during this call, so the
-                // promoted task's start notification is deferred
-                // through the event queue (same instant, later seq).
-                let layer =
-                    self.nodes.get(node.index()).map(|st| st.spec().layer().label()).unwrap_or("");
-                if let Some(arrived) = self.tasks.take_queued(next_id.as_raw()) {
-                    self.obs.observe(
-                        "task_queue_wait_ms",
-                        layer,
-                        TASK_QUEUE_WAIT_BOUNDS_MS,
-                        now.saturating_since(arrived).as_millis_f64(),
-                    );
-                }
-                self.push(now + service, EventKind::TaskFinish { node, task: next_id, epoch: ep });
-                self.note_start(node, next_id);
-                self.push(now, EventKind::NotifyStarted { node, task: next_id, mode });
-            }
+            self.promote_deferred(node, next);
         } else {
             // Not at the node yet: drop it on arrival.
             self.tasks.mark_cancel_pending(raw);
@@ -1345,29 +1358,8 @@ impl SimCore {
         }
         // Live moves ship the advanced image; cold moves discard it.
         let checkpoint = self.vm_evict(from, task).filter(|_| live);
-        let (inst, next) = self.nodes.get_mut(from.index())?.cancel(now, task)?;
-        self.sync_hot(from);
-        self.tasks.take_queued(raw);
-        if let Some((next_id, ep, service, mode)) = next {
-            // Deferred start notification for the promoted task, as in
-            // cancel_task: the driver may hold the core.
-            let layer =
-                self.nodes.get(from.index()).map(|st| st.spec().layer().label()).unwrap_or("");
-            if let Some(arrived) = self.tasks.take_queued(next_id.as_raw()) {
-                self.obs.observe(
-                    "task_queue_wait_ms",
-                    layer,
-                    TASK_QUEUE_WAIT_BOUNDS_MS,
-                    now.saturating_since(arrived).as_millis_f64(),
-                );
-            }
-            self.push(
-                now + service,
-                EventKind::TaskFinish { node: from, task: next_id, epoch: ep },
-            );
-            self.note_start(from, next_id);
-            self.push(now, EventKind::NotifyStarted { node: from, task: next_id, mode });
-        }
+        let (inst, next) = self.take_off(from, task)?;
+        self.promote_deferred(from, next);
         let wire_bytes = match &checkpoint {
             Some((cp, _)) => {
                 let bytes = cp.byte_len();
@@ -1412,6 +1404,46 @@ impl SimCore {
         Some(eta)
     }
 
+    /// Takes `task` off `node`, running or queued, and drops its queue
+    /// stamp. Returns the instance and the queued task promoted into
+    /// the core it freed, or `None` when the task is not at the node.
+    #[inline]
+    fn take_off(&mut self, node: NodeId, task: TaskId) -> Option<(TaskInstance, Option<Started>)> {
+        let taken = self.nodes.get_mut(node.index())?.cancel(self.now, task)?;
+        self.sync_hot(node);
+        self.tasks.take_queued(task.as_raw());
+        Some(taken)
+    }
+
+    /// Starts a task in a free core of `node`: observes its queue wait
+    /// (0 on arrival; from its queue stamp when `promoted` out of the
+    /// queue), schedules its finish and records the start. Returns the
+    /// `TaskStarted` event for the caller to deliver.
+    #[inline]
+    fn start_in_slot(&mut self, node: NodeId, started: Started, promoted: bool) -> SimEvent {
+        let (task, epoch, service, mode) = started;
+        let now = self.now;
+        let layer = self.nodes[node.index()].spec().layer().label();
+        let queued_at = if promoted { self.tasks.take_queued(task.as_raw()) } else { Some(now) };
+        if let Some(at) = queued_at {
+            let waited = now.saturating_since(at).as_millis_f64();
+            self.obs.observe("task_queue_wait_ms", layer, TASK_QUEUE_WAIT_BOUNDS_MS, waited);
+        }
+        self.push(now + service, EventKind::TaskFinish { node, task, epoch });
+        self.note_start(node, task);
+        SimEvent::TaskStarted { node, task, mode }
+    }
+
+    /// Promotes `next` into the core a cancel or migration freed on
+    /// `node`. The driver holds the core during those calls, so the
+    /// start notification is deferred through the event queue (same
+    /// instant, later seq).
+    fn promote_deferred(&mut self, node: NodeId, next: Option<Started>) {
+        let Some(next @ (task, _, _, mode)) = next else { return };
+        self.start_in_slot(node, next, true);
+        self.push(self.now, EventKind::NotifyStarted { node, task, mode });
+    }
+
     /// Re-mirrors a node's hot state after a mutation (see [`NodeHot`]).
     fn sync_hot(&mut self, node: NodeId) {
         if let Some(st) = self.nodes.get(node.index()) {
@@ -1454,28 +1486,9 @@ impl SimCore {
         task: TaskInstance,
         protocol: Protocol,
     ) -> Result<SimTime, SimError> {
-        let st = self.nodes.get(node.index()).ok_or(SimError::UnknownNode(node))?;
-        if !st.is_up() {
-            return Err(SimError::NodeDown(node));
-        }
+        self.check_up(node)?;
         let path = self.network.route(src, node)?;
-        // The admission decision precedes the transfer: a shed task
-        // never occupies link capacity, and a backpressured one starts
-        // its transfer only when its delay elapses.
-        let delay = match self.admission_decision(node, &task) {
-            AdmissionDecision::Shed { reason } => {
-                self.shed_task(node, task, reason);
-                return Ok(self.now);
-            }
-            AdmissionDecision::Admit { delay } => delay,
-        };
-        let eta = self.network.transfer(self.now + delay, &path, task.input_bytes, protocol);
-        let id = task.id;
-        self.note_dispatch(node, id);
-        self.note_admitted(node, id);
-        self.push(eta, EventKind::TaskArrival { node, task: Box::new(task) });
-        self.arm_attempt(node, id);
-        Ok(eta)
+        Ok(self.admit_submission(node, task, Some((&path, protocol))))
     }
 
     /// Submits a task whose input travels along an explicit link path
@@ -1489,13 +1502,10 @@ impl SimCore {
         &mut self,
         node: NodeId,
         task: TaskInstance,
-        path: &[crate::ids::LinkId],
+        path: &[LinkId],
         protocol: Protocol,
     ) -> Result<SimTime, SimError> {
-        let st = self.nodes.get(node.index()).ok_or(SimError::UnknownNode(node))?;
-        if !st.is_up() {
-            return Err(SimError::NodeDown(node));
-        }
+        self.check_up(node)?;
         for l in path {
             if self.network.link(*l).is_none() {
                 return Err(SimError::Network(NetworkError::UnknownLink(*l)));
@@ -1510,20 +1520,7 @@ impl SimCore {
                 to: node,
             }));
         }
-        let delay = match self.admission_decision(node, &task) {
-            AdmissionDecision::Shed { reason } => {
-                self.shed_task(node, task, reason);
-                return Ok(self.now);
-            }
-            AdmissionDecision::Admit { delay } => delay,
-        };
-        let eta = self.network.transfer(self.now + delay, path, task.input_bytes, protocol);
-        let id = task.id;
-        self.note_dispatch(node, id);
-        self.note_admitted(node, id);
-        self.push(eta, EventKind::TaskArrival { node, task: Box::new(task) });
-        self.arm_attempt(node, id);
-        Ok(eta)
+        Ok(self.admit_submission(node, task, Some((path, protocol))))
     }
 
     /// Sends an application message; the driver is notified on delivery.
@@ -1543,32 +1540,6 @@ impl SimCore {
         let id = self.fresh_msg_id();
         let msg = Message { id, src, dst, payload_bytes, protocol, sent: self.now, tag };
         let eta = self.network.transfer(self.now, &path, payload_bytes, protocol);
-        self.push(eta, EventKind::MsgDeliver { msg: Box::new(msg) });
-        Ok(id)
-    }
-
-    /// Sends a message along an explicit path (Network-Manager override).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Network`] if the path references unknown links.
-    pub fn send_message_via(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        path: &[crate::ids::LinkId],
-        payload_bytes: u64,
-        protocol: Protocol,
-        tag: u64,
-    ) -> Result<MsgId, SimError> {
-        for l in path {
-            if self.network.link(*l).is_none() {
-                return Err(SimError::Network(NetworkError::UnknownLink(*l)));
-            }
-        }
-        let id = self.fresh_msg_id();
-        let msg = Message { id, src, dst, payload_bytes, protocol, sent: self.now, tag };
-        let eta = self.network.transfer(self.now, path, payload_bytes, protocol);
         self.push(eta, EventKind::MsgDeliver { msg: Box::new(msg) });
         Ok(id)
     }
@@ -1596,12 +1567,12 @@ impl SimCore {
     }
 
     /// Schedules a link cut at `at`.
-    pub fn schedule_link_down(&mut self, link: crate::ids::LinkId, at: SimTime) {
+    pub fn schedule_link_down(&mut self, link: LinkId, at: SimTime) {
         self.push(at, EventKind::LinkDown(link));
     }
 
     /// Schedules a link restoration at `at`.
-    pub fn schedule_link_up(&mut self, link: crate::ids::LinkId, at: SimTime) {
+    pub fn schedule_link_up(&mut self, link: LinkId, at: SimTime) {
         self.push(at, EventKind::LinkUp(link));
     }
 
@@ -1678,27 +1649,22 @@ impl SimCore {
                 let mut task = *task;
                 let now = self.now;
                 let raw = task.id.as_raw();
-                if self.tasks.take_cancel_pending(raw) {
-                    // Cancelled (replica dedup) while in transfer.
+                let cancelled = self.tasks.take_cancel_pending(raw);
+                if cancelled || self.tasks.take_timeout_pending(raw) {
+                    // Cancelled (replica dedup) or timed out while in
+                    // transfer: the attempt ends here, and a timed-out
+                    // one takes its retry/give-up decision now.
                     self.vm_evict(node, task.id);
                     self.obs.trace(
                         now.as_micros(),
                         TraceKind::TaskCancelled { node: node.as_raw(), task: raw },
                     );
+                    if !cancelled {
+                        self.handle_attempt_failure(node, task, driver);
+                    }
                     return;
                 }
-                if self.tasks.take_timeout_pending(raw) {
-                    // Timed out while in transfer: the attempt ends
-                    // here and the retry/give-up decision is taken now.
-                    self.vm_evict(node, task.id);
-                    self.obs.trace(
-                        now.as_micros(),
-                        TraceKind::TaskCancelled { node: node.as_raw(), task: raw },
-                    );
-                    self.handle_attempt_failure(node, task, driver);
-                    return;
-                }
-                let Some(st) = self.nodes.get_mut(node.index()) else { return };
+                let Some(st) = self.nodes.get(node.index()) else { return };
                 if !st.is_up() {
                     // Any in-transit checkpoint dies with the arrival:
                     // a retry re-placement restarts cold.
@@ -1712,7 +1678,6 @@ impl SimCore {
                     return;
                 }
                 let tid = task.id;
-                let layer = st.spec().layer().label();
                 self.obs.trace(
                     now.as_micros(),
                     TraceKind::TaskArrive { node: node.as_raw(), task: tid.as_raw() },
@@ -1726,10 +1691,8 @@ impl SimCore {
                 let started = st.admit(now, task);
                 self.sync_hot(node);
                 if let Some((epoch, service, mode)) = started {
-                    self.obs.observe("task_queue_wait_ms", layer, TASK_QUEUE_WAIT_BOUNDS_MS, 0.0);
-                    self.push(now + service, EventKind::TaskFinish { node, task: tid, epoch });
-                    self.note_start(node, tid);
-                    driver.on_event(self, SimEvent::TaskStarted { node, task: tid, mode });
+                    let started = self.start_in_slot(node, (tid, epoch, service, mode), false);
+                    driver.on_event(self, started);
                 } else {
                     self.tasks.stamp_queued(tid.as_raw(), now);
                 }
@@ -1737,27 +1700,14 @@ impl SimCore {
             EventKind::TaskFinish { node, task, epoch } => {
                 let now = self.now;
                 let Some(st) = self.nodes.get_mut(node.index()) else { return };
-                let layer = st.spec().layer().label();
                 let Some((done, next)) = st.finish(now, task, epoch) else { return };
                 self.sync_hot(node);
                 // A bodied task ran its program exactly to halt: count
                 // the tail steps and retire the image.
                 self.vm_finalize(task.as_raw());
-                if let Some((next_id, ep, service, mode)) = next {
-                    if let Some(arrived) = self.tasks.take_queued(next_id.as_raw()) {
-                        self.obs.observe(
-                            "task_queue_wait_ms",
-                            layer,
-                            TASK_QUEUE_WAIT_BOUNDS_MS,
-                            now.saturating_since(arrived).as_millis_f64(),
-                        );
-                    }
-                    self.push(
-                        now + service,
-                        EventKind::TaskFinish { node, task: next_id, epoch: ep },
-                    );
-                    self.note_start(node, next_id);
-                    driver.on_event(self, SimEvent::TaskStarted { node, task: next_id, mode });
+                if let Some(next) = next {
+                    let started = self.start_in_slot(node, next, true);
+                    driver.on_event(self, started);
                 }
                 self.tasks.mark_finished(task.as_raw());
                 self.tasks.clear_attempts(task.as_raw());
@@ -1900,39 +1850,15 @@ impl SimCore {
                 // in-transit checkpoint) is discarded: the retry
                 // restarts the body cold.
                 self.vm_evict(node, task);
-                let cancelled =
-                    self.nodes.get_mut(node.index()).and_then(|st| st.cancel(now, task));
-                match cancelled {
+                match self.take_off(node, task) {
                     Some((inst, next)) => {
-                        self.sync_hot(node);
-                        self.tasks.take_queued(raw);
                         self.obs.trace(
                             now.as_micros(),
                             TraceKind::TaskCancelled { node: node.as_raw(), task: raw },
                         );
-                        if let Some((next_id, ep, service, mode)) = next {
-                            let layer = self
-                                .nodes
-                                .get(node.index())
-                                .map(|st| st.spec().layer().label())
-                                .unwrap_or("");
-                            if let Some(arrived) = self.tasks.take_queued(next_id.as_raw()) {
-                                self.obs.observe(
-                                    "task_queue_wait_ms",
-                                    layer,
-                                    TASK_QUEUE_WAIT_BOUNDS_MS,
-                                    now.saturating_since(arrived).as_millis_f64(),
-                                );
-                            }
-                            self.push(
-                                now + service,
-                                EventKind::TaskFinish { node, task: next_id, epoch: ep },
-                            );
-                            self.note_start(node, next_id);
-                            driver.on_event(
-                                self,
-                                SimEvent::TaskStarted { node, task: next_id, mode },
-                            );
+                        if let Some(next) = next {
+                            let started = self.start_in_slot(node, next, true);
+                            driver.on_event(self, started);
                         }
                         self.handle_attempt_failure(node, inst, driver);
                     }
@@ -2267,6 +2193,84 @@ mod tests {
         assert_eq!(rec.completed.len(), 4);
         assert!(rec.completed.iter().all(|o| o.task.id != TaskId::from_raw(0)));
         assert_eq!(sim.node(node).map(|n| n.completed()), Some(4));
+    }
+
+    /// How the running task leaves the node in
+    /// `every_exit_promotes_the_queued_task_once`.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Exit {
+        Finish,
+        Cancel,
+        Timeout,
+        MigrateLive,
+        MigrateCold,
+    }
+
+    /// On a 1-core node, task A runs from 0 and task B queues behind it
+    /// from 5 ms. Whichever way A leaves at 10 ms, B starts exactly
+    /// once, its one queue-wait sample is the 5 ms it waited, and it
+    /// completes one service time (2 ms) after it started.
+    #[test]
+    fn every_exit_promotes_the_queued_task_once() {
+        use crate::task::TaskBody;
+        use myrtus_obs::{Obs, ObsConfig};
+        for exit in
+            [Exit::Finish, Exit::Cancel, Exit::Timeout, Exit::MigrateLive, Exit::MigrateCold]
+        {
+            let mut sim = SimCore::new();
+            // 1 000 MHz: one megacycle of work is one millisecond.
+            let spec = NodeSpec::builder("n", NodeKind::EdgeMulticore).cores(1).speed_mhz(1_000.0);
+            let node = sim.add_node(spec.build());
+            let cloud = sim.add_node(NodeSpec::preset_cloud_server("dc"));
+            sim.network_mut().add_duplex(node, cloud, SimDuration::from_millis(10), 100.0);
+            sim.set_obs(Obs::new(ObsConfig::on()));
+            let a_work = if exit == Exit::Finish { 10.0 } else { 100.0 };
+            let mut a = TaskInstance::new(sim.fresh_task_id(), a_work);
+            if exit == Exit::MigrateLive {
+                sim.set_vm(VmConfig::new(vec![vm_test_program(20_000)]));
+                a = a.with_body(TaskBody::new(0, 7));
+            }
+            if exit == Exit::Timeout {
+                sim.set_retry_policy(Some(RetryPolicy {
+                    max_attempts: 1,
+                    attempt_timeout: Some(SimDuration::from_millis(10)),
+                    ..RetryPolicy::default()
+                }));
+            }
+            let a_id = a.id;
+            sim.submit_local(node, a).expect("submit A");
+            let mut rec = Recorder::default();
+            sim.run_until(SimTime::from_millis(5), &mut rec);
+            let b = TaskInstance::new(sim.fresh_task_id(), 2.0);
+            let b_id = b.id;
+            sim.submit_local(node, b).expect("submit B");
+            sim.run_until(SimTime::from_millis(10), &mut rec);
+            match exit {
+                Exit::Cancel => assert!(sim.cancel_task(node, a_id)),
+                Exit::MigrateLive | Exit::MigrateCold => {
+                    let live = exit == Exit::MigrateLive;
+                    sim.migrate_task(node, cloud, a_id, Protocol::Mqtt, live).expect("A resident");
+                    let moved = if live { "task_migrations_live" } else { "task_migrations_cold" };
+                    assert_eq!(sim.obs().counter_value(moved, ""), 1, "{exit:?}");
+                }
+                Exit::Finish | Exit::Timeout => {}
+            }
+            sim.run_until(SimTime::from_secs(1), &mut rec);
+            if exit == Exit::Timeout {
+                assert_eq!(rec.abandoned, vec![a_id], "A timed out at 10 ms");
+            }
+            assert_eq!(rec.started.iter().filter(|&&t| t == b_id).count(), 1, "{exit:?}");
+            let snap = sim.obs().metrics_snapshot();
+            let wait = snap
+                .histograms
+                .iter()
+                .find(|((n, l), _)| *n == "task_queue_wait_ms" && *l == "edge")
+                .map(|(_, h)| h.clone())
+                .expect("edge queue-wait histogram exists");
+            assert_eq!((wait.count, wait.sum), (2, 5.0), "{exit:?}: A waited 0 ms, B 5 ms");
+            let b_done = rec.completed.iter().find(|o| o.task.id == b_id).expect("B completes");
+            assert_eq!(b_done.at, SimTime::from_millis(12), "{exit:?}");
+        }
     }
 
     #[test]

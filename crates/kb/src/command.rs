@@ -1,6 +1,6 @@
 //! Replicated state-machine commands.
 
-use bytes::Bytes;
+use std::sync::Arc;
 
 /// A command applied to the replicated key-value state machine once its
 /// log entry commits.
@@ -11,7 +11,7 @@ pub enum KvCommand {
         /// Key.
         key: String,
         /// Value bytes.
-        value: Bytes,
+        value: Arc<[u8]>,
     },
     /// Removes `key`.
     Delete {
@@ -24,9 +24,9 @@ pub enum KvCommand {
         /// Key.
         key: String,
         /// Expected current value.
-        expect: Option<Bytes>,
+        expect: Option<Arc<[u8]>>,
         /// New value.
-        value: Bytes,
+        value: Arc<[u8]>,
     },
     /// Attaches a lease to `key`: the key is dropped when the lease
     /// expires without renewal.
@@ -34,7 +34,7 @@ pub enum KvCommand {
         /// Key.
         key: String,
         /// Value bytes.
-        value: Bytes,
+        value: Arc<[u8]>,
         /// Lease time-to-live in microseconds of logical time.
         ttl_us: u64,
     },
@@ -43,7 +43,7 @@ pub enum KvCommand {
 impl KvCommand {
     /// Convenience constructor for a UTF-8 put.
     pub fn put(key: impl Into<String>, value: impl AsRef<[u8]>) -> Self {
-        KvCommand::Put { key: key.into(), value: Bytes::copy_from_slice(value.as_ref()) }
+        KvCommand::Put { key: key.into(), value: Arc::from(value.as_ref()) }
     }
 
     /// Convenience constructor for a delete.
@@ -109,7 +109,7 @@ mod tests {
         assert_eq!(p.key(), "/a");
         let d = KvCommand::delete("/b");
         assert_eq!(d.key(), "/b");
-        let c = KvCommand::Cas { key: "/c".into(), expect: None, value: Bytes::from_static(b"x") };
+        let c = KvCommand::Cas { key: "/c".into(), expect: None, value: Arc::from(*b"x") };
         assert_eq!(c.key(), "/c");
     }
 

@@ -1086,7 +1086,7 @@ mod tests {
             KvCommand::Cas {
                 key: "/lock".into(),
                 expect: None,
-                value: bytes::Bytes::from_static(b"a"),
+                value: std::sync::Arc::from(*b"a"),
             },
         )
         .expect("leader");
@@ -1095,7 +1095,7 @@ mod tests {
             KvCommand::Cas {
                 key: "/lock".into(),
                 expect: None,
-                value: bytes::Bytes::from_static(b"b"),
+                value: std::sync::Arc::from(*b"b"),
             },
         )
         .expect("leader");

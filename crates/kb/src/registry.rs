@@ -7,7 +7,7 @@
 //! on every monitoring ingest; a Raft replica keeps them encoded under
 //! `/registry/nodes/<id>` in its KV store. [`RegistryView`] reads either.
 
-use bytes::Bytes;
+use std::sync::Arc;
 
 use myrtus_continuum::ids::NodeId;
 use myrtus_continuum::monitor::NodeSnapshot;
@@ -87,7 +87,7 @@ impl NodeRecord {
     }
 
     /// Serializes the record to its stored representation.
-    pub fn encode(&self) -> Bytes {
+    pub fn encode(&self) -> Arc<[u8]> {
         // A compact line format keeps the store dependency-free.
         let s = format!(
             "{}|{}|{}|{}|{:.6}|{}|{}|{}|{}|{:.6}|{}",
@@ -103,7 +103,7 @@ impl NodeRecord {
             self.energy_j,
             self.updated_at.as_micros(),
         );
-        Bytes::from(s.into_bytes())
+        Arc::from(s.into_bytes())
     }
 
     /// Parses a stored representation.

@@ -20,12 +20,11 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use myrtus_continuum::admission::AdmissionPolicy;
-use myrtus_continuum::engine::{Driver, SimCore, SimEvent};
+use myrtus_continuum::engine::{Driver, SimCore, SimError, SimEvent};
 use myrtus_continuum::federation::{BurstQuery, FederatedContinuum};
 use myrtus_continuum::ids::{NodeId, RegionId, TaskId};
 use myrtus_continuum::monitor::MonitoringReport;
 use myrtus_continuum::net::{PlanEstimator, Protocol, RouteCache};
-use myrtus_continuum::node::Layer;
 use myrtus_continuum::retry::RetryPolicy;
 use myrtus_continuum::stats::Summary;
 use myrtus_continuum::task::{TaskBody, TaskInstance};
@@ -47,7 +46,7 @@ use crate::managers::federation::{
 use crate::managers::network::NetworkManager;
 use crate::managers::node::NodeManager;
 use crate::managers::privsec::{level_for_tier, node_security_level, PrivacySecurityManager};
-use crate::managers::wl::WlManager;
+use crate::managers::wl::{Reallocation, WlManager};
 use crate::placement::{replica_target, PlanContext};
 use crate::policies::{PlaceError, PlacementPolicy};
 
@@ -644,10 +643,17 @@ impl OrchestrationEngine {
         self.run_scheduled(fed.continuum_mut(), scheduled, horizon)
     }
 
-    /// Restricts per-component candidate sets to an application's home
-    /// region under federated runs. The identity outside them, so
-    /// legacy paths are untouched.
-    fn region_filter(&self, app_id: u16, candidates: Vec<Vec<NodeId>>) -> Vec<Vec<NodeId>> {
+    /// Per-component candidate nodes of an application: the Privacy &
+    /// Security Manager's set, restricted to the app's home region under
+    /// federated runs (unrestricted outside them).
+    fn candidates(
+        &self,
+        sim: &SimCore,
+        app_id: u16,
+        app: &Application,
+        dag: &RequestDag,
+    ) -> Vec<Vec<NodeId>> {
+        let candidates = self.sec.candidates(sim, app, dag);
         let Some(home) = self.fed.as_ref().and_then(|f| f.home_nodes(app_id)) else {
             return candidates;
         };
@@ -655,6 +661,36 @@ impl OrchestrationEngine {
             .into_iter()
             .map(|v| v.into_iter().filter(|n| home.binary_search(n).is_ok()).collect())
             .collect()
+    }
+
+    /// WL Manager reallocation of the application at `app_pos` off
+    /// unhealthy hosts; a non-empty move set is one `wl` action.
+    fn reallocate(&mut self, sim: &SimCore, app_pos: usize) -> Vec<Reallocation> {
+        let rt = &self.apps[app_pos];
+        let candidates = self.candidates(sim, rt.id, &rt.app, &rt.dag);
+        let ctx =
+            plan_context(sim, &self.kb, &self.plan_cache, &self.obs, &rt.app, &rt.dag, candidates);
+        let moves = self.wl.reallocate(rt.id, &ctx);
+        if !moves.is_empty() {
+            note_action(&self.obs, sim.now().as_micros(), "wl", "reallocate", rt.id as u64);
+        }
+        moves
+    }
+
+    /// Executes reallocation `moves` of the application at `app_pos` on
+    /// the cluster layer: each moved component's pod is rebound through
+    /// the deployment proxy, whose clock is left alone when nothing moves.
+    fn bind_moves(&mut self, app_pos: usize, moves: &[Reallocation], at_us: u64) {
+        if moves.is_empty() {
+            return;
+        }
+        let Some(proxy) = self.proxy.as_mut() else { return };
+        proxy.set_clock(at_us);
+        let rt = &self.apps[app_pos];
+        for m in moves {
+            let comp = rt.dag.nodes()[m.component].component_idx;
+            let _ = proxy.bind_component(rt.id, &rt.app, comp, m.to);
+        }
     }
 
     /// Deployment-time orchestration of one application at the current
@@ -679,17 +715,9 @@ impl OrchestrationEngine {
         let deadline = stages.iter().filter_map(|s| s.max_latency).min();
         let priority = u8::from(deadline.is_some());
         {
-            let candidates = self.region_filter(app_id, self.sec.candidates(sim, &app, &dag));
-            let estimator = PlanEstimator::new(sim.network(), sim.now(), &self.plan_cache);
-            let ctx = PlanContext {
-                sim,
-                kb: &self.kb,
-                app: &app,
-                dag: &dag,
-                candidates,
-                estimator: Some(estimator),
-                obs: self.obs.clone(),
-            };
+            let candidates = self.candidates(sim, app_id, &app, &dag);
+            let ctx =
+                plan_context(sim, &self.kb, &self.plan_cache, &self.obs, &app, &dag, candidates);
             let placement = self.wl.deploy(app_id, &ctx)?;
             // Execute the decision on the low-level layer (LIQO path).
             if let Some(proxy) = self.proxy.as_mut() {
@@ -746,12 +774,7 @@ impl OrchestrationEngine {
         });
         let mut layer_energy = [0.0f64; 3];
         for n in &report.nodes {
-            let idx = match n.layer {
-                Layer::Edge => 0,
-                Layer::Fog => 1,
-                Layer::Cloud => 2,
-            };
-            layer_energy[idx] += n.energy_j;
+            layer_energy[n.layer.index()] += n.energy_j;
         }
         let apps = self
             .apps
@@ -848,41 +871,11 @@ impl OrchestrationEngine {
         // If the destination is down and we may adapt, re-place first.
         let dst_up = sim.node(dst).map(|n| n.is_up()).unwrap_or(false);
         if !dst_up && self.cfg.reallocation {
-            let rt = &self.apps[app_pos];
-            let candidates = self.region_filter(app_id, self.sec.candidates(sim, &rt.app, &rt.dag));
-            let estimator = PlanEstimator::new(sim.network(), sim.now(), &self.plan_cache);
-            let ctx = PlanContext {
-                sim,
-                kb: &self.kb,
-                app: &rt.app,
-                dag: &rt.dag,
-                candidates,
-                estimator: Some(estimator),
-                obs: self.obs.clone(),
-            };
-            let moves = self.wl.reallocate(app_id, &ctx);
-            if !moves.is_empty() {
-                self.obs.counter_inc("manager_actions", "wl");
-                self.obs.trace(
-                    sim.now().as_micros(),
-                    TraceKind::ManagerAction {
-                        manager: "wl",
-                        action: "reallocate",
-                        subject: app_id as u64,
-                    },
-                );
-                // Execute the emergency moves on the cluster layer too;
-                // leaving the pods on the dead host would silently
-                // desynchronize the proxy from the live placement.
-                if let Some(proxy) = self.proxy.as_mut() {
-                    proxy.set_clock(sim.now().as_micros());
-                    let rt = &self.apps[app_pos];
-                    for m in &moves {
-                        let comp = rt.dag.nodes()[m.component].component_idx;
-                        let _ = proxy.bind_component(app_id, &rt.app, comp, m.to);
-                    }
-                }
-            }
+            let moves = self.reallocate(sim, app_pos);
+            // Execute the emergency moves on the cluster layer too;
+            // leaving the pods on the dead host would silently
+            // desynchronize the proxy from the live placement.
+            self.bind_moves(app_pos, &moves, sim.now().as_micros());
             if let Some(p) = self.wl.placement(app_id) {
                 dst = p.node_of(component_idx);
             }
@@ -967,43 +960,33 @@ impl OrchestrationEngine {
         // twin is this task as built here, before any hop protection.
         let twin = (self.cfg.replicate_critical && max_latency.is_some()).then(|| task.clone());
 
-        let result = match src {
-            None => sim.submit_local(dst, task),
-            Some(src_node) if src_node == dst => sim.submit_local(dst, task),
-            Some(src_node) => {
-                // Privacy & Security Manager: protect the hop.
-                let extra_mc = self.sec.protection_work_mc(security, src_node, dst, input_bytes);
-                task.work_mc += extra_mc;
-                task.input_bytes += self.sec.protection_wire_overhead(security, src_node, dst);
-                self.pending_flows.insert(tag.encode(), (src_node, dst, sim.now()));
-                if self.cfg.network_management {
-                    let detours_before = self.net_mgr.detours();
-                    let chosen = self.net_mgr.route(sim, src_node, dst);
-                    if self.net_mgr.detours() > detours_before {
-                        self.obs.counter_inc("manager_actions", "network");
-                        self.obs.trace(
-                            sim.now().as_micros(),
-                            TraceKind::ManagerAction {
-                                manager: "network",
-                                action: "detour",
-                                subject: dst.as_raw() as u64,
-                            },
-                        );
-                    }
-                    match chosen {
-                        Some(path) => {
-                            sim.submit_via_path(dst, task, &path, Protocol::Mqtt).map(|_| ())
-                        }
-                        None => {
-                            sim.submit_via_network(src_node, dst, task, Protocol::Mqtt).map(|_| ())
-                        }
-                    }
-                } else {
-                    sim.submit_via_network(src_node, dst, task, Protocol::Mqtt).map(|_| ())
+        // A remote hop may take the Network Manager's route instead of
+        // the shortest path.
+        let mut path = None;
+        if let Some(src_node) = src.filter(|&s| s != dst) {
+            // Privacy & Security Manager: protect the hop.
+            let extra_mc = self.sec.protection_work_mc(security, src_node, dst, input_bytes);
+            task.work_mc += extra_mc;
+            task.input_bytes += self.sec.protection_wire_overhead(security, src_node, dst);
+            self.pending_flows.insert(tag.encode(), (src_node, dst, sim.now()));
+            if self.cfg.network_management {
+                let detours_before = self.net_mgr.detours();
+                path = self.net_mgr.route(sim, src_node, dst);
+                if self.net_mgr.detours() > detours_before {
+                    note_action(
+                        &self.obs,
+                        sim.now().as_micros(),
+                        "network",
+                        "detour",
+                        dst.as_raw() as u64,
+                    );
                 }
             }
         }
-        .map(|_| ());
+        let result = match path {
+            Some(path) => sim.submit_via_path(dst, task, &path, Protocol::Mqtt).map(|_| ()),
+            None => send(sim, src, dst, task),
+        };
         if result.is_err() {
             // Destination unusable and no recovery possible: fail the
             // request.
@@ -1036,18 +1019,12 @@ impl OrchestrationEngine {
         else {
             return;
         };
-        let candidates = self.region_filter(rt.id, self.sec.candidates(sim, &rt.app, &rt.dag));
+        let candidates = self.candidates(sim, rt.id, &rt.app, &rt.dag);
         let ups = candidates.get(dag_pos).map(Vec::as_slice).unwrap_or(&[]);
         let Some(twin_node) = replica_target(primary_node, ups) else { return };
         twin.id = sim.fresh_task_id();
         let twin_id = twin.id;
-        let sent = match src {
-            Some(s) if s != twin_node => {
-                sim.submit_via_network(s, twin_node, twin, Protocol::Mqtt).map(|_| ())
-            }
-            _ => sim.submit_local(twin_node, twin),
-        };
-        if sent.is_ok() {
+        if send(sim, src, twin_node, twin).is_ok() {
             self.replicas.insert(primary.as_raw(), (twin_id.as_raw(), twin_node));
             self.replicas.insert(twin_id.as_raw(), (primary.as_raw(), primary_node));
         }
@@ -1170,19 +1147,26 @@ impl OrchestrationEngine {
             .is_some_and(|p| p.finished.is_some())
     }
 
-    /// A stage task was dropped by admission control. The simulator has
+    /// A stage task ended without completing: `shed` by admission
+    /// control, or abandoned after its retry budget. The simulator has
     /// already finalized the task (terminal, counted in the dispatch
-    /// tally); here the owning request is retired — unless a replica
-    /// twin is still in flight and can complete the stage alone.
-    fn on_task_shed(&mut self, task: &TaskInstance) {
+    /// tally); here the owning request is retired as shed or failed —
+    /// unless a replica twin is still in flight and can complete the
+    /// stage alone.
+    fn on_task_dropped(&mut self, task: &TaskInstance, shed: bool) {
         let tag = Tag::decode(task.tag);
         if let Some((sib, _)) = self.replicas.remove(&task.id.as_raw()) {
             self.replicas.remove(&sib);
             return; // the twin fights on alone
         }
         let Some(pos) = self.app_index(tag.app) else { return };
-        if !self.stage_done(pos, tag) {
+        if self.stage_done(pos, tag) {
+            return;
+        }
+        if shed {
             self.mark_shed(pos, tag.request);
+        } else {
+            self.mark_failed(pos, tag.request);
         }
     }
 
@@ -1220,7 +1204,7 @@ impl OrchestrationEngine {
             .next_back();
         let comp_idx = stage.component_idx;
         let target = {
-            let candidates = self.region_filter(rt.id, self.sec.candidates(sim, &rt.app, &rt.dag));
+            let candidates = self.candidates(sim, rt.id, &rt.app, &rt.dag);
             let dag_pos =
                 rt.dag.nodes().iter().position(|n| n.component_idx == comp_idx).unwrap_or(0);
             // Prefer a host other than the one that failed the
@@ -1262,29 +1246,9 @@ impl OrchestrationEngine {
             }
         }
         let id = task.id;
-        let sent = match src {
-            Some(s) if s != dst => sim.submit_via_network(s, dst, task, Protocol::Mqtt).map(|_| ()),
-            _ => sim.submit_local(dst, task),
-        };
-        if sent.is_err() {
+        if send(sim, src, dst, task).is_err() {
             sim.note_give_up(id);
             self.mark_failed(app_pos, tag.request);
-        }
-    }
-
-    /// A task exhausted its retry budget: degrade the owning request
-    /// instead of wedging it — unless its replica twin is still in
-    /// flight and can complete the stage on its own.
-    fn on_task_abandoned(&mut self, task: &TaskInstance) {
-        self.lost_tasks += 1;
-        let tag = Tag::decode(task.tag);
-        if let Some((sib, _)) = self.replicas.remove(&task.id.as_raw()) {
-            self.replicas.remove(&sib);
-            return; // the twin fights on alone
-        }
-        let Some(pos) = self.app_index(tag.app) else { return };
-        if !self.stage_done(pos, tag) {
-            self.mark_failed(pos, tag.request);
         }
     }
 
@@ -1303,15 +1267,7 @@ impl OrchestrationEngine {
         if self.cfg.node_adaptation {
             if let Ok(decisions) = self.node_mgr.adapt(sim) {
                 for (node, _point) in decisions {
-                    self.obs.counter_inc("manager_actions", "node");
-                    self.obs.trace(
-                        now_us,
-                        TraceKind::ManagerAction {
-                            manager: "node",
-                            action: "op_switch",
-                            subject: node.as_raw() as u64,
-                        },
-                    );
+                    note_action(&self.obs, now_us, "node", "op_switch", node.as_raw() as u64);
                 }
             }
         }
@@ -1322,34 +1278,9 @@ impl OrchestrationEngine {
         let mut planned_moves = Vec::new();
         if self.cfg.reallocation {
             for pos in 0..self.apps.len() {
-                let app_id = self.apps[pos].id;
-                let moves = {
-                    let rt = &self.apps[pos];
-                    let candidates =
-                        self.region_filter(app_id, self.sec.candidates(sim, &rt.app, &rt.dag));
-                    let estimator = PlanEstimator::new(sim.network(), sim.now(), &self.plan_cache);
-                    let ctx = PlanContext {
-                        sim,
-                        kb: &self.kb,
-                        app: &rt.app,
-                        dag: &rt.dag,
-                        candidates,
-                        estimator: Some(estimator),
-                        obs: self.obs.clone(),
-                    };
-                    self.wl.reallocate(app_id, &ctx)
-                };
+                let moves = self.reallocate(sim, pos);
                 if !moves.is_empty() {
-                    self.obs.counter_inc("manager_actions", "wl");
-                    self.obs.trace(
-                        now_us,
-                        TraceKind::ManagerAction {
-                            manager: "wl",
-                            action: "reallocate",
-                            subject: app_id as u64,
-                        },
-                    );
-                    planned_moves.push((pos, app_id, moves));
+                    planned_moves.push((pos, moves));
                 }
             }
         }
@@ -1360,12 +1291,9 @@ impl OrchestrationEngine {
         self.obs.trace(now_us, TraceKind::MapePhase { phase: "execute" });
         if let Some(proxy) = self.proxy.as_mut() {
             proxy.set_clock(now_us);
-            for (pos, app_id, moves) in &planned_moves {
-                for m in moves {
-                    let comp = self.apps[*pos].dag.nodes()[m.component].component_idx;
-                    let _ = proxy.bind_component(*app_id, &self.apps[*pos].app, comp, m.to);
-                }
-            }
+        }
+        for (pos, moves) in &planned_moves {
+            self.bind_moves(*pos, moves, now_us);
         }
         // Elasticity Manager: MAPE-driven horizontal scaling off the
         // KB telemetry ingested above, executed on the cluster layer
@@ -1414,30 +1342,15 @@ impl OrchestrationEngine {
                     rt.point_idx += 1;
                     rt.clean_rounds = 0;
                     self.app_point_switches += 1;
-                    self.obs.counter_inc("manager_actions", "app");
-                    self.obs.trace(
-                        now_us,
-                        TraceKind::ManagerAction {
-                            manager: "app",
-                            action: if snapshot { "degrade" } else { "degrade_trend" },
-                            subject: rt.id as u64,
-                        },
-                    );
+                    let action = if snapshot { "degrade" } else { "degrade_trend" };
+                    note_action(&self.obs, now_us, "app", action, rt.id as u64);
                 } else if missed == 0 {
                     rt.clean_rounds += 1;
                     if rt.clean_rounds >= 3 && rt.point_idx > 0 {
                         rt.point_idx -= 1;
                         rt.clean_rounds = 0;
                         self.app_point_switches += 1;
-                        self.obs.counter_inc("manager_actions", "app");
-                        self.obs.trace(
-                            now_us,
-                            TraceKind::ManagerAction {
-                                manager: "app",
-                                action: "recover",
-                                subject: rt.id as u64,
-                            },
-                        );
+                        note_action(&self.obs, now_us, "app", "recover", rt.id as u64);
                     }
                 } else {
                     rt.clean_rounds = 0;
@@ -1496,47 +1409,16 @@ impl OrchestrationEngine {
             };
             let query = self.burst_query(pos);
             let home = mgr.home_of(app_id).map(RegionId::as_raw).unwrap_or(0);
-            match mgr.tick(sim, &est, app_id, &query, replicas_exhausted) {
-                Some(FederationAction::Open(link)) => {
-                    self.obs.counter_inc("manager_actions", "federation");
-                    self.obs.trace(
-                        now_us,
-                        TraceKind::ManagerAction {
-                            manager: "federation",
-                            action: "burst_open",
-                            subject: app_id as u64,
-                        },
-                    );
-                    self.kb.put_region(home, "burst", &link.region.to_string(), now);
-                    awards.push((app_id, link));
-                }
-                Some(FederationAction::Close(_)) => {
-                    self.obs.counter_inc("manager_actions", "federation");
-                    self.obs.trace(
-                        now_us,
-                        TraceKind::ManagerAction {
-                            manager: "federation",
-                            action: "burst_close",
-                            subject: app_id as u64,
-                        },
-                    );
-                    self.kb.put_region(home, "burst", "none", now);
-                }
-                Some(FederationAction::Migrate { to, .. }) => {
-                    self.obs.counter_inc("manager_actions", "federation");
-                    self.obs.trace(
-                        now_us,
-                        TraceKind::ManagerAction {
-                            manager: "federation",
-                            action: "burst_migrate",
-                            subject: app_id as u64,
-                        },
-                    );
-                    self.kb.put_region(home, "burst", &to.region.to_string(), now);
-                    awards.push((app_id, to));
-                }
-                None => {}
-            }
+            let (action, award) = match mgr.tick(sim, &est, app_id, &query, replicas_exhausted) {
+                Some(FederationAction::Open(link)) => ("burst_open", Some(link)),
+                Some(FederationAction::Close(_)) => ("burst_close", None),
+                Some(FederationAction::Migrate { to, .. }) => ("burst_migrate", Some(to)),
+                None => continue,
+            };
+            note_action(&self.obs, now_us, "federation", action, app_id as u64);
+            let burst = award.map_or_else(|| "none".to_string(), |l| l.region.to_string());
+            self.kb.put_region(home, "burst", &burst, now);
+            awards.extend(award.map(|l| (app_id, l)));
         }
         for (app_id, link) in awards {
             self.migrate_backlog(sim, mgr, now_us, app_id, link);
@@ -1590,15 +1472,7 @@ impl OrchestrationEngine {
             }
         }
         if moved > 0 {
-            self.obs.counter_inc("manager_actions", "federation");
-            self.obs.trace(
-                now_us,
-                TraceKind::ManagerAction {
-                    manager: "federation",
-                    action: "migrate_backlog",
-                    subject: app_id as u64,
-                },
-            );
+            note_action(&self.obs, now_us, "federation", "migrate_backlog", app_id as u64);
         }
     }
 
@@ -1673,8 +1547,7 @@ impl OrchestrationEngine {
                         // this component (ties on node id).
                         let target = {
                             let rt = &self.apps[pos];
-                            let candidates = self
-                                .region_filter(app_id, self.sec.candidates(sim, &rt.app, &rt.dag));
+                            let candidates = self.candidates(sim, app_id, &rt.app, &rt.dag);
                             let dag_pos = rt
                                 .dag
                                 .nodes()
@@ -1713,15 +1586,7 @@ impl OrchestrationEngine {
                         };
                         if bound {
                             self.obs.counter_inc("scale_ups", "");
-                            self.obs.counter_inc("manager_actions", "elasticity");
-                            self.obs.trace(
-                                now_us,
-                                TraceKind::ManagerAction {
-                                    manager: "elasticity",
-                                    action: "scale_up",
-                                    subject: app_id as u64,
-                                },
-                            );
+                            note_action(&self.obs, now_us, "elasticity", "scale_up", app_id as u64);
                         }
                     }
                     Some(ScaleAction::ScaleDown) => {
@@ -1731,14 +1596,12 @@ impl OrchestrationEngine {
                             .and_then(|p| p.scale_down(app_id, comp).ok().flatten());
                         if evicted.is_some() {
                             self.obs.counter_inc("scale_downs", "");
-                            self.obs.counter_inc("manager_actions", "elasticity");
-                            self.obs.trace(
+                            note_action(
+                                &self.obs,
                                 now_us,
-                                TraceKind::ManagerAction {
-                                    manager: "elasticity",
-                                    action: "scale_down",
-                                    subject: app_id as u64,
-                                },
+                                "elasticity",
+                                "scale_down",
+                                app_id as u64,
                             );
                         }
                     }
@@ -1794,8 +1657,11 @@ impl Driver for OrchestrationEngine {
                 self.sec.observe(node, myrtus_security::trust::Observation::TaskFailed);
             }
             SimEvent::TaskRecovered { node, task, .. } => self.on_task_recovered(sim, node, task),
-            SimEvent::TaskAbandoned { task, .. } => self.on_task_abandoned(&task),
-            SimEvent::TaskShed { task, .. } => self.on_task_shed(&task),
+            SimEvent::TaskAbandoned { task, .. } => {
+                self.lost_tasks += 1;
+                self.on_task_dropped(&task, false);
+            }
+            SimEvent::TaskShed { task, .. } => self.on_task_dropped(&task, true),
             SimEvent::TaskStarted { .. }
             | SimEvent::MessageDelivered(_)
             | SimEvent::NodeRestored(_)
@@ -1818,6 +1684,43 @@ pub fn run_orchestration(
 ) -> Result<OrchestrationReport, PlaceError> {
     let mut continuum = myrtus_continuum::topology::ContinuumBuilder::new().build();
     OrchestrationEngine::new(policy, cfg).run(&mut continuum, apps, horizon)
+}
+
+/// Records one manager action: the `manager_actions{manager}` counter
+/// and its `ManagerAction` trace event.
+fn note_action(obs: &Obs, at_us: u64, manager: &'static str, action: &'static str, subject: u64) {
+    obs.counter_inc("manager_actions", manager);
+    obs.trace(at_us, TraceKind::ManagerAction { manager, action, subject });
+}
+
+/// The WL Manager's planning view of one application at the current
+/// instant, estimating transfers through the shared plan-time route
+/// cache.
+fn plan_context<'a>(
+    sim: &'a SimCore,
+    kb: &'a KnowledgeBase,
+    plan_cache: &'a RouteCache,
+    obs: &Obs,
+    app: &'a Application,
+    dag: &'a RequestDag,
+    candidates: Vec<Vec<NodeId>>,
+) -> PlanContext<'a> {
+    let estimator = PlanEstimator::new(sim.network(), sim.now(), plan_cache);
+    PlanContext { sim, kb, app, dag, candidates, estimator: Some(estimator), obs: obs.clone() }
+}
+
+/// Submits `task` to `dst`, shipping its input from `src` over the
+/// shortest path unless it is already there.
+fn send(
+    sim: &mut SimCore,
+    src: Option<NodeId>,
+    dst: NodeId,
+    task: TaskInstance,
+) -> Result<(), SimError> {
+    match src {
+        Some(s) if s != dst => sim.submit_via_network(s, dst, task, Protocol::Mqtt).map(|_| ()),
+        _ => sim.submit_local(dst, task),
+    }
 }
 
 /// Whether a window of samples shows a (weakly) rising trend: at least
@@ -1857,6 +1760,28 @@ mod tests {
 
     fn small_telerehab() -> Application {
         scenarios::telerehab_with(2) // 60 frames
+    }
+
+    /// Obs on, with a trace ring that never drops an event.
+    fn obs_keep_all() -> ObsConfig {
+        ObsConfig { trace_capacity: usize::MAX, ..ObsConfig::on() }
+    }
+
+    /// Asserts that each manager's `manager_actions` counter equals its
+    /// number of `ManagerAction` trace events, and that every manager
+    /// in `fired` acted at least once.
+    fn assert_actions_traced(report: &OrchestrationReport, fired: &[&str]) {
+        let obs = &report.obs;
+        assert_eq!(obs.trace_dropped(), 0, "the trace ring kept every event");
+        let events = obs.trace_events();
+        for manager in ["node", "network", "wl", "app", "elasticity", "federation"] {
+            let traced = events
+                .iter()
+                .filter(|e| matches!(e.kind, TraceKind::ManagerAction { manager: m, .. } if m == manager))
+                .count() as u64;
+            assert_eq!(obs.counter_value("manager_actions", manager), traced, "{manager}");
+            assert!(traced > 0 || !fired.contains(&manager), "{manager} acted");
+        }
     }
 
     #[test]
@@ -1923,13 +1848,14 @@ mod tests {
         // Crash a mid-pipeline host shortly after start, forever.
         let victim = continuum.edge()[3];
         FaultPlan::new().crash(victim, SimTime::from_millis(300), None).apply(continuum.sim_mut());
-        let report =
-            OrchestrationEngine::new(Box::new(GreedyBestFit::new()), EngineConfig::default())
-                .run(&mut continuum, vec![small_telerehab()], SimTime::from_secs(5))
-                .expect("places");
+        let cfg = EngineConfig { obs: obs_keep_all(), ..EngineConfig::default() };
+        let report = OrchestrationEngine::new(Box::new(GreedyBestFit::new()), cfg)
+            .run(&mut continuum, vec![small_telerehab()], SimTime::from_secs(5))
+            .expect("places");
         let a = &report.apps[0];
         assert!(a.completed + a.failed > 50, "requests are accounted for: {a:?}");
         assert!(a.completed > a.failed, "recovery keeps most requests alive: {a:?}");
+        assert_actions_traced(&report, &["node"]);
     }
 
     #[test]
@@ -1939,6 +1865,7 @@ mod tests {
             let report = OrchestrationEngine::new(
                 Box::new(RoundRobin::new()),
                 EngineConfig {
+                    obs: obs_keep_all(),
                     reallocation: realloc,
                     retry: if realloc { RetryPolicy::default() } else { RetryPolicy::NONE },
                     node_adaptation: false,
@@ -1958,6 +1885,7 @@ mod tests {
                 .expect("places")
         };
         let adaptive = mk(true);
+        assert_actions_traced(&adaptive, &["wl"]);
         let static_ = mk(false);
         assert!(
             adaptive.apps[0].completed >= static_.apps[0].completed,
@@ -2084,7 +2012,11 @@ mod tests {
         let run = |adapt: bool| {
             run_orchestration(
                 Box::new(GreedyBestFit::new()),
-                EngineConfig { app_point_adaptation: adapt, ..EngineConfig::default() },
+                EngineConfig {
+                    obs: obs_keep_all(),
+                    app_point_adaptation: adapt,
+                    ..EngineConfig::default()
+                },
                 vec![app.clone()],
                 SimTime::from_secs(5),
             )
@@ -2093,6 +2025,7 @@ mod tests {
         let adaptive = run(true);
         let fixed = run(false);
         assert!(adaptive.app_point_switches > 0, "overload triggers degradation");
+        assert_actions_traced(&adaptive, &["app"]);
         assert!(
             adaptive.apps[0].mean_quality < 1.0,
             "some requests served degraded: {:?}",
@@ -2153,7 +2086,7 @@ mod tests {
             run_orchestration(
                 Box::new(GreedyBestFit::new()),
                 EngineConfig {
-                    obs: ObsConfig::on(),
+                    obs: obs_keep_all(),
                     app_point_adaptation: false,
                     // Pin the placement: with reallocation off the WL
                     // manager cannot move the hot pipeline to a bigger
@@ -2181,6 +2114,7 @@ mod tests {
             elastic.obs.counter_value("scale_ups", "") > 0,
             "sustained overload triggers scale-up"
         );
+        assert_actions_traced(&elastic, &["elasticity"]);
         assert!(
             elastic.apps[0].qos() >= fixed.apps[0].qos(),
             "replicas never cost QoS: {:.3} vs {:.3}",
@@ -2421,7 +2355,7 @@ mod tests {
             OrchestrationEngine::new(
                 Box::new(GreedyBestFit::new()),
                 EngineConfig {
-                    obs: ObsConfig::on(),
+                    obs: obs_keep_all(),
                     seed: 7,
                     // No autoscaler: the burst gate arms immediately.
                     federation: Some(FederationConfig {
@@ -2461,6 +2395,7 @@ mod tests {
             moved_live > 0,
             "bodied batch tasks migrate live ({moved_live} live / {moved_cold} cold)"
         );
+        assert_actions_traced(&live, &["federation"]);
     }
 
     #[test]

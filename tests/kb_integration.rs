@@ -103,7 +103,7 @@ fn lease_based_heartbeats_expire_in_the_kb() {
             leader,
             KvCommand::PutWithLease {
                 key: "/hb/edge-0".into(),
-                value: bytes::Bytes::from_static(b"alive"),
+                value: std::sync::Arc::from(*b"alive"),
                 ttl_us: 200_000, // 200 ms
             },
         )
