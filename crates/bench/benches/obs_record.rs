@@ -1,8 +1,10 @@
 //! Criterion bench: host cost of one obs recording call on a populated
-//! handle — `counter_add`, `observe`, `ts_record` by name and
-//! `ts_record_id` through a resolved series id. Each iteration makes
-//! one call and rotates to the next populated series, so the printed
-//! time is the cost per call of updating a series that already exists.
+//! handle — `counter_add`, `observe`, `ts_record` by name,
+//! `ts_record_id` through a resolved series id and `trace` into a full
+//! ring. Each iteration makes one call and rotates to the next
+//! populated series, so the printed time is the cost per call of
+//! updating a series that already exists; each `trace` call evicts the
+//! oldest of the ring's 65,536 events, as most of a `surge` run's do.
 //!
 //! The registry holds 374 metric series (22 names × 17 index labels)
 //! and the store 320 time series (5 per node over 64 nodes). That is
@@ -11,7 +13,7 @@
 //! the memo and the ids skip are as deep as a larger continuum's.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use myrtus::obs::{index_label, Obs, ObsConfig, SeriesId};
+use myrtus::obs::{index_label, Obs, ObsConfig, SeriesId, TraceKind};
 
 const COUNTERS: [&str; 12] = [
     "sim_tasks_dispatched",
@@ -103,6 +105,19 @@ fn bench_obs_record(c: &mut Criterion) {
         node_series(&obs).iter().map(|(n, l)| obs.ts_id(n, l).expect("enabled")).collect();
     group.bench_function("ts_record_id", |b| {
         b.iter(cycling(&ids, |&id| obs.ts_record_id(id, 1, black_box(0.5))))
+    });
+    let obs = Obs::new(ObsConfig::on());
+    let capacity = ObsConfig::DEFAULT_TRACE_CAPACITY as u64;
+    for at_us in 0..capacity {
+        obs.trace(at_us, TraceKind::TaskDispatch { node: 0, task: at_us });
+    }
+    assert_eq!(obs.trace_len() as u64, capacity, "the ring is full");
+    let mut at_us = capacity;
+    group.bench_function("trace", |b| {
+        b.iter(|| {
+            obs.trace(at_us, TraceKind::TaskDispatch { node: 1, task: black_box(at_us) });
+            at_us += 1;
+        })
     });
     group.finish();
 }

@@ -5,10 +5,16 @@
 //! ≥3×): every hop estimate in the uncached path re-runs Dijkstra over
 //! the full topology, while the cache pays for each (src, dst) pair
 //! once per epoch.
+//!
+//! `estimate-miss` is the engine's common case at run time: the plan
+//! instant moves with almost every submission, so the estimate memo
+//! misses while the route memo hits, and the estimate walks the
+//! memoized path.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use myrtus::continuum::ids::NodeId;
-use myrtus::continuum::net::{PlanEstimator, RouteCache};
+use myrtus::continuum::net::{PlanEstimator, Protocol, RouteCache};
+use myrtus::continuum::time::SimTime;
 use myrtus::continuum::topology::{Continuum, ContinuumBuilder};
 use myrtus::kb::KnowledgeBase;
 use myrtus::mirto::placement::{evaluate, Placement, PlanContext};
@@ -111,6 +117,32 @@ fn bench_placement_eval(c: &mut Criterion) {
         });
     });
     group.finish();
+
+    // One estimate per iteration at a fresh plan instant, over a route
+    // the memo already holds: the platform's longest.
+    let net = continuum.sim().network();
+    let memo = RouteCache::new();
+    let (hops, from, to) = all
+        .iter()
+        .flat_map(|&from| all.iter().map(move |&to| (from, to)))
+        .filter_map(|(from, to)| Some((net.route(from, to).ok()?.len(), from, to)))
+        .max()
+        .expect("a connected platform");
+    assert!(hops >= 2, "a multi-hop route: {hops} hops");
+    memo.route(net, from, to).expect("reachable");
+    let mut now_us = 0;
+    let mut single = c.benchmark_group("route-cache");
+    single.bench_function("estimate-miss", |b| {
+        b.iter(|| {
+            now_us += 1;
+            let at = SimTime::from_micros(now_us);
+            memo.estimate(net, at, from, to, black_box(4_096), Protocol::Mqtt)
+        })
+    });
+    single.finish();
+    let stats = memo.stats();
+    assert_eq!(stats.route_misses, 1, "every estimate walked the memoized route: {stats:?}");
+    assert_eq!(stats.estimate_hits, 0, "every estimate missed: {stats:?}");
 }
 
 criterion_group!(benches, bench_placement_eval);

@@ -21,9 +21,9 @@
 //! Both share one event sequence counter, so they drain events in the
 //! same `(time, seq)` total order and produce identical traces.
 
+use std::cell::OnceCell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
-use std::sync::OnceLock;
 
 use myrtus_obs::{Obs, SeriesId, TraceKind};
 use myrtus_vm::{Checkpoint, CostTable, IsaClass, OpCounts, Program, VmState};
@@ -659,7 +659,7 @@ struct VmRuntime {
     /// Per-program op-class census ([`Program::seed_free_counts`]),
     /// filled at the program's first fresh boot; `Some(None)` marks a
     /// program whose cost depends on its seed.
-    census: Vec<OnceLock<Option<OpCounts>>>,
+    census: Vec<OnceCell<Option<OpCounts>>>,
     /// Interpreter images of bodied tasks resident at some node,
     /// keyed by raw task id.
     images: HashMap<u64, VmImage>,
@@ -1136,7 +1136,7 @@ impl SimCore {
     /// without the VM subsystem.
     pub fn set_vm(&mut self, cfg: VmConfig) {
         self.vm = Some(VmRuntime {
-            census: vec![OnceLock::new(); cfg.programs.len()],
+            census: vec![OnceCell::new(); cfg.programs.len()],
             programs: cfg.programs,
             images: HashMap::new(),
             pending: HashMap::new(),

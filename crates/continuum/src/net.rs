@@ -6,8 +6,11 @@
 //! per-link queueing. Routing is shortest-path (Dijkstra) with optional
 //! alternate routes so the MIRTO Network Manager can balance load.
 
-use std::collections::{BinaryHeap, HashMap};
-use std::sync::Mutex;
+use std::cell::RefCell;
+use std::collections::hash_map::Entry;
+use std::collections::BinaryHeap;
+
+use myrtus_obs::hash::WordMap;
 
 use crate::ids::{LinkId, MsgId, NodeId};
 use crate::time::{SimDuration, SimTime};
@@ -239,7 +242,7 @@ impl std::error::Error for NetworkError {}
 pub struct Network {
     links: Vec<LinkSpec>,
     states: Vec<LinkState>,
-    out_edges: HashMap<NodeId, Vec<LinkId>>,
+    out_edges: WordMap<NodeId, Vec<LinkId>>,
     epoch: u64,
 }
 
@@ -347,8 +350,8 @@ impl Network {
             return Ok(Vec::new());
         }
         // Dijkstra over microsecond weights.
-        let mut dist: HashMap<NodeId, u64> = HashMap::new();
-        let mut prev: HashMap<NodeId, LinkId> = HashMap::new();
+        let mut dist: WordMap<NodeId, u64> = WordMap::default();
+        let mut prev: WordMap<NodeId, LinkId> = WordMap::default();
         let mut heap: BinaryHeap<std::cmp::Reverse<(u64, NodeId)>> = BinaryHeap::new();
         dist.insert(from, 0);
         heap.push(std::cmp::Reverse((0, from)));
@@ -497,19 +500,23 @@ impl Network {
 ///
 /// A stale snapshot clears the memo on the next lookup, so a long-lived
 /// cache (e.g. owned by an orchestration engine across monitoring
-/// rounds) is always safe to reuse. The memos sit behind interior
-/// locks, so evaluators use the cache through shared references.
+/// rounds) is always safe to reuse. The memos sit in `RefCell`s, so
+/// evaluators use the cache through shared references; the planners run
+/// on one thread, so no lookup takes a lock, and the cache is `!Sync`
+/// (and, through its [`Obs`](myrtus_obs::Obs) handle, `!Send`) on
+/// purpose. Both tables hash their small-integer keys with
+/// [`WordHasher`](myrtus_obs::hash::WordHasher).
 #[derive(Debug, Default)]
 pub struct RouteCache {
-    routes: Mutex<RouteMemo>,
-    estimates: Mutex<EstimateMemo>,
+    routes: RefCell<RouteMemo>,
+    estimates: RefCell<EstimateMemo>,
     obs: myrtus_obs::Obs,
 }
 
 #[derive(Debug, Default)]
 struct RouteMemo {
     epoch: u64,
-    paths: HashMap<(NodeId, NodeId), Option<Vec<LinkId>>>,
+    paths: WordMap<(NodeId, NodeId), Option<Vec<LinkId>>>,
     hits: u64,
     misses: u64,
 }
@@ -518,7 +525,7 @@ struct RouteMemo {
 struct EstimateMemo {
     epoch: u64,
     now: SimTime,
-    table: HashMap<(NodeId, NodeId, u64, Protocol), Option<SimTime>>,
+    table: WordMap<(NodeId, NodeId, u64, Protocol), Option<SimTime>>,
     hits: u64,
     misses: u64,
 }
@@ -567,7 +574,22 @@ impl RouteCache {
         from: NodeId,
         to: NodeId,
     ) -> Result<Vec<LinkId>, NetworkError> {
-        let mut memo = self.routes.lock().expect("route memo poisoned");
+        self.with_route(net, from, to, |path| path.map(<[LinkId]>::to_vec))
+            .ok_or(NetworkError::NoRoute { from, to })
+    }
+
+    /// Runs `f` on the memoized shortest path from `from` to `to`
+    /// (`None` when unreachable) while the memo lends it, so a caller
+    /// that only reads the path never copies it.
+    fn with_route<R>(
+        &self,
+        net: &Network,
+        from: NodeId,
+        to: NodeId,
+        f: impl FnOnce(Option<&[LinkId]>) -> R,
+    ) -> R {
+        let mut memo = self.routes.borrow_mut();
+        let memo = &mut *memo;
         if memo.epoch != net.epoch() {
             // Count only real invalidations: discarding cached entries
             // because the topology epoch moved (a fresh, empty memo
@@ -578,14 +600,17 @@ impl RouteCache {
             memo.paths.clear();
             memo.epoch = net.epoch();
         }
-        if let Some(cached) = memo.paths.get(&(from, to)).cloned() {
-            memo.hits += 1;
-            return cached.ok_or(NetworkError::NoRoute { from, to });
-        }
-        memo.misses += 1;
-        let fresh = net.route(from, to).ok();
-        memo.paths.insert((from, to), fresh.clone());
-        fresh.ok_or(NetworkError::NoRoute { from, to })
+        let path = match memo.paths.entry((from, to)) {
+            Entry::Occupied(hit) => {
+                memo.hits += 1;
+                hit.into_mut()
+            }
+            Entry::Vacant(miss) => {
+                memo.misses += 1;
+                miss.insert(net.route(from, to).ok())
+            }
+        };
+        f(path.as_deref())
     }
 
     /// Memoized [`Network::estimate_transfer`] over the memoized route.
@@ -600,43 +625,35 @@ impl RouteCache {
         payload: u64,
         protocol: Protocol,
     ) -> Option<SimTime> {
-        {
-            let mut memo = self.estimates.lock().expect("estimate memo poisoned");
-            if memo.epoch != net.epoch() || memo.now != now {
-                // Only topology epoch changes over a non-empty memo
-                // count as invalidations; the memo also resets when the
-                // plan instant advances, which is ordinary time
-                // progress, not staleness.
-                if memo.epoch != net.epoch() && !memo.table.is_empty() {
-                    self.obs.counter_inc("route_cache_invalidations", "estimate");
-                }
-                memo.table.clear();
-                memo.epoch = net.epoch();
-                memo.now = now;
+        let mut memo = self.estimates.borrow_mut();
+        if memo.epoch != net.epoch() || memo.now != now {
+            // Only topology epoch changes over a non-empty memo count
+            // as invalidations; the memo also resets when the plan
+            // instant advances, which is ordinary time progress, not
+            // staleness.
+            if memo.epoch != net.epoch() && !memo.table.is_empty() {
+                self.obs.counter_inc("route_cache_invalidations", "estimate");
             }
-            if let Some(cached) = memo.table.get(&(from, to, payload, protocol)).copied() {
-                memo.hits += 1;
-                return cached;
-            }
-            memo.misses += 1;
+            memo.table.clear();
+            memo.epoch = net.epoch();
+            memo.now = now;
         }
-        // Compute outside the estimate lock; the route lookup takes the
-        // route memo's own lock.
-        let eta = self
-            .route(net, from, to)
-            .ok()
-            .map(|path| net.estimate_transfer(now, &path, payload, protocol));
-        let mut memo = self.estimates.lock().expect("estimate memo poisoned");
-        if memo.epoch == net.epoch() && memo.now == now {
-            memo.table.insert((from, to, payload, protocol), eta);
+        if let Some(cached) = memo.table.get(&(from, to, payload, protocol)).copied() {
+            memo.hits += 1;
+            return cached;
         }
+        memo.misses += 1;
+        let eta = self.with_route(net, from, to, |path| {
+            path.map(|path| net.estimate_transfer(now, path, payload, protocol))
+        });
+        memo.table.insert((from, to, payload, protocol), eta);
         eta
     }
 
     /// Snapshot of the hit/miss counters.
     pub fn stats(&self) -> CacheStats {
-        let routes = self.routes.lock().expect("route memo poisoned");
-        let estimates = self.estimates.lock().expect("estimate memo poisoned");
+        let routes = self.routes.borrow();
+        let estimates = self.estimates.borrow();
         CacheStats {
             route_hits: routes.hits,
             route_misses: routes.misses,

@@ -14,6 +14,7 @@ use myrtus_continuum::cluster::{Federation, PodSpec, ScheduleError};
 use myrtus_continuum::engine::SimCore;
 use myrtus_continuum::ids::{ClusterId, NodeId, PodId};
 use myrtus_continuum::node::Layer;
+use myrtus_obs::hash::WordMap;
 use myrtus_obs::{Obs, TraceKind};
 use myrtus_workload::tosca::Application;
 
@@ -32,10 +33,10 @@ pub struct DeploymentProxy {
     federation: Federation,
     cluster_of_layer: [ClusterId; 3],
     layer_of_node: HashMap<NodeId, Layer>,
-    pods: HashMap<(u16, usize), BoundPod>,
+    pods: WordMap<(u16, usize), BoundPod>,
     /// Horizontal replicas per component (elastic scaling), bound in
     /// scale-up order; the primary pod in `pods` is never in here.
-    replica_pods: HashMap<(u16, usize), Vec<BoundPod>>,
+    replica_pods: WordMap<(u16, usize), Vec<BoundPod>>,
     binds: u64,
     moves: u64,
     task_moves: u64,
@@ -88,8 +89,8 @@ impl DeploymentProxy {
             federation,
             cluster_of_layer: [edge, fog, cloud],
             layer_of_node,
-            pods: HashMap::new(),
-            replica_pods: HashMap::new(),
+            pods: WordMap::default(),
+            replica_pods: WordMap::default(),
             binds: 0,
             moves: 0,
             task_moves: 0,

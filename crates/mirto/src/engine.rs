@@ -31,6 +31,7 @@ use myrtus_continuum::task::{TaskBody, TaskInstance};
 use myrtus_continuum::time::{SimDuration, SimTime};
 use myrtus_continuum::topology::Continuum;
 use myrtus_kb::KnowledgeBase;
+use myrtus_obs::hash::WordMap;
 use myrtus_obs::span::causal_chain;
 use myrtus_obs::{index_label, Obs, ObsConfig, TraceKind, TsSample};
 use myrtus_workload::compile::{compile_stages, CompiledStage, Tag};
@@ -264,7 +265,7 @@ struct AppRuntime {
     deadline: Option<SimDuration>,
     /// Live requests only, by request index. Point lookups only —
     /// never iterated — so its hash order cannot reach any output.
-    requests: HashMap<u32, RequestState>,
+    requests: WordMap<u32, RequestState>,
     /// Arrival timers fired so far.
     #[cfg(test)]
     arrived: u64,
@@ -476,8 +477,8 @@ pub struct OrchestrationEngine {
     /// Replica pairing for k=2 placement: task raw id → (twin raw id,
     /// node currently hosting the twin). Both directions are kept so
     /// either copy's completion can cancel the other.
-    replicas: HashMap<u64, (u64, NodeId)>,
-    pending_flows: HashMap<u64, (NodeId, NodeId, SimTime)>,
+    replicas: WordMap<u64, (u64, NodeId)>,
+    pending_flows: WordMap<u64, (NodeId, NodeId, SimTime)>,
     pending_deploys: HashMap<u16, Application>,
     horizon: SimTime,
     lost_tasks: u64,
@@ -520,8 +521,8 @@ impl OrchestrationEngine {
             kb: KnowledgeBase::new(),
             plan_cache: RouteCache::with_obs(obs.clone()),
             apps: Vec::new(),
-            replicas: HashMap::new(),
-            pending_flows: HashMap::new(),
+            replicas: WordMap::default(),
+            pending_flows: WordMap::default(),
             pending_deploys: HashMap::new(),
             horizon: SimTime::ZERO,
             lost_tasks: 0,
@@ -749,7 +750,7 @@ impl OrchestrationEngine {
             stages,
             released,
             deadline,
-            requests: HashMap::new(),
+            requests: WordMap::default(),
             #[cfg(test)]
             arrived: 0,
             #[cfg(test)]
@@ -989,7 +990,8 @@ impl OrchestrationEngine {
         };
         if result.is_err() {
             // Destination unusable and no recovery possible: fail the
-            // request.
+            // request. Nothing was sent, so no flow is owed a reward.
+            self.pending_flows.remove(&tag.encode());
             self.mark_failed(app_pos, request);
         } else if let Some(twin) = twin {
             // The twin runs on a different surviving node and the first
@@ -1152,13 +1154,15 @@ impl OrchestrationEngine {
     /// already finalized the task (terminal, counted in the dispatch
     /// tally); here the owning request is retired as shed or failed —
     /// unless a replica twin is still in flight and can complete the
-    /// stage alone.
+    /// stage alone. With no twin left, no completion will reward the
+    /// stage's network flow, so its entry goes too.
     fn on_task_dropped(&mut self, task: &TaskInstance, shed: bool) {
         let tag = Tag::decode(task.tag);
         if let Some((sib, _)) = self.replicas.remove(&task.id.as_raw()) {
             self.replicas.remove(&sib);
             return; // the twin fights on alone
         }
+        self.pending_flows.remove(&task.tag);
         let Some(pos) = self.app_index(tag.app) else { return };
         if self.stage_done(pos, tag) {
             return;
@@ -2589,10 +2593,15 @@ mod tests {
             } else {
                 SimEvent::TaskAbandoned { node: a.node, task: a.task.clone() }
             };
+            assert!(engine.pending_flows.contains_key(&a.task.tag), "a crossed the network");
             engine.on_event(sim, terminal);
             let after = tally(&engine.apps[0]);
             assert_eq!(after, if shed { (0, 0, 1) } else { (0, 1, 1) });
             assert!(!engine.apps[0].requests.contains_key(&request), "terminal requests retire");
+            assert!(
+                !engine.pending_flows.contains_key(&a.task.tag),
+                "no completion will reward a dropped stage's flow, so it goes"
+            );
             // `b` shipped its input from `s`'s host: the Network
             // Manager's reward for that transfer is still owed.
             let flow = b.task.tag;
@@ -2621,5 +2630,6 @@ mod tests {
             assert!(!engine.apps[0].requests.contains_key(&request), "nothing revives it");
         }
         assert_eq!(engine.apps[0].latencies_ms.len(), 0);
+        assert!(engine.pending_flows.is_empty(), "no flow outlives its stage");
     }
 }

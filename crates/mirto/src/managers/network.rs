@@ -7,11 +7,10 @@
 //! detour, with a tabular Q-learner whose state is the congestion bucket
 //! of the primary route (fed from KB telemetry).
 
-use std::collections::HashMap;
-
 use myrtus_continuum::engine::SimCore;
 use myrtus_continuum::ids::{LinkId, NodeId};
 use myrtus_continuum::time::SimDuration;
+use myrtus_obs::hash::WordMap;
 
 use crate::rl::{congestion_state, QLearner, RouteChoice};
 
@@ -27,7 +26,7 @@ struct Flow {
 /// The Network Manager.
 #[derive(Debug, Default)]
 pub struct NetworkManager {
-    flows: HashMap<(NodeId, NodeId), Flow>,
+    flows: WordMap<(NodeId, NodeId), Flow>,
     decisions: u64,
     detours: u64,
 }

@@ -12,6 +12,7 @@ use std::collections::HashMap;
 
 use myrtus_continuum::engine::{SimCore, SimError};
 use myrtus_continuum::ids::NodeId;
+use myrtus_obs::hash::WordMap;
 
 use crate::fl::{LatencyModel, LocalLearner};
 
@@ -27,8 +28,8 @@ struct Window {
 /// Per-node operating-point controller.
 #[derive(Debug)]
 pub struct NodeManager {
-    windows: HashMap<NodeId, Window>,
-    learners: HashMap<NodeId, LocalLearner>,
+    windows: WordMap<NodeId, Window>,
+    learners: WordMap<NodeId, LocalLearner>,
     switches: u64,
     /// Utilization below which a node may drop to a slower point.
     pub eco_threshold: f64,
@@ -46,8 +47,8 @@ impl NodeManager {
     /// boost above 0.75 utilization).
     pub fn new() -> Self {
         NodeManager {
-            windows: HashMap::new(),
-            learners: HashMap::new(),
+            windows: WordMap::default(),
+            learners: WordMap::default(),
             switches: 0,
             eco_threshold: 0.25,
             boost_threshold: 0.75,

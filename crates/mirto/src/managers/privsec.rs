@@ -11,6 +11,7 @@
 use myrtus_continuum::engine::SimCore;
 use myrtus_continuum::ids::NodeId;
 use myrtus_continuum::node::NodeKind;
+use myrtus_obs::hash::WordSet;
 use myrtus_security::suite::SecurityLevel;
 use myrtus_security::trust::{Observation, TrustModel};
 use myrtus_workload::graph::RequestDag;
@@ -45,7 +46,7 @@ pub struct PrivacySecurityManager {
     trust: TrustModel,
     min_trust: f64,
     enforce: bool,
-    handshakes: std::collections::HashSet<(NodeId, NodeId, SecurityLevel)>,
+    handshakes: WordSet<(NodeId, NodeId, SecurityLevel)>,
     handshake_cycles: u64,
     protected_bytes: u64,
 }
@@ -58,7 +59,7 @@ impl PrivacySecurityManager {
             trust: TrustModel::new(0.995),
             min_trust: 0.25,
             enforce,
-            handshakes: std::collections::HashSet::new(),
+            handshakes: WordSet::default(),
             handshake_cycles: 0,
             protected_bytes: 0,
         }

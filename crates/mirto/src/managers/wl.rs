@@ -10,10 +10,9 @@
 //! pluggable [`PlacementPolicy`], and runtime reallocation away from
 //! failed or overloaded nodes.
 
-use std::collections::HashMap;
-
 use myrtus_continuum::engine::SimCore;
 use myrtus_continuum::ids::NodeId;
+use myrtus_obs::hash::WordMap;
 
 use crate::placement::{evaluate, Placement, PlanContext};
 use crate::policies::{PlaceError, PlacementPolicy};
@@ -34,7 +33,7 @@ pub struct Reallocation {
 /// The WL Manager.
 pub struct WlManager {
     policy: Box<dyn PlacementPolicy + Send>,
-    placements: HashMap<u16, Placement>,
+    placements: WordMap<u16, Placement>,
     reallocations: Vec<Reallocation>,
     /// Utilization above which a node is considered overloaded.
     pub overload_threshold: f64,
@@ -57,7 +56,7 @@ impl WlManager {
     pub fn new(policy: Box<dyn PlacementPolicy + Send>) -> Self {
         WlManager {
             policy,
-            placements: HashMap::new(),
+            placements: WordMap::default(),
             reallocations: Vec::new(),
             overload_threshold: 0.9,
             queue_threshold: 4,

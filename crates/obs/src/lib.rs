@@ -20,8 +20,14 @@
 //!   iteration order), and an address memo finds the slot of a series
 //!   already recorded without comparing text.
 //! * **Zero overhead when disabled.** [`Obs`] wraps an
-//!   `Option<Arc<..>>`; the disabled handle is `None` and every
+//!   `Option<Rc<..>>`; the disabled handle is `None` and every
 //!   recording call is a single branch on it.
+//! * **One thread, no locks.** The workspace runs on one thread, so the
+//!   shared state sits in `RefCell`s, not behind mutexes, and [`Obs`] is
+//!   `!Send` on purpose: a recording call costs a borrow flag, not a
+//!   lock and unlock, and the compiler rejects any attempt to record
+//!   from a second thread, whose interleaving would break the
+//!   byte-identical exports anyway.
 //! * **Counters only from scoring.** Plan-time candidate scoring records
 //!   counter totals, never trace events, so a search that scores
 //!   thousands of candidates leaves the bounded trace ring to the
@@ -45,6 +51,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod export;
+pub mod hash;
 pub mod metrics;
 pub mod span;
 pub mod timeseries;
@@ -55,7 +62,8 @@ pub use span::{SpanOutcome, SpanSet, TaskSpan};
 pub use timeseries::{SeriesId, TimeSeriesStore, TsSample};
 pub use trace::{TraceBuffer, TraceEvent, TraceKind};
 
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// Configuration for the observability layer.
 ///
@@ -119,15 +127,9 @@ impl Default for ObsConfig {
 
 struct Inner {
     metrics: MetricsRegistry,
-    traces: Mutex<TraceBuffer>,
-    timeseries: Mutex<TimeSeriesStore>,
+    traces: RefCell<TraceBuffer>,
+    timeseries: RefCell<TimeSeriesStore>,
     scrape_interval_us: u64,
-}
-
-impl Inner {
-    fn timeseries(&self) -> MutexGuard<'_, TimeSeriesStore> {
-        self.timeseries.lock().expect("timeseries lock")
-    }
 }
 
 impl std::fmt::Debug for Inner {
@@ -144,8 +146,13 @@ impl std::fmt::Debug for Inner {
 /// ones. Clones share the same registry and trace buffer, so a single
 /// handle can be installed into the simulator, the plan cache and the
 /// deployment proxy and observed from the final report.
+///
+/// The handle is `!Send`: clones share one `Rc` and the state behind it
+/// sits in `RefCell`s, because every recorder runs on the simulator's
+/// one thread and a lock would cost each call a lock and unlock for
+/// nothing.
 #[derive(Debug, Clone, Default)]
-pub struct Obs(Option<Arc<Inner>>);
+pub struct Obs(Option<Rc<Inner>>);
 
 impl Obs {
     /// Builds a handle from a config; disabled configs yield a no-op
@@ -154,11 +161,11 @@ impl Obs {
         if !cfg.enabled {
             return Obs(None);
         }
-        Obs(Some(Arc::new(Inner {
+        Obs(Some(Rc::new(Inner {
             metrics: MetricsRegistry::new(),
-            traces: Mutex::new(TraceBuffer::new(cfg.trace_capacity)),
+            traces: RefCell::new(TraceBuffer::new(cfg.trace_capacity)),
             // The export keeps every sample of the run.
-            timeseries: Mutex::new(TimeSeriesStore::new(usize::MAX)),
+            timeseries: RefCell::new(TimeSeriesStore::new(usize::MAX)),
             scrape_interval_us: cfg.scrape_interval_us,
         })))
     }
@@ -214,7 +221,7 @@ impl Obs {
     /// the crate-level determinism rules.
     pub fn trace(&self, at_us: u64, kind: TraceKind) {
         if let Some(inner) = &self.0 {
-            inner.traces.lock().expect("trace lock").push(at_us, kind);
+            inner.traces.borrow_mut().push(at_us, kind);
         }
     }
 
@@ -235,7 +242,7 @@ impl Obs {
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.0.as_ref().map_or_else(MetricsSnapshot::default, |i| {
             let mut snap = i.metrics.snapshot();
-            let dropped = i.traces.lock().expect("trace lock").dropped();
+            let dropped = i.traces.borrow().dropped();
             snap.counters.push((("trace_events_dropped", ""), dropped));
             snap.counters.sort_by_key(|(k, _)| *k);
             snap
@@ -253,7 +260,7 @@ impl Obs {
     /// contexts (the scrape timer and the MAPE monitoring round).
     pub fn ts_record(&self, name: &'static str, label: &str, at_us: u64, value: f64) {
         if let Some(inner) = &self.0 {
-            inner.timeseries().record(name, label, at_us, value);
+            inner.timeseries.borrow_mut().record(name, label, at_us, value);
         }
     }
 
@@ -264,7 +271,7 @@ impl Obs {
     /// nothing, and the id is valid only with this handle and its
     /// clones.
     pub fn ts_id(&self, name: &'static str, label: &str) -> Option<SeriesId> {
-        self.0.as_ref().map(|i| i.timeseries().id(name, label))
+        self.0.as_ref().map(|i| i.timeseries.borrow_mut().id(name, label))
     }
 
     /// Appends a sample to the time series `id` names, like
@@ -276,50 +283,50 @@ impl Obs {
     /// with this one.
     pub fn ts_record_id(&self, id: SeriesId, at_us: u64, value: f64) {
         if let Some(inner) = &self.0 {
-            inner.timeseries().record_id(id, at_us, value);
+            inner.timeseries.borrow_mut().record_id(id, at_us, value);
         }
     }
 
     /// All samples of time series `name{label}`, oldest first.
     pub fn ts_series(&self, name: &'static str, label: &str) -> Vec<TsSample> {
-        self.0.as_ref().map_or_else(Vec::new, |i| i.timeseries().series(name, label))
+        self.0.as_ref().map_or_else(Vec::new, |i| i.timeseries.borrow().series(name, label))
     }
 
     /// The last `n` samples of time series `name{label}`, oldest first.
     pub fn ts_last_n(&self, name: &'static str, label: &str, n: usize) -> Vec<TsSample> {
-        self.0.as_ref().map_or_else(Vec::new, |i| i.timeseries().last_n(name, label, n))
+        self.0.as_ref().map_or_else(Vec::new, |i| i.timeseries.borrow().last_n(name, label, n))
     }
 
     /// Total number of time-series samples recorded so far.
     pub fn ts_sample_count(&self) -> usize {
-        self.0.as_ref().map_or(0, |i| i.timeseries().sample_count())
+        self.0.as_ref().map_or(0, |i| i.timeseries.borrow().sample_count())
     }
 
     /// All time series as deterministic CSV (`series,label,at_us,value`
     /// rows in sorted series order; empty string when disabled or when
     /// nothing was scraped).
     pub fn export_timeseries_csv(&self) -> String {
-        self.0.as_ref().map_or_else(String::new, |i| i.timeseries().export_csv())
+        self.0.as_ref().map_or_else(String::new, |i| i.timeseries.borrow().export_csv())
     }
 
     /// All time series as deterministic JSON Lines.
     pub fn export_timeseries_jsonl(&self) -> String {
-        self.0.as_ref().map_or_else(String::new, |i| i.timeseries().export_jsonl())
+        self.0.as_ref().map_or_else(String::new, |i| i.timeseries.borrow().export_jsonl())
     }
 
     /// A copy of the retained trace events, oldest first.
     pub fn trace_events(&self) -> Vec<TraceEvent> {
-        self.0.as_ref().map_or_else(Vec::new, |i| i.traces.lock().expect("trace lock").events())
+        self.0.as_ref().map_or_else(Vec::new, |i| i.traces.borrow().events())
     }
 
     /// Number of retained trace events.
     pub fn trace_len(&self) -> usize {
-        self.0.as_ref().map_or(0, |i| i.traces.lock().expect("trace lock").len())
+        self.0.as_ref().map_or(0, |i| i.traces.borrow().len())
     }
 
     /// Number of trace events evicted from the ring so far.
     pub fn trace_dropped(&self) -> u64 {
-        self.0.as_ref().map_or(0, |i| i.traces.lock().expect("trace lock").dropped())
+        self.0.as_ref().map_or(0, |i| i.traces.borrow().dropped())
     }
 
     /// The retained trace as deterministic JSON Lines (one event per

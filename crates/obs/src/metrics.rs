@@ -7,9 +7,10 @@
 //! Recording into a series that already exists finds its slot through
 //! an address memo and compares no text.
 
-use std::collections::{BTreeMap, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::Mutex;
+use std::cell::RefCell;
+use std::collections::BTreeMap;
+
+use crate::hash::WordMap;
 
 /// Key of a metric series: `(name, label)`. The label discriminates
 /// series under one name (e.g. `placement_rejected{reason}`); use `""`
@@ -52,35 +53,6 @@ fn addr_key((name, label): SeriesKey) -> AddrKey {
     (name.as_ptr() as usize, name.len(), label.as_ptr() as usize, label.len())
 }
 
-/// Multiply-rotate hasher over machine words. The memo's keys are
-/// addresses of the program's own strings, never outside input, so the
-/// default hasher's protection against crafted collisions buys nothing
-/// there and costs most of a lookup.
-#[derive(Default)]
-struct WordHasher(u64);
-
-impl WordHasher {
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
-impl Hasher for WordHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.add(u64::from(b));
-        }
-    }
-
-    fn write_usize(&mut self, word: usize) {
-        self.add(word as u64);
-    }
-}
-
 /// The series of one metric kind: values in first-use order, and the
 /// two indexes that find them.
 struct Family<T> {
@@ -93,12 +65,12 @@ struct Family<T> {
     /// The converse does not hold (two literals with the same text may
     /// sit at different addresses), so a miss falls back to the text
     /// index, which maps both addresses to the one slot.
-    memo: HashMap<AddrKey, usize, BuildHasherDefault<WordHasher>>,
+    memo: WordMap<AddrKey, usize>,
 }
 
 impl<T> Default for Family<T> {
     fn default() -> Self {
-        Family { values: Vec::new(), index: BTreeMap::new(), memo: HashMap::default() }
+        Family { values: Vec::new(), index: BTreeMap::new(), memo: WordMap::default() }
     }
 }
 
@@ -165,15 +137,18 @@ impl MetricsSnapshot {
     }
 }
 
-/// Thread-safe registry of counters, gauges and histograms.
+/// Registry of counters, gauges and histograms.
 ///
-/// A single mutex guards all three kinds, so snapshots are consistent.
+/// All three kinds sit in one `RefCell`, so a snapshot sees one
+/// consistent state. The workspace runs on one thread, so the registry
+/// takes no lock; it is `!Sync` on purpose, and the [`Obs`](crate::Obs)
+/// handle that shares it is `!Send`.
 /// Recording sits on per-event paths: the simulator records a handful
 /// of counters and histograms per dispatched task, so a busy run makes
 /// hundreds of thousands of updates. An update of an existing series is
 /// one memo lookup by address plus the arithmetic.
 pub struct MetricsRegistry {
-    store: Mutex<Store>,
+    store: RefCell<Store>,
 }
 
 impl std::fmt::Debug for MetricsRegistry {
@@ -185,31 +160,27 @@ impl std::fmt::Debug for MetricsRegistry {
 impl MetricsRegistry {
     /// An empty registry.
     pub fn new() -> Self {
-        MetricsRegistry { store: Mutex::new(Store::default()) }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Store> {
-        self.store.lock().expect("metrics lock")
+        MetricsRegistry { store: RefCell::new(Store::default()) }
     }
 
     /// Adds `delta` to counter `name{label}`, creating it at 0 first.
     pub fn counter_add(&self, name: &'static str, label: &'static str, delta: u64) {
-        *self.lock().counters.slot((name, label), || 0) += delta;
+        *self.store.borrow_mut().counters.slot((name, label), || 0) += delta;
     }
 
     /// Current value of counter `name{label}` (0 when absent).
     pub fn counter_value(&self, name: &'static str, label: &'static str) -> u64 {
-        self.lock().counters.get((name, label)).copied().unwrap_or(0)
+        self.store.borrow().counters.get((name, label)).copied().unwrap_or(0)
     }
 
     /// Sum of counter `name` across all labels.
     pub fn counter_sum(&self, name: &'static str) -> u64 {
-        self.lock().counters.named(name).sum()
+        self.store.borrow().counters.named(name).sum()
     }
 
     /// Sets gauge `name{label}` to `value`.
     pub fn gauge_set(&self, name: &'static str, label: &'static str, value: f64) {
-        *self.lock().gauges.slot((name, label), || value) = value;
+        *self.store.borrow_mut().gauges.slot((name, label), || value) = value;
     }
 
     /// Records `value` into histogram `name{label}`; the first
@@ -221,12 +192,16 @@ impl MetricsRegistry {
         bounds: &'static [f64],
         value: f64,
     ) {
-        self.lock().histograms.slot((name, label), || Histogram::new(bounds)).observe(value);
+        self.store
+            .borrow_mut()
+            .histograms
+            .slot((name, label), || Histogram::new(bounds))
+            .observe(value);
     }
 
     /// Sorted snapshot of everything.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let s = self.lock();
+        let s = self.store.borrow();
         MetricsSnapshot {
             counters: s.counters.sorted().map(|(k, v)| (k, *v)).collect(),
             gauges: s.gauges.sorted().map(|(k, v)| (k, *v)).collect(),

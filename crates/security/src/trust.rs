@@ -9,9 +9,8 @@
 //! component's direct evidence with reports from peers, discounted by the
 //! reporter's own trust.
 
-use std::collections::HashMap;
-
 use myrtus_continuum::ids::NodeId;
+use myrtus_obs::hash::WordMap;
 
 /// One observed interaction outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,7 +84,7 @@ impl Reputation {
 /// ```
 #[derive(Debug, Clone)]
 pub struct TrustModel {
-    reputations: HashMap<NodeId, Reputation>,
+    reputations: WordMap<NodeId, Reputation>,
     forgetting: f64,
 }
 
@@ -98,7 +97,7 @@ impl TrustModel {
     /// Panics if `forgetting` is outside `(0, 1]`.
     pub fn new(forgetting: f64) -> Self {
         assert!(forgetting > 0.0 && forgetting <= 1.0, "forgetting in (0,1]");
-        TrustModel { reputations: HashMap::new(), forgetting }
+        TrustModel { reputations: WordMap::default(), forgetting }
     }
 
     /// Records an observation about a component.
