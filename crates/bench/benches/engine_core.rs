@@ -1,6 +1,6 @@
 //! Criterion suite behind the PR-6 perf trajectory: raw engine event
-//! throughput (timing wheel vs the legacy heap), end-to-end task
-//! throughput on the reference continuum, and scrape overhead. The
+//! throughput (timing-wheel push/pop), end-to-end task throughput on
+//! the reference continuum, and scrape overhead. The
 //! calibrated large-N numbers live in `BENCH_6.json` (see the
 //! `myrtus-bench` binary); this suite is the quick interactive view.
 
@@ -10,7 +10,6 @@ use myrtus::continuum::node::NodeSpec;
 use myrtus::continuum::task::TaskInstance;
 use myrtus::continuum::time::{SimDuration, SimTime};
 use myrtus::continuum::topology::ContinuumBuilder;
-use myrtus::mirto::EngineBackend;
 use myrtus::obs::{Obs, ObsConfig};
 
 fn splitmix(mut x: u64) -> u64 {
@@ -22,10 +21,9 @@ fn splitmix(mut x: u64) -> u64 {
 
 /// Pure event-queue churn: `n` timers with pseudo-random firing times,
 /// drained to quiescence. No tasks, no nodes — this isolates the
-/// push/pop cost of the two queue implementations.
-fn timer_storm(backend: EngineBackend, n: u64) -> u64 {
+/// event queue's push/pop cost.
+fn timer_storm(n: u64) -> u64 {
     let mut sim = SimCore::new();
-    sim.set_backend(backend);
     sim.reserve_events(n as usize);
     for i in 0..n {
         let delay = splitmix(i) % 1_000_000;
@@ -39,11 +37,9 @@ fn bench_event_throughput(c: &mut Criterion) {
     const TIMERS: u64 = 20_000;
     let mut group = c.benchmark_group("engine-events");
     group.throughput(Throughput::Elements(TIMERS));
-    for (label, backend) in [("wheel", EngineBackend::Wheel), ("heap", EngineBackend::Heap)] {
-        group.bench_function(BenchmarkId::from_parameter(label), |b| {
-            b.iter(|| timer_storm(backend, TIMERS));
-        });
-    }
+    group.bench_function(BenchmarkId::from_parameter("wheel"), |b| {
+        b.iter(|| timer_storm(TIMERS));
+    });
     group.finish();
 }
 
@@ -53,23 +49,20 @@ fn bench_task_throughput(c: &mut Criterion) {
     const TASKS: u64 = 10_000;
     let mut group = c.benchmark_group("engine-tasks");
     group.throughput(Throughput::Elements(TASKS));
-    for (label, backend) in [("wheel", EngineBackend::Wheel), ("heap", EngineBackend::Heap)] {
-        group.bench_function(BenchmarkId::from_parameter(label), |b| {
-            b.iter(|| {
-                let mut cont = ContinuumBuilder::new().build();
-                let nodes = cont.all_nodes();
-                let sim = cont.sim_mut();
-                sim.set_backend(backend);
-                for i in 0..TASKS {
-                    let node = nodes[(splitmix(i) % nodes.len() as u64) as usize];
-                    let t = TaskInstance::new(sim.fresh_task_id(), 0.5);
-                    sim.submit_local(node, t).expect("up");
-                }
-                sim.run_until(SimTime::from_secs(30), &mut NullDriver);
-                sim.processed_events()
-            });
+    group.bench_function(BenchmarkId::from_parameter("wheel"), |b| {
+        b.iter(|| {
+            let mut cont = ContinuumBuilder::new().build();
+            let nodes = cont.all_nodes();
+            let sim = cont.sim_mut();
+            for i in 0..TASKS {
+                let node = nodes[(splitmix(i) % nodes.len() as u64) as usize];
+                let t = TaskInstance::new(sim.fresh_task_id(), 0.5);
+                sim.submit_local(node, t).expect("up");
+            }
+            sim.run_until(SimTime::from_secs(30), &mut NullDriver);
+            sim.processed_events()
         });
-    }
+    });
     group.finish();
 }
 

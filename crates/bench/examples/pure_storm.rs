@@ -4,9 +4,9 @@
 //! cargo run --release -p myrtus-bench --example pure_storm -- <timers> <spread_us>
 //! ```
 //!
-//! Isolates push/pop throughput of the two engine backends at a chosen
-//! in-flight depth. Sweeping `n` (e.g. 100k → 2M at a fixed spread) is
-//! the quickest way to see how each queue scales once its working set
+//! Isolates the event queue's push/pop throughput at a chosen in-flight
+//! depth. Sweeping `n` (e.g. 100k → 2M at a fixed spread) is the
+//! quickest way to see how the queue scales once its working set
 //! outgrows the cache hierarchy — this probe is what motivated the
 //! dense-slot wheel layout (see the `continuum::wheel` module docs).
 
@@ -14,7 +14,6 @@ use std::time::Instant;
 
 use myrtus::continuum::engine::{NullDriver, SimCore};
 use myrtus::continuum::time::{SimDuration, SimTime};
-use myrtus::mirto::EngineBackend;
 
 fn splitmix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -26,17 +25,14 @@ fn splitmix(mut x: u64) -> u64 {
 fn main() {
     let n: u64 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(2_000_000);
     let spread: u64 = std::env::args().nth(2).and_then(|s| s.parse().ok()).unwrap_or(2_000_000);
-    for (name, b) in [("wheel", EngineBackend::Wheel), ("heap", EngineBackend::Heap)] {
-        let mut sim = SimCore::new();
-        sim.set_backend(b);
-        let t = Instant::now();
-        for i in 0..n {
-            let d = splitmix(i) % spread;
-            sim.set_timer(SimDuration::from_micros(d), i);
-        }
-        sim.run_until(SimTime::from_secs(7200), &mut NullDriver);
-        let s = t.elapsed().as_secs_f64();
-        assert_eq!(sim.processed_events(), n);
-        println!("{name}: {:.2} Mev/s ({:.3}s)", n as f64 / s / 1e6, s);
+    let mut sim = SimCore::new();
+    let t = Instant::now();
+    for i in 0..n {
+        let d = splitmix(i) % spread;
+        sim.set_timer(SimDuration::from_micros(d), i);
     }
+    sim.run_until(SimTime::from_secs(7200), &mut NullDriver);
+    let s = t.elapsed().as_secs_f64();
+    assert_eq!(sim.processed_events(), n);
+    println!("wheel: {:.2} Mev/s ({:.3}s)", n as f64 / s / 1e6, s);
 }

@@ -14,22 +14,21 @@
 //! pre-scheduled with pseudo-random firing times across a fixed spread,
 //! and each firing submits one task (pseudo-random node, varying
 //! service demand) through the full dispatch path with a retry policy
-//! armed — so both backends pay their event-queue *and* task-table
-//! costs (~4 queue ops and ~6 table ops per task). Each backend runs in
-//! a child process (`--phase`), so peak RSS (`VmHWM`) is attributed per
-//! backend instead of being smeared by whichever ran first.
+//! armed — so the run pays its event-queue *and* task-table costs (~4
+//! queue ops and ~6 table ops per task). Each storm run is a child
+//! process (`--phase`), so its peak RSS (`VmHWM`) is its own instead of
+//! being smeared by whichever run came first.
 //!
 //! Gates built into every run:
-//! * **double-run identity** — each backend phase runs twice and must
-//!   reproduce its completion fingerprint byte-for-byte;
-//! * **cross-backend identity** — the heap phases must produce the same
-//!   fingerprint, completion count and event count as the wheel;
+//! * **double-run identity** — the storm runs twice and must reproduce
+//!   its event count, completion count and completion fingerprint
+//!   byte-for-byte;
 //! * `--check <baseline>` — exits non-zero when wheel events/sec or VM
 //!   steps/sec drops more than 20% below the checked-in baseline.
 //!
-//! Each backend's reported numbers are the *faster* of its two runs —
-//! the minimum is the standard noise-robust wall-clock estimator (the
-//! identity gates make the two runs interchangeable by construction).
+//! The reported numbers are the *faster* of the two runs — the minimum
+//! is the standard noise-robust wall-clock estimator (the identity gate
+//! makes the two runs interchangeable by construction).
 
 use std::process::Command;
 use std::time::Instant;
@@ -40,7 +39,6 @@ use myrtus::continuum::node::NodeSpec;
 use myrtus::continuum::retry::RetryPolicy;
 use myrtus::continuum::task::TaskInstance;
 use myrtus::continuum::time::{SimDuration, SimTime};
-use myrtus::mirto::EngineBackend;
 use myrtus::obs::{Obs, ObsConfig};
 use myrtus::vm::{CostTable, IsaClass, VmState};
 use myrtus::workload::scenarios::programs::{program_for, Mix};
@@ -120,9 +118,8 @@ struct PhaseResult {
 }
 
 /// One measured engine run (executed inside a `--phase` child process).
-fn run_phase(backend: EngineBackend, nodes: u64, tasks: u64) -> PhaseResult {
+fn run_phase(nodes: u64, tasks: u64) -> PhaseResult {
     let mut sim = SimCore::new();
-    sim.set_backend(backend);
     sim.reserve_nodes(nodes as usize);
     sim.reserve_events(tasks as usize);
     for i in 0..nodes {
@@ -160,7 +157,6 @@ fn run_phase(backend: EngineBackend, nodes: u64, tasks: u64) -> PhaseResult {
 /// nanoseconds per recorded time-series sample.
 fn scrape_overhead(nodes: u64) -> (u64, f64) {
     let mut sim = SimCore::new();
-    sim.set_backend(EngineBackend::Wheel);
     sim.reserve_nodes(nodes as usize);
     for i in 0..nodes {
         sim.add_node(NodeSpec::preset_edge_multicore(format!("n{i}")));
@@ -230,9 +226,9 @@ fn json_str(json: &str, key: &str) -> Option<String> {
     Some(rest[..rest.find('"')?].to_string())
 }
 
-fn phase_json(backend: &str, r: &PhaseResult) -> String {
+fn phase_json(r: &PhaseResult) -> String {
     format!(
-        "{{\"backend\":\"{backend}\",\"events\":{},\"completed\":{},\"wall_s\":{:.4},\
+        "{{\"events\":{},\"completed\":{},\"wall_s\":{:.4},\
          \"events_per_sec\":{:.1},\"tasks_per_sec\":{:.1},\"peak_rss_kb\":{},\
          \"fingerprint\":\"{:016x}\"}}",
         r.events,
@@ -258,19 +254,15 @@ fn parse_phase(json: &str) -> PhaseResult {
     }
 }
 
-/// Runs one backend phase in a child process so its peak RSS is its
-/// own, not inherited from an earlier phase.
-fn spawn_phase(backend: &str, nodes: u64, tasks: u64) -> PhaseResult {
+/// Runs one storm in a child process so its peak RSS is its own, not
+/// inherited from an earlier run.
+fn spawn_phase(nodes: u64, tasks: u64) -> PhaseResult {
     let exe = std::env::current_exe().expect("current exe");
     let out = Command::new(exe)
-        .args(["--phase", backend, "--nodes", &nodes.to_string(), "--tasks", &tasks.to_string()])
+        .args(["--phase", "--nodes", &nodes.to_string(), "--tasks", &tasks.to_string()])
         .output()
         .expect("spawn phase");
-    assert!(
-        out.status.success(),
-        "{backend} phase failed:\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    assert!(out.status.success(), "storm phase failed:\n{}", String::from_utf8_lossy(&out.stderr));
     parse_phase(&String::from_utf8_lossy(&out.stdout))
 }
 
@@ -280,18 +272,11 @@ fn main() {
         args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
     };
 
-    // Child mode: run one backend and print its result as JSON.
-    if let Some(backend) = flag_val("--phase") {
-        let backend = match backend.as_str() {
-            "wheel" => EngineBackend::Wheel,
-            "heap" => EngineBackend::Heap,
-            other => panic!("unknown backend {other}"),
-        };
+    // Child mode: run one storm and print its result as JSON.
+    if args.iter().any(|a| a == "--phase") {
         let nodes: u64 = flag_val("--nodes").expect("--nodes").parse().expect("node count");
         let tasks: u64 = flag_val("--tasks").expect("--tasks").parse().expect("task count");
-        let r = run_phase(backend, nodes, tasks);
-        let name = if backend == EngineBackend::Wheel { "wheel" } else { "heap" };
-        println!("{}", phase_json(name, &r));
+        println!("{}", phase_json(&run_phase(nodes, tasks)));
         return;
     }
 
@@ -302,34 +287,20 @@ fn main() {
     let pr: u32 = flag_val("--pr").map_or(10, |v| v.parse().expect("--pr takes a PR number"));
     let out_path = flag_val("--out").unwrap_or_else(|| format!("BENCH_{pr}.json"));
 
-    eprintln!("engine-core storm: {nodes} nodes, {tasks} tasks, 2 runs per backend");
-    let wheel = spawn_phase("wheel", nodes, tasks);
-    let wheel2 = spawn_phase("wheel", nodes, tasks);
-    let heap = spawn_phase("heap", nodes, tasks);
-    let heap2 = spawn_phase("heap", nodes, tasks);
+    eprintln!("engine-core storm: {nodes} nodes, {tasks} tasks, 2 runs");
+    let first = spawn_phase(nodes, tasks);
+    let second = spawn_phase(nodes, tasks);
 
-    // Identity gates: double-run and cross-backend.
     assert_eq!(
-        wheel.fingerprint, wheel2.fingerprint,
-        "double-run identity gate: wheel runs must be bit-identical"
-    );
-    assert_eq!(
-        heap.fingerprint, heap2.fingerprint,
-        "double-run identity gate: heap runs must be bit-identical"
-    );
-    assert_eq!(
-        (wheel.events, wheel.completed, wheel.fingerprint),
-        (heap.events, heap.completed, heap.fingerprint),
-        "cross-backend identity gate: wheel and heap must process identical event sequences"
+        (first.events, first.completed, first.fingerprint),
+        (second.events, second.completed, second.fingerprint),
+        "double-run identity gate: storm runs must be bit-identical"
     );
 
-    // Report the faster (noise-robust) run of each backend.
-    let pick = |a: PhaseResult, b: PhaseResult| if b.wall_s < a.wall_s { b } else { a };
-    let wheel = pick(wheel, wheel2);
-    let heap = pick(heap, heap2);
+    // Report the faster (noise-robust) run.
+    let wheel = if second.wall_s < first.wall_s { second } else { first };
 
     let (scrape_samples, scrape_ns) = scrape_overhead(nodes.min(50_000));
-    let speedup = wheel.events_per_sec / heap.events_per_sec;
     let (vm_steps_per_sec, vm_rt_us) = vm_microbench(if quick { 20 } else { 100 });
 
     let json = format!(
@@ -337,9 +308,6 @@ fn main() {
          \"nodes\": {nodes},\n  \"tasks\": {tasks},\n  \"events\": {},\n  \
          \"wheel_wall_s\": {:.4},\n  \"wheel_events_per_sec\": {:.1},\n  \
          \"wheel_tasks_per_sec\": {:.1},\n  \"wheel_peak_rss_kb\": {},\n  \
-         \"heap_wall_s\": {:.4},\n  \"heap_events_per_sec\": {:.1},\n  \
-         \"heap_tasks_per_sec\": {:.1},\n  \"heap_peak_rss_kb\": {},\n  \
-         \"speedup_events_per_sec\": {:.2},\n  \
          \"scrape_samples_per_pass\": {},\n  \"scrape_ns_per_sample\": {:.1},\n  \
          \"vm_steps_per_sec\": {:.1},\n  \"vm_migration_round_trip_us\": {:.2},\n  \
          \"fingerprint\": \"{:016x}\"\n}}\n",
@@ -348,11 +316,6 @@ fn main() {
         wheel.events_per_sec,
         wheel.tasks_per_sec,
         wheel.peak_rss_kb,
-        heap.wall_s,
-        heap.events_per_sec,
-        heap.tasks_per_sec,
-        heap.peak_rss_kb,
-        speedup,
         scrape_samples / 4,
         scrape_ns,
         vm_steps_per_sec,
@@ -361,31 +324,21 @@ fn main() {
     );
     std::fs::write(&out_path, &json).expect("write bench json");
 
-    let rows = vec![
-        vec![
-            "wheel+slab".to_string(),
-            num(wheel.wall_s, 3),
-            num(wheel.events_per_sec / 1e6, 2),
-            num(wheel.tasks_per_sec / 1e6, 2),
-            format!("{}", wheel.peak_rss_kb / 1024),
-        ],
-        vec![
-            "heap+hash".to_string(),
-            num(heap.wall_s, 3),
-            num(heap.events_per_sec / 1e6, 2),
-            num(heap.tasks_per_sec / 1e6, 2),
-            format!("{}", heap.peak_rss_kb / 1024),
-        ],
-    ];
+    let rows = vec![vec![
+        "wheel+slab".to_string(),
+        num(wheel.wall_s, 3),
+        num(wheel.events_per_sec / 1e6, 2),
+        num(wheel.tasks_per_sec / 1e6, 2),
+        format!("{}", wheel.peak_rss_kb / 1024),
+    ]];
     println!(
         "{}",
         render_table(
             &format!("engine core — {nodes} nodes, {tasks} tasks ({} events)", wheel.events),
-            &["backend", "wall s", "Mevents/s", "Mtasks/s", "peak RSS MiB"],
+            &["engine", "wall s", "Mevents/s", "Mtasks/s", "peak RSS MiB"],
             &rows,
         )
     );
-    println!("speedup (events/sec, wheel over heap): {:.2}x", speedup);
     println!("scrape: {:.1} ns/sample ({} samples/pass)", scrape_ns, scrape_samples / 4);
     println!(
         "task VM: {:.1} Msteps/s, checkpoint round-trip {:.2} us",

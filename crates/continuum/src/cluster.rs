@@ -8,7 +8,9 @@
 //! transparently offload pods to peered clusters when it runs out of
 //! capacity — the LIQO "virtual node" behaviour MIRTO builds on.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
+
+use myrtus_obs::hash::WordMap;
 
 use crate::engine::SimCore;
 use crate::ids::{ClusterId, NodeId, PodId};
@@ -109,9 +111,9 @@ struct Alloc {
 pub struct Cluster {
     id: ClusterId,
     members: Vec<NodeId>,
-    labels: HashMap<NodeId, BTreeMap<String, String>>,
-    alloc: HashMap<NodeId, Alloc>,
-    pods: HashMap<PodId, BoundPod>,
+    labels: WordMap<NodeId, BTreeMap<String, String>>,
+    alloc: WordMap<NodeId, Alloc>,
+    pods: WordMap<PodId, BoundPod>,
     next_pod: u64,
 }
 
@@ -121,9 +123,9 @@ impl Cluster {
         Cluster {
             id,
             members,
-            labels: HashMap::new(),
-            alloc: HashMap::new(),
-            pods: HashMap::new(),
+            labels: WordMap::default(),
+            alloc: WordMap::default(),
+            pods: WordMap::default(),
             next_pod: 0,
         }
     }
@@ -298,7 +300,7 @@ pub struct FederatedPlacement {
 #[derive(Debug, Clone, Default)]
 pub struct Federation {
     clusters: Vec<Cluster>,
-    peers: HashMap<ClusterId, Vec<ClusterId>>,
+    peers: WordMap<ClusterId, Vec<ClusterId>>,
 }
 
 impl Federation {

@@ -6,25 +6,17 @@
 //! scheduling further work. The event queue is strictly deterministic:
 //! ties in time are broken by insertion order.
 //!
-//! Two interchangeable backends implement the hot path (selected with
-//! [`SimCore::set_backend`]):
-//!
-//! * [`EngineBackend::Wheel`] (default) — a hierarchical timing wheel
-//!   ([`crate::wheel`]) for the event queue and a paged slab
-//!   ([`crate::slab::TaskBook`]) for per-task state;
-//! * [`EngineBackend::Heap`] — the original `BinaryHeap` +
-//!   `HashMap`/`HashSet` implementation, kept as the simple reference
-//!   twin the wheel is tested against (`tests/engine_equiv.rs` asserts
-//!   byte-identical exports) and as the baseline the bench suite
-//!   measures speedups over.
-//!
-//! Both share one event sequence counter, so they drain events in the
-//! same `(time, seq)` total order and produce identical traces.
+//! The hot path is one pair of structures: a hierarchical timing wheel
+//! ([`crate::wheel`]) for the event queue and a paged slab
+//! ([`crate::slab::TaskBook`]) for per-task state. Every event carries
+//! the core's sequence number, so the wheel drains in the `(time, seq)`
+//! total order. Debug builds check that order on every pop against a
+//! binary-heap order oracle kept inside the wheel (see
+//! [`crate::wheel`]'s "Determinism" section).
 
 use std::cell::OnceCell;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
 
+use myrtus_obs::hash::WordMap;
 use myrtus_obs::{Obs, SeriesId, TraceKind};
 use myrtus_vm::{Checkpoint, CostTable, IsaClass, OpCounts, Program, VmState};
 
@@ -69,37 +61,12 @@ fn mutation_double_resume() -> bool {
     }
 }
 
-/// Internal queue entry.
-#[derive(Debug)]
-struct QueuedEvent {
-    at: SimTime,
-    seq: u64,
-    kind: EventKind,
-}
-
-impl PartialEq for QueuedEvent {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for QueuedEvent {}
-impl PartialOrd for QueuedEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for QueuedEvent {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
 /// Internal event kinds driven through the queue.
 ///
 /// Every variant that carries a [`TaskInstance`] or a [`Message`]
 /// boxes it, so the enum stays at 32 bytes: every *queue-resident*
 /// event (timers, finishes, timeout guards — the ones that sit in the
-/// wheel or heap by the million) would otherwise pay the largest
+/// wheel by the million) would otherwise pay the largest
 /// variant's footprint (a 128-byte task) in storage, copies and cache
 /// misses. The assertion below keeps a new variant from re-inflating
 /// the queue.
@@ -162,218 +129,6 @@ enum EventKind {
 }
 
 const _: () = assert!(std::mem::size_of::<EventKind>() <= 32);
-
-/// Which data structures back the engine hot path.
-///
-/// Both backends process events in the same `(time, seq)` total order
-/// and produce byte-identical exports; they differ only in throughput.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineBackend {
-    /// Hierarchical timing wheel + paged task slab (the fast default).
-    #[default]
-    Wheel,
-    /// `BinaryHeap` + `HashMap` side tables: the original
-    /// implementation, kept as the reference twin and bench baseline.
-    Heap,
-}
-
-/// The event queue, in the representation the active backend picked.
-//
-// One instance per `SimCore`, never stored in a collection, so the
-// wheel's inline occupancy bitmaps (~2 KiB) inflating the enum are
-// irrelevant — and boxing would put a pointer chase on the hot path.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-enum EventQueue {
-    Wheel(TimingWheel<EventKind>),
-    Heap(BinaryHeap<Reverse<QueuedEvent>>),
-}
-
-impl Default for EventQueue {
-    fn default() -> Self {
-        EventQueue::Wheel(TimingWheel::new())
-    }
-}
-
-impl EventQueue {
-    fn push(&mut self, at: SimTime, seq: u64, kind: EventKind) {
-        match self {
-            EventQueue::Wheel(w) => w.push(at.as_micros(), seq, kind),
-            EventQueue::Heap(h) => h.push(Reverse(QueuedEvent { at, seq, kind })),
-        }
-    }
-
-    /// Pops the earliest event if it is due at or before `end`.
-    fn pop_due(&mut self, end: SimTime) -> Option<(SimTime, EventKind)> {
-        match self {
-            EventQueue::Wheel(w) => {
-                w.pop_due(end.as_micros()).map(|(at, _, kind)| (SimTime::from_micros(at), kind))
-            }
-            EventQueue::Heap(h) => {
-                if h.peek().is_none_or(|Reverse(e)| e.at > end) {
-                    return None;
-                }
-                let Reverse(e) = h.pop().expect("peeked above");
-                Some((e.at, e.kind))
-            }
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        match self {
-            EventQueue::Wheel(w) => w.is_empty(),
-            EventQueue::Heap(h) => h.is_empty(),
-        }
-    }
-
-    /// Due time of the earliest pending event, if any.
-    fn next_at(&self) -> Option<SimTime> {
-        match self {
-            EventQueue::Wheel(w) => w.next_at().map(SimTime::from_micros),
-            EventQueue::Heap(h) => h.peek().map(|Reverse(e)| e.at),
-        }
-    }
-
-    fn reserve(&mut self, additional: usize) {
-        match self {
-            EventQueue::Wheel(w) => w.reserve(additional),
-            EventQueue::Heap(h) => h.reserve(additional),
-        }
-    }
-}
-
-/// Per-task hot state, in the representation the active backend picked.
-/// The tables are only ever accessed point-wise by raw task id (never
-/// iterated), which is what makes the two representations observably
-/// identical.
-// Single instance per `SimCore` (see `EventQueue` above).
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-enum TaskTable {
-    Slab(TaskBook),
-    Hash(HashTaskTable),
-}
-
-impl Default for TaskTable {
-    fn default() -> Self {
-        TaskTable::Slab(TaskBook::new())
-    }
-}
-
-/// The legacy hash-based task tables (see the field docs on the
-/// structures they replaced in git history / DESIGN.md).
-#[derive(Debug, Default)]
-struct HashTaskTable {
-    /// Arrival instants of tasks sitting in node queues.
-    queued_at: HashMap<u64, SimTime>,
-    /// Attempts consumed per live task (first dispatch counts as 1).
-    attempts: HashMap<u64, u32>,
-    /// Tasks that reached a terminal state; pending recover/timeout
-    /// events for them are stale.
-    finished: HashSet<u64>,
-    /// Tasks cancelled while their input was still in flight.
-    cancelled_pending: HashSet<u64>,
-    /// Tasks timed out while their input was still in flight.
-    timeout_pending: HashSet<u64>,
-}
-
-impl TaskTable {
-    fn stamp_queued(&mut self, raw: u64, at: SimTime) {
-        match self {
-            TaskTable::Slab(b) => b.stamp_queued(raw, at),
-            TaskTable::Hash(h) => {
-                h.queued_at.insert(raw, at);
-            }
-        }
-    }
-
-    fn take_queued(&mut self, raw: u64) -> Option<SimTime> {
-        match self {
-            TaskTable::Slab(b) => b.take_queued(raw),
-            TaskTable::Hash(h) => h.queued_at.remove(&raw),
-        }
-    }
-
-    fn attempts(&self, raw: u64) -> Option<u32> {
-        match self {
-            TaskTable::Slab(b) => b.attempts(raw),
-            TaskTable::Hash(h) => h.attempts.get(&raw).copied(),
-        }
-    }
-
-    fn book_first_attempt(&mut self, raw: u64) -> u32 {
-        match self {
-            TaskTable::Slab(b) => b.book_first_attempt(raw),
-            TaskTable::Hash(h) => *h.attempts.entry(raw).or_insert(1),
-        }
-    }
-
-    fn set_attempts(&mut self, raw: u64, n: u32) {
-        match self {
-            TaskTable::Slab(b) => b.set_attempts(raw, n),
-            TaskTable::Hash(h) => {
-                h.attempts.insert(raw, n);
-            }
-        }
-    }
-
-    fn clear_attempts(&mut self, raw: u64) {
-        match self {
-            TaskTable::Slab(b) => b.clear_attempts(raw),
-            TaskTable::Hash(h) => {
-                h.attempts.remove(&raw);
-            }
-        }
-    }
-
-    fn mark_finished(&mut self, raw: u64) {
-        match self {
-            TaskTable::Slab(b) => b.mark_finished(raw),
-            TaskTable::Hash(h) => {
-                h.finished.insert(raw);
-            }
-        }
-    }
-
-    fn is_finished(&self, raw: u64) -> bool {
-        match self {
-            TaskTable::Slab(b) => b.is_finished(raw),
-            TaskTable::Hash(h) => h.finished.contains(&raw),
-        }
-    }
-
-    fn mark_cancel_pending(&mut self, raw: u64) {
-        match self {
-            TaskTable::Slab(b) => b.mark_cancel_pending(raw),
-            TaskTable::Hash(h) => {
-                h.cancelled_pending.insert(raw);
-            }
-        }
-    }
-
-    fn take_cancel_pending(&mut self, raw: u64) -> bool {
-        match self {
-            TaskTable::Slab(b) => b.take_cancel_pending(raw),
-            TaskTable::Hash(h) => h.cancelled_pending.remove(&raw),
-        }
-    }
-
-    fn mark_timeout_pending(&mut self, raw: u64) {
-        match self {
-            TaskTable::Slab(b) => b.mark_timeout_pending(raw),
-            TaskTable::Hash(h) => {
-                h.timeout_pending.insert(raw);
-            }
-        }
-    }
-
-    fn take_timeout_pending(&mut self, raw: u64) -> bool {
-        match self {
-            TaskTable::Slab(b) => b.take_timeout_pending(raw),
-            TaskTable::Hash(h) => h.timeout_pending.remove(&raw),
-        }
-    }
-}
 
 /// Struct-of-arrays mirror of the per-node values the scrape timer
 /// samples, maintained at the engine's node-mutation sites so a scrape
@@ -572,8 +327,7 @@ impl From<NetworkError> for SimError {
 #[derive(Debug, Default)]
 pub struct SimCore {
     now: SimTime,
-    backend: EngineBackend,
-    queue: EventQueue,
+    queue: TimingWheel<EventKind>,
     seq: u64,
     nodes: Vec<NodeState>,
     /// SoA mirror of the per-node values the scrape path samples.
@@ -592,7 +346,7 @@ pub struct SimCore {
     /// Per-task hot state: queue-arrival stamps (queue-wait measure),
     /// attempts consumed, terminal / cancelled-in-flight /
     /// timed-out-in-flight marks.
-    tasks: TaskTable,
+    tasks: TaskBook,
     scrape_armed: bool,
     /// Series handles of the installed obs handle, resolved at the
     /// first scrape after [`SimCore::set_obs`].
@@ -662,14 +416,14 @@ struct VmRuntime {
     census: Vec<OnceCell<Option<OpCounts>>>,
     /// Interpreter images of bodied tasks resident at some node,
     /// keyed by raw task id.
-    images: HashMap<u64, VmImage>,
+    images: WordMap<u64, VmImage>,
     /// Checkpoints in network transit (live migration in progress),
     /// each with the ops its image has left to halt when the program
     /// has a census; consumed by the arrival at the destination.
-    pending: HashMap<u64, (Checkpoint, Option<OpCounts>)>,
+    pending: WordMap<u64, (Checkpoint, Option<OpCounts>)>,
     /// Final step tallies of completed bodied tasks, kept so
     /// step-conservation invariants stay checkable after completion.
-    retired_steps: HashMap<u64, u64>,
+    retired_steps: WordMap<u64, u64>,
     /// Steps actually interpreted: census runs, scratch runs to halt
     /// and the advances of evicted images. Host-cost accounting only;
     /// it feeds no decision and no export.
@@ -763,42 +517,6 @@ impl SimCore {
     /// Creates an empty simulation at time zero.
     pub fn new() -> Self {
         SimCore::default()
-    }
-
-    /// Selects the hot-path backend (timing wheel + slab by default,
-    /// heap + hash tables as the reference twin). Both produce
-    /// byte-identical results; see [`EngineBackend`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if events have already been scheduled or processed and a
-    /// *different* backend is requested — the backend must be picked
-    /// before the simulation starts. Re-selecting the current backend
-    /// is always a no-op.
-    pub fn set_backend(&mut self, backend: EngineBackend) {
-        if backend == self.backend {
-            return;
-        }
-        assert!(
-            self.queue.is_empty() && self.processed_events == 0,
-            "select the engine backend before scheduling events"
-        );
-        self.backend = backend;
-        match backend {
-            EngineBackend::Wheel => {
-                self.queue = EventQueue::Wheel(TimingWheel::new());
-                self.tasks = TaskTable::Slab(TaskBook::new());
-            }
-            EngineBackend::Heap => {
-                self.queue = EventQueue::Heap(BinaryHeap::new());
-                self.tasks = TaskTable::Hash(HashTaskTable::default());
-            }
-        }
-    }
-
-    /// The active hot-path backend.
-    pub fn backend(&self) -> EngineBackend {
-        self.backend
     }
 
     /// Pre-sizes the node tables for `additional` more nodes (topology
@@ -925,7 +643,13 @@ impl SimCore {
     fn push(&mut self, at: SimTime, kind: EventKind) {
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(at, seq, kind);
+        self.queue.push(at.as_micros(), seq, kind);
+    }
+
+    /// Pops the earliest event if it is due at or before `end`.
+    #[inline]
+    fn pop_due(&mut self, end: SimTime) -> Option<(SimTime, EventKind)> {
+        self.queue.pop_due(end.as_micros()).map(|(at, _, kind)| (SimTime::from_micros(at), kind))
     }
 
     /// Registers a timer that fires `after` from now, carrying `tag`.
@@ -1138,9 +862,9 @@ impl SimCore {
         self.vm = Some(VmRuntime {
             census: vec![OnceCell::new(); cfg.programs.len()],
             programs: cfg.programs,
-            images: HashMap::new(),
-            pending: HashMap::new(),
-            retired_steps: HashMap::new(),
+            images: WordMap::default(),
+            pending: WordMap::default(),
+            retired_steps: WordMap::default(),
             interpreted: 0,
         });
     }
@@ -1590,7 +1314,7 @@ impl SimCore {
     /// `driver`. Afterwards every node's energy meter is advanced to
     /// `end` so energy figures are directly comparable.
     pub fn run_until<D: Driver>(&mut self, end: SimTime, driver: &mut D) {
-        while let Some((at, kind)) = self.queue.pop_due(end) {
+        while let Some((at, kind)) = self.pop_due(end) {
             self.now = at;
             self.processed_events += 1;
             self.dispatch(kind, driver);
@@ -1620,7 +1344,7 @@ impl SimCore {
     /// model checker) single-event granularity over the same dispatch
     /// path `run_until` uses.
     pub fn next_event_at(&self) -> Option<SimTime> {
-        self.queue.next_at()
+        self.queue.next_at().map(SimTime::from_micros)
     }
 
     /// Processes exactly one pending event — the same pop the
@@ -1629,7 +1353,7 @@ impl SimCore {
     /// node energy meters are *not* refreshed afterwards; callers that
     /// need comparable energy figures finish with a `run_until` call.
     pub fn step_event<D: Driver>(&mut self, driver: &mut D) -> Option<SimTime> {
-        let (at, kind) = self.queue.pop_due(SimTime::MAX)?;
+        let (at, kind) = self.pop_due(SimTime::MAX)?;
         self.now = at;
         self.processed_events += 1;
         self.dispatch(kind, driver);
@@ -2858,7 +2582,8 @@ mod tests {
             assert_eq!(done.task.work_mc, cycles as f64 / 1e6, "host {node:?}");
             assert_eq!(sim.vm_steps_of(id), Some(steps));
         }
-        let prices: HashSet<u64> = hosts.iter().map(|(_, t)| census.cycles(t)).collect();
+        let prices: std::collections::BTreeSet<u64> =
+            hosts.iter().map(|(_, t)| census.cycles(t)).collect();
         assert_eq!(prices.len(), hosts.len(), "every host prices the census differently");
         assert_eq!(sim.obs().counter_value("vm_steps_total", ""), census.steps * 4);
     }

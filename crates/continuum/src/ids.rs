@@ -101,8 +101,7 @@ mod tests {
 
     #[test]
     fn ids_are_ordered_and_hashable() {
-        use std::collections::HashSet;
-        let mut set = HashSet::new();
+        let mut set = myrtus_obs::hash::WordSet::default();
         set.insert(LinkId::from_raw(1));
         set.insert(LinkId::from_raw(1));
         set.insert(LinkId::from_raw(2));

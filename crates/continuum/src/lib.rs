@@ -123,7 +123,7 @@ pub mod mutation {
 }
 
 pub use admission::{AdmissionDecision, AdmissionPolicy};
-pub use engine::{Driver, EngineBackend, SimCore, SimError, SimEvent, VmConfig};
+pub use engine::{Driver, SimCore, SimError, SimEvent, VmConfig};
 pub use federation::{FederatedContinuum, FederatedContinuumBuilder, GossipRegistry, RegionDigest};
 pub use ids::{ClusterId, LinkId, MsgId, NodeId, PodId, RegionId, TaskId, TimerId};
 pub use node::{Layer, NodeKind, NodeSpec};

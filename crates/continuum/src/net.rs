@@ -391,14 +391,6 @@ impl Network {
         Ok(path)
     }
 
-    /// An alternate route that avoids the first link of the primary route,
-    /// if one exists.
-    pub fn alternate_route(&self, from: NodeId, to: NodeId) -> Option<Vec<LinkId>> {
-        let primary = self.route(from, to).ok()?;
-        let first = *primary.first()?;
-        self.route_avoiding(from, to, &[first]).ok()
-    }
-
     /// Simulates a store-and-forward transfer of `payload` bytes along
     /// `path` starting at `now`, charging each link's FIFO queue, and
     /// returns the delivery instant.
@@ -812,7 +804,7 @@ mod tests {
         net.add_duplex(n(0), n(2), SimDuration::from_millis(50), 10.0);
         let primary = net.route(n(0), n(2)).expect("reachable");
         assert_eq!(primary.len(), 2, "two fast hops beat the slow direct link");
-        let alt = net.alternate_route(n(0), n(2)).expect("triangle has an alternate");
+        let alt = net.route_avoiding(n(0), n(2), &[primary[0]]).expect("triangle has an alternate");
         assert_ne!(alt, primary);
         assert_eq!(alt.len(), 1);
     }

@@ -1,12 +1,9 @@
-//! Arena allocators for the engine hot path.
+//! Arena allocators and the engine's per-task table.
 //!
 //! Three structures, all deterministic and allocation-free in steady
 //! state:
 //!
-//! * [`Slab`] — a plain free-list arena with `u32` keys. The timing
-//!   wheel stores its queued events here and threads intrusive per-slot
-//!   lists through them, so pushing an event never allocates once the
-//!   arena has warmed up.
+//! * [`Slab`] — a plain free-list arena with `u32` keys.
 //! * [`GenSlab`] — a generational arena: keys carry a generation that
 //!   is bumped on every reuse, so a stale key held across a
 //!   remove/insert cycle is detected instead of silently aliasing the
@@ -16,9 +13,11 @@
 //!   arrival stamp, attempt count, terminal/cancel/timeout flags) laid
 //!   out as a paged dense table indexed by the raw [`TaskId`] value.
 //!   Task ids are handed out densely and monotonically by
-//!   `SimCore::fresh_task_id`, so a paged vector replaces five
-//!   `HashMap`/`HashSet` side tables with direct indexing — no hashing
-//!   on the dispatch loop.
+//!   `SimCore::fresh_task_id`, so direct indexing replaces hashed side
+//!   tables. `TaskBook` is a point-wise map — it is never iterated — so
+//!   a model test over random operation sequences against std maps
+//!   (`task_book_matches_the_std_map_model`) checks all of its
+//!   behaviour.
 //!
 //! [`TaskId`]: crate::ids::TaskId
 
@@ -243,13 +242,10 @@ impl<T> GenSlab<T> {
 /// Per-task hot state: one 16-byte record per task ever created, stored
 /// in demand-allocated pages of [`TaskBook::PAGE`] records.
 ///
-/// Replaces the `queued_at: HashMap<u64, SimTime>`,
-/// `attempts: HashMap<u64, u32>`, `finished: HashSet<u64>`,
-/// `cancelled_pending: HashSet<u64>` and `timeout_pending: HashSet<u64>`
-/// side tables the engine previously consulted on every dispatch-loop
-/// event. Semantics are identical — the tables were only ever accessed
-/// point-wise by task id, never iterated — but a lookup is now two
-/// shifts and two indexed loads instead of a SipHash probe.
+/// It behaves as five point-wise maps keyed by raw task id — a
+/// queue-entry stamp map, an attempts map and the finished,
+/// cancel-pending and timeout-pending sets — but a lookup is two shifts
+/// and two indexed loads instead of a hash probe.
 #[derive(Debug, Default)]
 pub struct TaskBook {
     pages: Vec<Option<Box<[TaskSlot; TaskBook::PAGE]>>>,
@@ -338,7 +334,8 @@ impl TaskBook {
         s.attempts
     }
 
-    /// Overwrites the attempt count for `raw`.
+    /// Overwrites the attempt count for `raw`. `n` is at least 1 (0
+    /// reads back as no bookkeeping, like [`TaskBook::clear_attempts`]).
     pub fn set_attempts(&mut self, raw: u64, n: u32) {
         self.slot_mut(raw).attempts = n;
     }
@@ -493,6 +490,88 @@ mod tests {
         assert!(b.is_finished(raw), "finished survives other flag churn");
         b.mark_timeout_pending(raw);
         assert!(b.take_timeout_pending(raw));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// Random operation sequences over raw ids on several pages
+        /// (each page's first, second and last record) read back exactly
+        /// what five std maps read back.
+        #[test]
+        fn task_book_matches_the_std_map_model(
+            ops in proptest::collection::vec((0u8..12, 0u64..5, 0usize..3, 1u64..1_000), 1..400),
+        ) {
+            use std::collections::{BTreeMap, BTreeSet};
+            let offsets = [0, 1, TaskBook::PAGE as u64 - 1];
+            let mut book = TaskBook::new();
+            let mut queued_at: BTreeMap<u64, SimTime> = BTreeMap::new();
+            let mut attempts: BTreeMap<u64, u32> = BTreeMap::new();
+            let mut finished = BTreeSet::new();
+            let mut cancel_pending = BTreeSet::new();
+            let mut timeout_pending = BTreeSet::new();
+            for &(op, page, offset, v) in &ops {
+                let raw = page * TaskBook::PAGE as u64 + offsets[offset];
+                match op {
+                    0 => {
+                        book.stamp_queued(raw, SimTime::from_micros(v));
+                        queued_at.insert(raw, SimTime::from_micros(v));
+                    }
+                    1 => proptest::prop_assert_eq!(book.take_queued(raw), queued_at.remove(&raw)),
+                    2 => proptest::prop_assert_eq!(book.attempts(raw), attempts.get(&raw).copied()),
+                    3 => proptest::prop_assert_eq!(
+                        book.book_first_attempt(raw),
+                        *attempts.entry(raw).or_insert(1)
+                    ),
+                    4 => {
+                        book.set_attempts(raw, v as u32);
+                        attempts.insert(raw, v as u32);
+                    }
+                    5 => {
+                        book.clear_attempts(raw);
+                        attempts.remove(&raw);
+                    }
+                    6 => {
+                        book.mark_finished(raw);
+                        finished.insert(raw);
+                    }
+                    7 => proptest::prop_assert_eq!(book.is_finished(raw), finished.contains(&raw)),
+                    8 => {
+                        book.mark_cancel_pending(raw);
+                        cancel_pending.insert(raw);
+                    }
+                    9 => proptest::prop_assert_eq!(
+                        book.take_cancel_pending(raw),
+                        cancel_pending.remove(&raw)
+                    ),
+                    10 => {
+                        book.mark_timeout_pending(raw);
+                        timeout_pending.insert(raw);
+                    }
+                    _ => proptest::prop_assert_eq!(
+                        book.take_timeout_pending(raw),
+                        timeout_pending.remove(&raw)
+                    ),
+                }
+            }
+            // Whole-state comparison: every id's every field.
+            for page in 0..5 {
+                for offset in offsets {
+                    let raw = page * TaskBook::PAGE as u64 + offset;
+                    proptest::prop_assert_eq!(book.attempts(raw), attempts.get(&raw).copied());
+                    proptest::prop_assert_eq!(book.is_finished(raw), finished.contains(&raw));
+                    proptest::prop_assert_eq!(book.take_queued(raw), queued_at.remove(&raw));
+                    proptest::prop_assert_eq!(
+                        book.take_cancel_pending(raw),
+                        cancel_pending.remove(&raw)
+                    );
+                    proptest::prop_assert_eq!(
+                        book.take_timeout_pending(raw),
+                        timeout_pending.remove(&raw)
+                    );
+                }
+            }
+        }
     }
 
     #[test]

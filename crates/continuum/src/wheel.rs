@@ -32,13 +32,25 @@
 //! # Determinism
 //!
 //! Events drain in strictly ascending `(at, seq)` order, where `seq` is
-//! the caller-supplied monotone sequence number. This is the same total
-//! order as the legacy `BinaryHeap<Reverse<QueuedEvent>>` path, which
-//! is what keeps wheel and heap traces byte-identical (see
-//! `tests/engine_equiv.rs`). Within a slot the entry order is arbitrary
-//! (a mix of fresh pushes and cascades), but a slot is only ever
-//! consumed after a full sort of its due contents by `(at, seq)`.
+//! the caller-supplied monotone sequence number. Within a slot the
+//! entry order is arbitrary (a mix of fresh pushes and cascades), but a
+//! slot is only ever consumed after a full sort of its due contents by
+//! `(at, seq)`.
+//!
+//! Debug builds check that order with an *order oracle*: a keys-only
+//! `BinaryHeap` of every queued `(at, seq)`, kept beside the wheel.
+//! Every [`TimingWheel::pop_due`] asserts that the wheel returned the
+//! heap's minimum (or, when nothing is due, that the heap has nothing
+//! due either), and [`TimingWheel::peek_key`], [`TimingWheel::len`] and
+//! [`TimingWheel::is_empty`] assert that they agree with it. `seq` is
+//! unique per push, so equal key sequences mean an identical dispatch
+//! order: every scenario a debug test build runs is a wheel ≡ heap
+//! check. Release builds carry no oracle.
 
+#[cfg(debug_assertions)]
+use std::cmp::Reverse;
+#[cfg(debug_assertions)]
+use std::collections::BinaryHeap;
 use std::collections::{BTreeMap, VecDeque};
 
 /// Slots per wheel level (one 12-bit digit of the timestamp).
@@ -75,6 +87,10 @@ pub struct TimingWheel<T> {
     overflow: BTreeMap<(u64, u64), T>,
     /// Scratch for sorting a slot's due entries during redistribution.
     scratch: Vec<(u64, u64, T)>,
+    /// The order oracle (debug builds): the `(at, seq)` of every queued
+    /// item, in a min-heap.
+    #[cfg(debug_assertions)]
+    oracle: BinaryHeap<Reverse<(u64, u64)>>,
 }
 
 impl<T> Default for TimingWheel<T> {
@@ -103,16 +119,22 @@ impl<T> TimingWheel<T> {
             ready: VecDeque::with_capacity((cap / 64).min(1 << 16)),
             overflow: BTreeMap::new(),
             scratch: Vec::new(),
+            #[cfg(debug_assertions)]
+            oracle: BinaryHeap::new(),
         }
     }
 
     /// Number of queued items.
     pub fn len(&self) -> usize {
+        #[cfg(debug_assertions)]
+        assert_eq!(self.len, self.oracle.len(), "order oracle: queue length");
         self.len
     }
 
     /// Whether the wheel holds no items.
     pub fn is_empty(&self) -> bool {
+        #[cfg(debug_assertions)]
+        assert_eq!(self.len == 0, self.oracle.is_empty(), "order oracle: emptiness");
         self.len == 0
     }
 
@@ -173,6 +195,8 @@ impl<T> TimingWheel<T> {
         debug_assert!(at >= self.now, "push into the past: at={at} now={}", self.now);
         self.len += 1;
         let at = at.max(self.now);
+        #[cfg(debug_assertions)]
+        self.oracle.push(Reverse((at, seq)));
         if at == self.now {
             // Due immediately: seq is monotone, so push_back keeps the
             // ready queue sorted by (at, seq).
@@ -206,15 +230,16 @@ impl<T> TimingWheel<T> {
 
     /// The earliest `(at, seq)` across the whole queue, without popping.
     pub fn peek_key(&self) -> Option<(u64, u64)> {
-        if let Some(&(at, seq, _)) = self.ready.front() {
-            return Some((at, seq));
-        }
-        let wheel = self.wheel_min();
-        let ovf = self.overflow.keys().next().copied();
-        match (wheel, ovf) {
-            (Some(w), Some(o)) => Some(w.min(o)),
-            (w, o) => w.or(o),
-        }
+        let key = match self.ready.front() {
+            Some(&(at, seq, _)) => Some((at, seq)),
+            None => match (self.wheel_min(), self.overflow.keys().next().copied()) {
+                (Some(w), Some(o)) => Some(w.min(o)),
+                (w, o) => w.or(o),
+            },
+        };
+        #[cfg(debug_assertions)]
+        assert_eq!(key, self.oracle.peek().map(|r| r.0), "order oracle: earliest key");
+        key
     }
 
     /// Time of the earliest queued item, if any.
@@ -224,6 +249,23 @@ impl<T> TimingWheel<T> {
 
     /// Pops the earliest item if it is due at or before `end`.
     pub fn pop_due(&mut self, end: u64) -> Option<(u64, u64, T)> {
+        let popped = self.take_due(end);
+        #[cfg(debug_assertions)]
+        {
+            let due = self.oracle.peek().map(|r| r.0).filter(|&(at, _)| at <= end);
+            assert_eq!(
+                popped.as_ref().map(|&(at, seq, _)| (at, seq)),
+                due,
+                "order oracle: the wheel popped out of (at, seq) order"
+            );
+            if due.is_some() {
+                self.oracle.pop();
+            }
+        }
+        popped
+    }
+
+    fn take_due(&mut self, end: u64) -> Option<(u64, u64, T)> {
         if self.ready.is_empty() {
             self.advance(end)?;
         } else if self.ready.front().is_some_and(|&(at, _, _)| at > end) {
@@ -469,6 +511,20 @@ mod tests {
         }
         assert_eq!(remaining, 0);
         assert!(popped.windows(2).all(|p| p[0] < p[1]), "strictly ascending (at, seq)");
+    }
+
+    /// An item that reaches the wheel without passing through `push` is
+    /// one the order oracle never saw: popping it must trip the oracle.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "order oracle")]
+    fn oracle_fires_when_the_wheel_pops_a_key_the_heap_never_saw() {
+        let mut w = TimingWheel::new();
+        w.push(10, 0, ());
+        // Into the wheel half only.
+        w.len += 1;
+        w.wheel_insert(5, 1, ());
+        w.pop();
     }
 
     #[test]

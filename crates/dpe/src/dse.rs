@@ -294,7 +294,7 @@ pub fn explore(
         }
     } else {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for _ in 0..samples.max(1) {
             let start: Mapping = (0..n).map(|_| rng.gen_range(0..p)).collect();
             let mapping = polish(graph, platform, start)?;

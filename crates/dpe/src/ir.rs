@@ -174,7 +174,7 @@ impl DataflowGraph {
         if self.actors.is_empty() {
             return Err(IrError::Empty);
         }
-        let mut names = std::collections::HashSet::new();
+        let mut names = std::collections::BTreeSet::new();
         for a in &self.actors {
             if !names.insert(a.name.as_str()) {
                 return Err(IrError::DuplicateActor(a.name.clone()));

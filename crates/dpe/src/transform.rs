@@ -53,7 +53,7 @@ pub fn fuse_linear_chains(graph: &DataflowGraph) -> Result<DataflowGraph, IrErro
     let order = graph.topo_order()?;
     let mut rep_of = vec![usize::MAX; n];
     let mut fused = DataflowGraph::new(format!("{}-fused", graph.name));
-    let mut group_actor: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
+    let mut group_actor = std::collections::BTreeMap::new();
     for &i in &order {
         let g = find(&mut group, i);
         let id = *group_actor.entry(g).or_insert_with(|| {

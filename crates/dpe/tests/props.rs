@@ -1,6 +1,6 @@
 //! Property-based tests of the DPE's transformation invariants.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
@@ -156,7 +156,7 @@ proptest! {
                 .collect();
             prop_assert_eq!(&res.points, &expected);
         } else {
-            let mut seen = HashSet::new();
+            let mut seen = BTreeSet::new();
             for pt in &res.points {
                 prop_assert!(seen.insert(pt.mapping.clone()), "duplicate {:?}", pt.mapping);
                 prop_assert!(pt.eval.feasible);

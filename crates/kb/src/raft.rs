@@ -10,12 +10,13 @@
 //! fabric with configurable latency, crashes and partitions.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use myrtus_continuum::time::{SimDuration, SimTime};
+use myrtus_obs::hash::WordSet;
 
 use crate::command::KvCommand;
 use crate::store::{KvSnapshot, KvStore};
@@ -164,7 +165,7 @@ pub struct RaftNode {
     commit_index: u64,
     last_applied: u64,
     role: Role,
-    votes: HashSet<usize>,
+    votes: WordSet<usize>,
     next_index: Vec<u64>,
     match_index: Vec<u64>,
     election_deadline: SimTime,
@@ -194,7 +195,7 @@ impl RaftNode {
             commit_index: 0,
             last_applied: 0,
             role: Role::Follower,
-            votes: HashSet::new(),
+            votes: WordSet::default(),
             next_index: vec![1; n],
             match_index: vec![0; n],
             election_deadline: SimTime::ZERO,
@@ -672,7 +673,7 @@ pub struct RaftCluster {
     queue: BinaryHeap<Reverse<InFlight>>,
     seq: u64,
     latency: SimDuration,
-    cut: HashSet<(usize, usize)>,
+    cut: WordSet<(usize, usize)>,
     tick: SimDuration,
     delivered: u64,
     compaction_threshold: Option<u64>,
@@ -693,7 +694,7 @@ impl RaftCluster {
             queue: BinaryHeap::new(),
             seq: 0,
             latency,
-            cut: HashSet::new(),
+            cut: WordSet::default(),
             tick: SimDuration::from_millis(1),
             delivered: 0,
             compaction_threshold: None,

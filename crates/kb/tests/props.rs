@@ -73,7 +73,7 @@ proptest! {
         }
         cluster.run_for(SimDuration::from_secs(1));
         // Last write per key wins everywhere.
-        let mut expected = std::collections::HashMap::new();
+        let mut expected = std::collections::BTreeMap::new();
         for (i, k) in keys.iter().enumerate() {
             expected.insert(format!("/{k}"), format!("{i}"));
         }

@@ -41,9 +41,11 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::fmt::Display;
 use std::hash::{Hash, Hasher};
+
+use myrtus_obs::hash::WordSet;
 
 pub mod admission;
 pub mod federation;
@@ -175,7 +177,7 @@ fn reconstruct<A: Clone>(meta: &[NodeMeta<A>], mut idx: usize) -> Vec<A> {
 /// Deterministic: same model, same strategy, same limits — same
 /// outcome, same counterexample.
 pub fn explore<M: Model>(model: &M, strategy: Strategy, limits: &Limits) -> Outcome<M::Action> {
-    let mut seen: HashSet<u64> = HashSet::new();
+    let mut seen: WordSet<u64> = WordSet::default();
     let mut meta: Vec<NodeMeta<M::Action>> = Vec::new();
     let mut frontier: VecDeque<(usize, M::State)> = VecDeque::new();
     let mut stats = Stats::default();

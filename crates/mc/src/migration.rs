@@ -34,7 +34,6 @@
 //!   with no retry policy installed a lost attempt surfaces as
 //!   `TaskAbandoned`).
 
-use std::collections::HashMap;
 use std::fmt;
 
 use myrtus_continuum::engine::{Driver, SimCore, SimEvent, VmConfig};
@@ -43,6 +42,7 @@ use myrtus_continuum::net::Protocol;
 use myrtus_continuum::node::{NodeKind, NodeSpec};
 use myrtus_continuum::task::{TaskBody, TaskInstance};
 use myrtus_continuum::time::SimDuration;
+use myrtus_obs::hash::WordMap;
 use myrtus_obs::{Obs, ObsConfig};
 use myrtus_vm::{CostTable, IsaClass};
 use myrtus_workload::scenarios::programs::{program_for, Mix};
@@ -104,7 +104,7 @@ enum TaskPhase {
 struct Harness {
     ids: Vec<TaskId>,
     phases: Vec<TaskPhase>,
-    by_raw: HashMap<u64, usize>,
+    by_raw: WordMap<u64, usize>,
     violation: Option<String>,
 }
 

@@ -31,7 +31,6 @@
 //! (crash node 0, submit rotates over nodes), so node identities are
 //! observable and permuting them is unsound.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use myrtus_continuum::engine::{Driver, SimCore, SimEvent};
@@ -39,6 +38,7 @@ use myrtus_continuum::ids::{NodeId, TaskId};
 use myrtus_continuum::node::{NodeKind, NodeSpec};
 use myrtus_continuum::time::SimDuration;
 use myrtus_continuum::{AdmissionPolicy, RetryPolicy, TaskInstance};
+use myrtus_obs::hash::WordMap;
 use myrtus_obs::{Obs, ObsConfig};
 
 use crate::{fingerprint_of, Model};
@@ -102,7 +102,7 @@ struct CopyInfo {
 #[derive(Debug, Default)]
 struct Harness {
     copies: Vec<CopyInfo>,
-    by_raw: HashMap<u64, usize>,
+    by_raw: WordMap<u64, usize>,
     logicals: usize,
     submit_calls: u64,
     resubmissions: u64,

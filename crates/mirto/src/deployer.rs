@@ -8,8 +8,6 @@
 //! (edge → fog → cloud), with every placed component materialized as a
 //! bound pod and every reallocation as an evict + rebind.
 
-use std::collections::HashMap;
-
 use myrtus_continuum::cluster::{Federation, PodSpec, ScheduleError};
 use myrtus_continuum::engine::SimCore;
 use myrtus_continuum::ids::{ClusterId, NodeId, PodId};
@@ -32,7 +30,7 @@ type BoundPod = (ClusterId, PodId, NodeId);
 pub struct DeploymentProxy {
     federation: Federation,
     cluster_of_layer: [ClusterId; 3],
-    layer_of_node: HashMap<NodeId, Layer>,
+    layer_of_node: WordMap<NodeId, Layer>,
     pods: WordMap<(u16, usize), BoundPod>,
     /// Horizontal replicas per component (elastic scaling), bound in
     /// scale-up order; the primary pod in `pods` is never in here.
@@ -59,23 +57,15 @@ fn mutation_leaks_scaled_down_pod() -> bool {
     }
 }
 
-fn layer_index(layer: Layer) -> usize {
-    match layer {
-        Layer::Edge => 0,
-        Layer::Fog => 1,
-        Layer::Cloud => 2,
-    }
-}
-
 impl DeploymentProxy {
     /// Builds the federation over the given core: one cluster per layer,
     /// peered upward (edge → fog → cloud) like LIQO virtual nodes.
     pub fn new(sim: &SimCore) -> Self {
         let mut by_layer: [Vec<NodeId>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-        let mut layer_of_node = HashMap::new();
+        let mut layer_of_node = WordMap::default();
         for n in sim.nodes() {
             let layer = n.spec().layer();
-            by_layer[layer_index(layer)].push(n.id());
+            by_layer[layer.index()].push(n.id());
             layer_of_node.insert(n.id(), layer);
         }
         let mut federation = Federation::new();
@@ -186,7 +176,7 @@ impl DeploymentProxy {
     fn cluster_for(&self, node: NodeId) -> Result<ClusterId, ScheduleError> {
         self.layer_of_node
             .get(&node)
-            .map(|l| self.cluster_of_layer[layer_index(*l)])
+            .map(|l| self.cluster_of_layer[l.index()])
             .ok_or(ScheduleError::UnknownCluster(ClusterId::from_raw(u32::MAX)))
     }
 

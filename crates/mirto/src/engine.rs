@@ -17,7 +17,6 @@
 //!   resubmissions on the simulator.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 
 use myrtus_continuum::admission::AdmissionPolicy;
 use myrtus_continuum::engine::{Driver, SimCore, SimError, SimEvent};
@@ -479,7 +478,7 @@ pub struct OrchestrationEngine {
     /// either copy's completion can cancel the other.
     replicas: WordMap<u64, (u64, NodeId)>,
     pending_flows: WordMap<u64, (NodeId, NodeId, SimTime)>,
-    pending_deploys: HashMap<u16, Application>,
+    pending_deploys: WordMap<u16, Application>,
     horizon: SimTime,
     lost_tasks: u64,
     app_point_switches: u64,
@@ -523,7 +522,7 @@ impl OrchestrationEngine {
             apps: Vec::new(),
             replicas: WordMap::default(),
             pending_flows: WordMap::default(),
-            pending_deploys: HashMap::new(),
+            pending_deploys: WordMap::default(),
             horizon: SimTime::ZERO,
             lost_tasks: 0,
             app_point_switches: 0,

@@ -77,7 +77,6 @@ pub use engine::{
 };
 pub use images::{ImageRegistry, ScanResult};
 pub use managers::federation::{BurstLink, FederationConfig, FederationManager};
-pub use myrtus_continuum::engine::EngineBackend;
 pub use placement::{evaluate, Placement, PlacementScore, PlanContext};
 pub use policies::{
     GreedyBestFit, KubeLike, LayerPinned, PlacementPolicy, RandomPlacement, RoundRobin,

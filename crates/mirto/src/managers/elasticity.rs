@@ -24,7 +24,7 @@
 //! series in, action out — so two runs over the same telemetry make
 //! identical scaling decisions.
 
-use std::collections::HashMap;
+use myrtus_obs::hash::WordMap;
 
 /// Autoscaling thresholds and pacing.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -93,13 +93,13 @@ pub struct StageSignals {
 pub struct ElasticityManager {
     cfg: ElasticityConfig,
     /// Rounds left before a component may act again.
-    cooldown: HashMap<(u16, usize), u32>,
+    cooldown: WordMap<(u16, usize), u32>,
 }
 
 impl ElasticityManager {
     /// A manager with the given thresholds.
     pub fn new(cfg: ElasticityConfig) -> Self {
-        ElasticityManager { cfg, cooldown: HashMap::new() }
+        ElasticityManager { cfg, cooldown: WordMap::default() }
     }
 
     /// The installed configuration.

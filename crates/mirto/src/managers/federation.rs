@@ -24,8 +24,6 @@
 //! contents — no wall clock, no randomness — so federated runs are
 //! byte-identical across repeats.
 
-use std::collections::HashMap;
-
 use myrtus_continuum::engine::SimCore;
 use myrtus_continuum::federation::{
     bid_from_view, run_auction, AuctionBook, BurstQuery, GossipConfig, GossipRegistry,
@@ -33,6 +31,7 @@ use myrtus_continuum::federation::{
 };
 use myrtus_continuum::ids::{NodeId, RegionId};
 use myrtus_continuum::net::{PlanEstimator, Protocol};
+use myrtus_obs::hash::WordMap;
 
 use crate::managers::privsec::node_security_level;
 use myrtus_security::suite::SecurityLevel;
@@ -106,14 +105,14 @@ pub struct FederationManager {
     /// Per-region WAN ingress node.
     ingress: Vec<NodeId>,
     /// Application home regions.
-    home: HashMap<u16, RegionId>,
+    home: WordMap<u16, RegionId>,
     registry: GossipRegistry,
     book: AuctionBook,
-    bursts: HashMap<u16, BurstLink>,
+    bursts: WordMap<u16, BurstLink>,
     /// Rounds each open link has held its current award (lease age);
     /// at every `cooldown_rounds` the link re-auctions and migrates if
     /// a strictly different winner emerges.
-    lease_age: HashMap<u16, u32>,
+    lease_age: WordMap<u16, u32>,
     /// Consecutive saturated rounds, per region.
     pressure: Vec<u32>,
     /// Last round's saturation verdict, per region (computed once in
@@ -124,7 +123,7 @@ pub struct FederationManager {
     /// the rising-trend half of the saturation predicate.
     queue_prev: Vec<[f64; 2]>,
     /// Cooldown rounds left, per application.
-    cooldown: HashMap<u16, u32>,
+    cooldown: WordMap<u16, u32>,
     bursts_opened: u64,
     bursts_closed: u64,
     tasks_bursted: u64,
@@ -143,14 +142,14 @@ impl FederationManager {
             cfg,
             regions,
             ingress,
-            home: HashMap::new(),
+            home: WordMap::default(),
             book: AuctionBook::new(),
-            bursts: HashMap::new(),
-            lease_age: HashMap::new(),
+            bursts: WordMap::default(),
+            lease_age: WordMap::default(),
             pressure: vec![0; n],
             saturated: vec![false; n],
             queue_prev: vec![[0.0; 2]; n],
-            cooldown: HashMap::new(),
+            cooldown: WordMap::default(),
             bursts_opened: 0,
             bursts_closed: 0,
             tasks_bursted: 0,

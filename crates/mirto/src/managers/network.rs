@@ -67,7 +67,8 @@ impl NetworkManager {
             return Some(Vec::new());
         }
         let primary = sim.network().route(src, dst).ok()?;
-        let alternate = sim.network().alternate_route(src, dst);
+        // The best route that avoids the primary's first link.
+        let alternate = sim.network().route_avoiding(src, dst, &primary[..1]).ok();
         let state = congestion_state(Self::primary_congestion(sim, &primary), CONGESTION_BUCKETS);
         let flow = self.flows.entry((src, dst)).or_insert_with(|| Flow {
             learner: QLearner::new(CONGESTION_BUCKETS, 2, 0.25, 0.0, 0.3, {

@@ -8,8 +8,6 @@
 //! latency model (the per-agent half of the FL story), plus
 //! accelerator-region prewarm recommendations.
 
-use std::collections::HashMap;
-
 use myrtus_continuum::engine::{SimCore, SimError};
 use myrtus_continuum::ids::NodeId;
 use myrtus_obs::hash::WordMap;
@@ -183,7 +181,7 @@ impl NodeManager {
     /// Recommends which accelerator configuration each reconfigurable
     /// node should prewarm, based on the most frequent config in recent
     /// demand (`demand` maps config → count).
-    pub fn prewarm_recommendation(demand: &HashMap<u32, u64>) -> Option<u32> {
+    pub fn prewarm_recommendation(demand: &WordMap<u32, u64>) -> Option<u32> {
         demand
             .iter()
             .max_by_key(|(cfg, count)| (**count, std::cmp::Reverse(**cfg)))
@@ -317,10 +315,10 @@ mod tests {
 
     #[test]
     fn prewarm_picks_most_demanded_config() {
-        let mut demand = HashMap::new();
+        let mut demand = WordMap::default();
         demand.insert(3u32, 10u64);
         demand.insert(7u32, 25u64);
         assert_eq!(NodeManager::prewarm_recommendation(&demand), Some(7));
-        assert_eq!(NodeManager::prewarm_recommendation(&HashMap::new()), None);
+        assert_eq!(NodeManager::prewarm_recommendation(&WordMap::default()), None);
     }
 }

@@ -202,7 +202,7 @@ mod tests {
 
     #[test]
     fn inventory_is_unique() {
-        let names: std::collections::HashSet<&str> =
+        let names: std::collections::BTreeSet<&str> =
             technologies().iter().map(|t| t.name).collect();
         assert_eq!(names.len(), technologies().len());
     }

@@ -290,7 +290,7 @@ fn steered_programs_really_cost_differently_per_seed() {
     let t = CostTable::for_isa(IsaClass::Arm, 1.0);
     for steer in [Steer::Jz, Steer::LoopDec, Steer::Swap, Steer::Dup] {
         let p = gen_steered(steer, 8, 1);
-        let costs: std::collections::HashSet<_> = (0..16).map(|s| p.full_cost(s, &t)).collect();
+        let costs: std::collections::BTreeSet<_> = (0..16).map(|s| p.full_cost(s, &t)).collect();
         assert!(costs.len() > 1, "{steer:?}: the seed steers the cost");
     }
 }

@@ -211,7 +211,7 @@ mod tests {
     fn standard_mix_has_three_distinct_apps() {
         let mix = standard_mix(4);
         assert_eq!(mix.len(), 3);
-        let names: std::collections::HashSet<&str> = mix.iter().map(|a| a.name.as_str()).collect();
+        let names: std::collections::BTreeSet<&str> = mix.iter().map(|a| a.name.as_str()).collect();
         assert_eq!(names.len(), 3);
     }
 

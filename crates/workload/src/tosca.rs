@@ -302,7 +302,7 @@ impl Application {
         if self.components.is_empty() {
             return Err(ValidateAppError::Empty);
         }
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for c in &self.components {
             if !seen.insert(c.name.as_str()) {
                 return Err(ValidateAppError::DuplicateComponent(c.name.clone()));

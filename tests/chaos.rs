@@ -5,7 +5,7 @@
 //! structured trace must pair every recovering crash with its recovery
 //! at exactly `at + outage`.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use myrtus::continuum::fault::FaultPlan;
 use myrtus::continuum::ids::LinkId;
@@ -323,7 +323,7 @@ fn killing_the_busiest_node_mid_run_is_absorbed_by_retries() {
             .run(&mut continuum, vec![scenarios::telerehab_with(2)], HORIZON)
             .expect("fault-free probe places")
     };
-    let mut starts: HashMap<u32, u64> = HashMap::new();
+    let mut starts: BTreeMap<u32, u64> = BTreeMap::new();
     for e in probe.obs.trace_events() {
         if let TraceKind::TaskStart { node, .. } = e.kind {
             *starts.entry(node).or_default() += 1;

@@ -141,7 +141,7 @@ fn recovery_path_delivers_lost_tasks_back_to_completion() {
             TraceKind::TaskStart { node, .. } => Some(node),
             _ => None,
         })
-        .fold(std::collections::HashMap::<u32, u64>::new(), |mut acc, n| {
+        .fold(std::collections::BTreeMap::<u32, u64>::new(), |mut acc, n| {
             *acc.entry(n).or_default() += 1;
             acc
         })

@@ -1,11 +1,17 @@
-//! Engine-backend equivalence: the timing-wheel + slab hot path and the
-//! reference binary-heap + hash-table twin must be *observably
-//! indistinguishable*. Every scenario here runs twice — once per
-//! [`EngineBackend`] — and asserts byte-identical structured trace,
-//! metric snapshot, time-series CSV, critical path and rendered run
-//! report. Scenarios mirror the three golden export modes of
-//! `examples/quickstart.rs`: the aimed-fault quickstart, seeded random
-//! chaos, and the elastic-serving surge.
+//! Order-oracle battery: the engine's timing wheel must dispatch events
+//! in exactly the `(time, seq)` order a binary heap over the same keys
+//! gives. Debug builds carry that heap inside the wheel as an order
+//! oracle that asserts on every pop (see the `continuum::wheel` module
+//! docs), so each scenario here runs once and *is* the check; the
+//! assertions below only make sure the run was not vacuous. The test
+//! names keep "backend identical": the heap used to be a second engine
+//! backend, and is now the oracle the wheel is held to. Scenarios
+//! mirror the three golden export modes of `examples/quickstart.rs` —
+//! the aimed-fault quickstart, seeded random chaos and the
+//! elastic-serving surge — plus an adversarial timestamp-collision run.
+//!
+//! Release builds compile the oracle out, so this file is empty there.
+#![cfg(debug_assertions)]
 
 use myrtus::continuum::admission::AdmissionPolicy;
 use myrtus::continuum::fault::FaultPlan;
@@ -18,87 +24,23 @@ use myrtus::continuum::topology::{Continuum, ContinuumBuilder};
 use myrtus::mirto::engine::{EngineConfig, OrchestrationEngine, OrchestrationReport};
 use myrtus::mirto::managers::elasticity::ElasticityConfig;
 use myrtus::mirto::policies::GreedyBestFit;
-use myrtus::mirto::EngineBackend;
 use myrtus::obs::ObsConfig;
 use myrtus::workload::arrival::ArrivalSpec;
 use myrtus::workload::scenarios;
 use myrtus::workload::tosca::{Application, Component, ComponentKind};
-use myrtus_bench::report::{render, ReportInputs};
 
-/// Every observable artifact of one run, in export order: trace JSONL,
-/// metrics JSONL, time-series CSV, critical-path CSV, rendered report.
-struct Artifacts([String; 5]);
-
-const ARTIFACT_NAMES: [&str; 5] =
-    ["trace.jsonl", "metrics.jsonl", "timeseries.csv", "critical_path.csv", "report.md"];
-
-fn artifacts(report: &OrchestrationReport) -> Artifacts {
-    let trace = report.obs.export_trace_jsonl();
-    let metrics = report.obs.export_metrics_jsonl();
-    let timeseries = report.obs.export_timeseries_csv();
-    let mut cp = String::from("app,stage,node,finished_at_us\n");
-    for app in &report.apps {
-        for span in &app.critical_path {
-            cp.push_str(&format!(
-                "{},{},{},{}\n",
-                app.app_id,
-                span.stage,
-                span.node,
-                span.finished_at.as_micros()
-            ));
-        }
-    }
-    let rendered = render(&ReportInputs {
-        trace_jsonl: &trace,
-        metrics_jsonl: &metrics,
-        timeseries_csv: &timeseries,
-        critical_path_csv: &cp,
-    });
-    Artifacts([trace, metrics, timeseries, cp, rendered])
-}
-
-/// Asserts the wheel run and the heap run produced byte-identical
-/// artifacts, and that the comparison is not vacuous.
-fn assert_equivalent(scenario: &str, wheel: &Artifacts, heap: &Artifacts) {
-    assert!(!wheel.0[0].is_empty(), "{scenario}: wheel run produced an empty trace");
-    for (name, (w, h)) in ARTIFACT_NAMES.iter().zip(wheel.0.iter().zip(heap.0.iter())) {
-        assert!(w == h, "{scenario}: {name} differs between wheel and heap backends");
-    }
-}
-
-/// Asserts the run really executed on `backend` — otherwise the
-/// equivalence tests silently compare wheel against wheel.
-fn assert_backend(continuum: &Continuum, backend: EngineBackend) {
-    assert_eq!(continuum.sim().backend(), backend, "scenario ran on the wrong backend");
-}
-
-/// Runs one scenario closure under the given backend and collects the
-/// exported artifacts.
-fn run_with<F>(backend: EngineBackend, scenario: F) -> Artifacts
-where
-    F: FnOnce(EngineBackend) -> OrchestrationReport,
-{
-    let report = scenario(backend);
-    artifacts(&report)
-}
-
-fn both<F>(scenario_name: &str, scenario: F)
-where
-    F: Fn(EngineBackend) -> OrchestrationReport,
-{
-    let wheel = run_with(EngineBackend::Wheel, &scenario);
-    let heap = run_with(EngineBackend::Heap, &scenario);
-    assert_equivalent(scenario_name, &wheel, &heap);
+/// Asserts the run dispatched events and recorded them: an oracle that
+/// never pops checks nothing.
+fn assert_ran(scenario: &str, continuum: &Continuum, report: &OrchestrationReport) {
+    assert!(continuum.sim().processed_events() > 0, "{scenario}: no event was dispatched");
+    assert!(!report.obs.export_trace_jsonl().is_empty(), "{scenario}: the run left an empty trace");
 }
 
 /// Quickstart-style run: telerehab workload, fault tolerance on
 /// (retries with per-attempt timeout, k=2 replication of critical
 /// stages), plus an aimed mid-run node crash and a link cut-and-heal.
-fn quickstart_run(backend: EngineBackend) -> OrchestrationReport {
+fn quickstart_run() {
     let mut continuum = ContinuumBuilder::new().build();
-    // The backend must be chosen before the fault plan schedules its
-    // first event.
-    continuum.sim_mut().set_backend(backend);
     let link = continuum
         .sim()
         .network()
@@ -126,16 +68,14 @@ fn quickstart_run(backend: EngineBackend) -> OrchestrationReport {
     let report = engine
         .run(&mut continuum, vec![scenarios::telerehab_with(3)], SimTime::from_secs(6))
         .expect("placeable");
-    assert_backend(&continuum, backend);
-    report
+    assert_ran("quickstart", &continuum, &report);
 }
 
 /// Chaos-style run: a seeded random fault plan (crashes, link cuts,
 /// permanent outages) absorbed by the retry subsystem.
-fn chaos_run(backend: EngineBackend, seed: u64) -> OrchestrationReport {
+fn chaos_run(seed: u64) {
     let horizon = SimTime::from_secs(5);
     let mut continuum = ContinuumBuilder::new().build();
-    continuum.sim_mut().set_backend(backend);
     let nodes = continuum.all_nodes();
     let links: Vec<LinkId> = continuum.sim().network().iter_links().map(|(id, _, _)| id).collect();
     FaultPlan::random_chaos(
@@ -157,15 +97,13 @@ fn chaos_run(backend: EngineBackend, seed: u64) -> OrchestrationReport {
     let report = engine
         .run(&mut continuum, vec![scenarios::telerehab_with(2)], horizon)
         .expect("time-zero placement precedes every fault");
-    assert_backend(&continuum, backend);
-    report
+    assert_ran(&format!("chaos(seed={seed})"), &continuum, &report);
 }
 
 /// Surge-style run: seeded open-loop overload through admission
 /// control, load shedding and the MAPE autoscaler.
-fn surge_run(backend: EngineBackend, seed: u64) -> OrchestrationReport {
+fn surge_run(seed: u64) {
     let mut continuum: Continuum = ContinuumBuilder::new().build();
-    continuum.sim_mut().set_backend(backend);
     let engine = OrchestrationEngine::new(
         Box::new(GreedyBestFit::new()),
         EngineConfig {
@@ -182,8 +120,7 @@ fn surge_run(backend: EngineBackend, seed: u64) -> OrchestrationReport {
             SimTime::from_secs(5),
         )
         .expect("placeable");
-    assert_backend(&continuum, backend);
-    report
+    assert_ran(&format!("surge(seed={seed})"), &continuum, &report);
 }
 
 /// Adversarial tie-break run: everything in this workload is built to
@@ -195,10 +132,9 @@ fn surge_run(backend: EngineBackend, seed: u64) -> OrchestrationReport {
 /// deadline-critical stage into equal-deadline twins. Two nodes crash
 /// at the *same* microsecond mid-run so recovery events for many tasks
 /// are enqueued at one timestamp. Correct runs depend entirely on the
-/// `(time, seq)` total order both backends must share — any wheel
-/// bucket-draining or heap sift bias in equal-key ordering diverges
-/// the trace byte-for-byte.
-fn collision_run(backend: EngineBackend) -> OrchestrationReport {
+/// `(time, seq)` total order — any bias in how the wheel drains
+/// equal-key buckets pops a key the oracle does not expect.
+fn collision_run() -> OrchestrationReport {
     let mut app =
         Application::new("collision", ArrivalSpec::periodic(SimDuration::from_millis(1), 50))
             .with_component(
@@ -218,7 +154,6 @@ fn collision_run(backend: EngineBackend) -> OrchestrationReport {
     }
 
     let mut continuum = ContinuumBuilder::new().build();
-    continuum.sim_mut().set_backend(backend);
     let crash_at = SimTime::from_millis(20);
     FaultPlan::new()
         .crash(NodeId::from_raw(1), crash_at, Some(SimDuration::from_millis(10)))
@@ -242,18 +177,18 @@ fn collision_run(backend: EngineBackend) -> OrchestrationReport {
         },
     );
     let report = engine.run(&mut continuum, vec![app], SimTime::from_secs(2)).expect("placeable");
-    assert_backend(&continuum, backend);
+    assert_ran("collision", &continuum, &report);
     report
 }
 
 #[test]
 fn quickstart_exports_are_backend_identical() {
-    both("quickstart", quickstart_run);
+    quickstart_run();
 }
 
 #[test]
 fn equal_timestamp_collisions_are_backend_identical() {
-    let report = collision_run(EngineBackend::Wheel);
+    let report = collision_run();
     // The scenario must actually produce the collisions it advertises:
     // replicated twins deduping and the double-crash driving retries.
     assert!(
@@ -264,19 +199,18 @@ fn equal_timestamp_collisions_are_backend_identical() {
         report.obs.counter_sum("task_retries") > 0,
         "collision scenario produced no retries — the aimed crashes miss every task"
     );
-    both("collision", collision_run);
 }
 
 #[test]
 fn chaos_exports_are_backend_identical() {
     for seed in 0..3 {
-        both(&format!("chaos(seed={seed})"), |backend| chaos_run(backend, seed));
+        chaos_run(seed);
     }
 }
 
 #[test]
 fn surge_exports_are_backend_identical() {
     for seed in [1, 7] {
-        both(&format!("surge(seed={seed})"), |backend| surge_run(backend, seed));
+        surge_run(seed);
     }
 }
