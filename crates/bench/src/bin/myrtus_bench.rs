@@ -24,7 +24,8 @@
 //!   its event count, completion count and completion fingerprint
 //!   byte-for-byte;
 //! * `--check <baseline>` — exits non-zero when wheel events/sec or VM
-//!   steps/sec drops more than 20% below the checked-in baseline.
+//!   steps/sec drops more than 20% below the checked-in baseline, or
+//!   when the storm's peak RSS rises more than 20% above it.
 //!
 //! The reported numbers are the *faster* of the two runs — the minimum
 //! is the standard noise-robust wall-clock estimator (the identity gate
@@ -380,6 +381,21 @@ fn main() {
                 );
                 std::process::exit(1);
             }
+        }
+        let base_rss =
+            json_f64(&baseline, "wheel_peak_rss_kb").expect("baseline wheel_peak_rss_kb");
+        let rss_ceiling = 1.2 * base_rss;
+        println!(
+            "regression check: {} KiB peak RSS vs baseline {base_rss:.0} (ceiling {rss_ceiling:.0})",
+            wheel.peak_rss_kb
+        );
+        if wheel.peak_rss_kb as f64 > rss_ceiling {
+            eprintln!(
+                "REGRESSION: wheel peak RSS rose >20% above the checked-in baseline \
+                 ({} > {rss_ceiling:.0} KiB)",
+                wheel.peak_rss_kb
+            );
+            std::process::exit(1);
         }
     }
 }

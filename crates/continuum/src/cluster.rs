@@ -145,11 +145,6 @@ impl Cluster {
         self.labels.entry(node).or_default().insert(label.into(), value.into());
     }
 
-    /// Bound pods.
-    pub fn pods(&self) -> impl Iterator<Item = (PodId, &BoundPod)> {
-        self.pods.iter().map(|(id, p)| (*id, p))
-    }
-
     /// Number of bound pods.
     pub fn pod_count(&self) -> usize {
         self.pods.len()

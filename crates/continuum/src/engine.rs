@@ -64,11 +64,12 @@ fn mutation_double_resume() -> bool {
 /// Internal event kinds driven through the queue.
 ///
 /// Every variant that carries a [`TaskInstance`] or a [`Message`]
-/// boxes it, so the enum stays at 32 bytes: every *queue-resident*
+/// boxes it, so the enum stays at 24 bytes (a 40-byte wheel entry with
+/// its `(at, seq)` key): every *queue-resident*
 /// event (timers, finishes, timeout guards — the ones that sit in the
 /// wheel by the million) would otherwise pay the largest
 /// variant's footprint (a 128-byte task) in storage, copies and cache
-/// misses. The assertion below keeps a new variant from re-inflating
+/// misses. The assertions below keep a new variant from re-inflating
 /// the queue.
 #[derive(Debug)]
 enum EventKind {
@@ -121,14 +122,17 @@ enum EventKind {
     /// admission decision is taken synchronously inside the submit
     /// call, but the driver only learns about it through the queue
     /// (same instant, later seq) so submits never re-enter the driver.
+    /// The task and its reason share one box, so the 16-byte `reason`
+    /// does not set the enum's size.
     NotifyShed {
         node: NodeId,
-        task: Box<TaskInstance>,
-        reason: &'static str,
+        shed: Box<(TaskInstance, &'static str)>,
     },
 }
 
-const _: () = assert!(std::mem::size_of::<EventKind>() <= 32);
+const _: () = assert!(std::mem::size_of::<EventKind>() <= 24);
+// A wheel entry is `(at, seq, event)`.
+const _: () = assert!(std::mem::size_of::<(u64, u64, EventKind)>() == 40);
 
 /// Struct-of-arrays mirror of the per-node values the scrape timer
 /// samples, maintained at the engine's node-mutation sites so a scrape
@@ -747,7 +751,7 @@ impl SimCore {
         );
         self.tasks.mark_finished(raw);
         self.tasks.clear_attempts(raw);
-        self.push(self.now, EventKind::NotifyShed { node, task: Box::new(task), reason });
+        self.push(self.now, EventKind::NotifyShed { node, shed: Box::new((task, reason)) });
     }
 
     /// Records a task passing admission control (policy installed only,
@@ -1596,8 +1600,9 @@ impl SimCore {
             EventKind::NotifyStarted { node, task, mode } => {
                 driver.on_event(self, SimEvent::TaskStarted { node, task, mode });
             }
-            EventKind::NotifyShed { node, task, reason } => {
-                driver.on_event(self, SimEvent::TaskShed { node, task: *task, reason });
+            EventKind::NotifyShed { node, shed } => {
+                let (task, reason) = *shed;
+                driver.on_event(self, SimEvent::TaskShed { node, task, reason });
             }
         }
     }

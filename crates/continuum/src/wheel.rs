@@ -26,8 +26,15 @@
 //! multi-hundred-megabyte arena (~100 ns each, with no memory-level
 //! parallelism to hide them), while redistributing a dense vector is a
 //! sequential, hardware-prefetched pass at close to memcpy bandwidth.
-//! Slot vectors keep their capacity across drains, so a warmed-up
-//! wheel allocates nothing in steady state.
+//!
+//! A slot's capacity follows how often it is drained. Level 0 is
+//! drained at every instant that has events, so its slots hand their
+//! vectors back and a warmed-up level 0 allocates nothing in steady
+//! state. A slot at level `l >= 1` is drained once per `4096^l` µs;
+//! holding its peak capacity for the rest of the run would make the
+//! wheel's memory follow its history (a storm's burst) instead of its
+//! live events, so a drained higher-level slot drops its vector and
+//! the next round of pushes grows a fresh one.
 //!
 //! # Determinism
 //!
@@ -295,6 +302,12 @@ impl<T> TimingWheel<T> {
         None
     }
 
+    /// Total vector capacity, in entries, held by the slots of `level`.
+    #[cfg(test)]
+    fn level_capacity(&self, level: usize) -> usize {
+        self.slots[level * SLOTS..(level + 1) * SLOTS].iter().map(Vec::capacity).sum()
+    }
+
     /// Advances `now` to the next due instant (if `<= end`) and fills
     /// `ready` with every item due exactly then, in `seq` order.
     fn advance(&mut self, end: u64) -> Option<()> {
@@ -314,10 +327,11 @@ impl<T> TimingWheel<T> {
         debug_assert!(self.scratch.is_empty());
         // Drain the slot that produced the minimum, re-levelling items
         // that are not yet due (they now differ from `now` in a lower
-        // 12-bit group). The batch vector is moved out whole and handed
-        // back empty afterwards so the slot keeps its capacity; the
+        // 12-bit group). The batch vector is moved out whole; the
         // redistribution targets are always *strictly lower* levels, so
-        // the moved-out slot is never pushed to mid-drain.
+        // the moved-out slot is never pushed to mid-drain. A level-0
+        // batch is handed back empty so the slot keeps its capacity; a
+        // higher-level batch is dropped (see the module docs).
         if wheel == Some(target) {
             // Locate the slot the minimum lives in: the first occupied
             // level whose cursor digit matches `at` (now == at already).
@@ -341,8 +355,9 @@ impl<T> TimingWheel<T> {
                         self.set_bit(lvl, slot);
                     }
                 }
-                // Hand the drained capacity back to the slot.
-                self.slots[idx] = batch;
+                if level == 0 {
+                    self.slots[idx] = batch;
+                }
                 break;
             }
         }
@@ -511,6 +526,29 @@ mod tests {
         }
         assert_eq!(remaining, 0);
         assert!(popped.windows(2).all(|p| p[0] < p[1]), "strictly ascending (at, seq)");
+    }
+
+    #[test]
+    fn drained_higher_level_slots_release_their_capacity() {
+        let mut w = TimingWheel::new();
+        let mut seq = 0u64;
+        // Level 1 (4,096 µs up to ~16.7 s ahead) and level 2 (beyond).
+        for k in 0..3_000u64 {
+            w.push(4_096 + k * 37, seq, ());
+            seq += 1;
+        }
+        for k in 0..1_000u64 {
+            w.push(20_000_000 + k * 9_001, seq, ());
+            seq += 1;
+        }
+        assert!(w.level_capacity(1) > 0 && w.level_capacity(2) > 0);
+        let popped: Vec<(u64, u64)> = drain(&mut w).into_iter().map(|(a, s, _)| (a, s)).collect();
+        assert_eq!(popped.len(), 4_000);
+        assert!(popped.windows(2).all(|p| p[0] < p[1]), "strictly ascending (at, seq)");
+        for level in 1..LEVELS {
+            assert_eq!(w.level_capacity(level), 0, "level {level} keeps no drained capacity");
+        }
+        assert!(w.level_capacity(0) > 0, "level-0 slots keep theirs");
     }
 
     /// An item that reaches the wheel without passing through `push` is

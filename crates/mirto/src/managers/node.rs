@@ -177,16 +177,6 @@ impl NodeManager {
         }
         Ok(decisions)
     }
-
-    /// Recommends which accelerator configuration each reconfigurable
-    /// node should prewarm, based on the most frequent config in recent
-    /// demand (`demand` maps config → count).
-    pub fn prewarm_recommendation(demand: &WordMap<u32, u64>) -> Option<u32> {
-        demand
-            .iter()
-            .max_by_key(|(cfg, count)| (**count, std::cmp::Reverse(**cfg)))
-            .map(|(cfg, _)| *cfg)
-    }
 }
 
 impl Default for NodeManager {
@@ -311,14 +301,5 @@ mod tests {
         mgr.record_completion(n, 1.0, 0, 1.5e-3, 700.0, true);
         assert!(mgr.adapt(&mut sim).expect("ok").is_empty());
         let _ = n;
-    }
-
-    #[test]
-    fn prewarm_picks_most_demanded_config() {
-        let mut demand = WordMap::default();
-        demand.insert(3u32, 10u64);
-        demand.insert(7u32, 25u64);
-        assert_eq!(NodeManager::prewarm_recommendation(&demand), Some(7));
-        assert_eq!(NodeManager::prewarm_recommendation(&WordMap::default()), None);
     }
 }
