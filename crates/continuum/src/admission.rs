@@ -107,6 +107,18 @@ impl AdmissionState {
     pub fn used_windows(&self) -> Vec<(u64, u32)> {
         self.window_used.iter().map(|(w, u)| (*w, *u)).collect()
     }
+
+    /// Drops the windows before `w_now`, which no decision at or after
+    /// it can consult, in place: the map keeps its allocation instead
+    /// of being rebuilt on every decision.
+    fn prune_before(&mut self, w_now: u64) {
+        while let Some(oldest) = self.window_used.first_entry() {
+            if *oldest.key() >= w_now {
+                break;
+            }
+            oldest.remove();
+        }
+    }
 }
 
 /// Outcome of one admission decision.
@@ -191,9 +203,9 @@ impl AdmissionPolicy {
         let w_us = self.window_us();
         let now_us = now.as_micros();
         let w_now = now_us / w_us;
-        // Prune windows that can never be consulted again. A rate of 0
-        // has no free window anywhere, so the loop below always sheds.
-        state.window_used = state.window_used.split_off(&w_now);
+        // A rate of 0 has no free window anywhere, so the loop below
+        // always sheds.
+        state.prune_before(w_now);
         let rate = self.rate_per_window;
         let last_window = (now_us + self.max_delay.as_micros()) / w_us;
         for w in w_now..=last_window {
@@ -434,5 +446,40 @@ mod tests {
         // Delayed tasks land inside [window_start, window_start + w/2].
         assert!(a[1] >= 10_000 && a[1] <= 15_000, "{}", a[1]);
         assert!(a[2] >= 20_000 && a[2] <= 25_000, "{}", a[2]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Pruning in place keeps exactly the windows the former
+        /// `split_off(&w_now)` rebuild kept: over random arrival
+        /// sequences (time steps that stay in a window, cross one or
+        /// skip several; random rates and delay bounds), the state each
+        /// decision starts from prunes to the same `used_windows()`
+        /// both ways.
+        #[test]
+        fn in_place_pruning_matches_the_split_off_model(
+            rate in 0u32..4,
+            max_delay_ms in 0u64..40,
+            steps in proptest::collection::vec(0u64..25_000, 1..300),
+        ) {
+            let p = AdmissionPolicy {
+                max_delay: SimDuration::from_millis(max_delay_ms),
+                ..limited(rate)
+            };
+            let w_us = p.window_us();
+            let mut st = AdmissionState::default();
+            let mut now_us = 0;
+            for (i, step) in steps.into_iter().enumerate() {
+                now_us += step;
+                let w_now = now_us / w_us;
+                let mut pruned = st.clone();
+                pruned.prune_before(w_now);
+                let mut model = st.clone();
+                model.window_used = model.window_used.split_off(&w_now);
+                proptest::prop_assert_eq!(pruned.used_windows(), model.used_windows());
+                p.decide(SimTime::from_micros(now_us), &task(i as u64), 0, None, &mut st);
+            }
+        }
     }
 }

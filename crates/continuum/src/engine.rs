@@ -25,7 +25,7 @@ use crate::ids::{LinkId, MsgId, NodeId, TaskId, TimerId};
 use crate::net::{Message, Network, NetworkError, Protocol};
 use crate::node::{ExecutionMode, Layer, NodeKind, NodeSpec, NodeState};
 use crate::retry::RetryPolicy;
-use crate::slab::TaskBook;
+use crate::slab::{ParkedTasks, TaskBook};
 use crate::task::{TaskInstance, TaskOutcome};
 use crate::time::{SimDuration, SimTime};
 use crate::wheel::TimingWheel;
@@ -63,19 +63,19 @@ fn mutation_double_resume() -> bool {
 
 /// Internal event kinds driven through the queue.
 ///
-/// Every variant that carries a [`TaskInstance`] or a [`Message`]
-/// boxes it, so the enum stays at 24 bytes (a 40-byte wheel entry with
-/// its `(at, seq)` key): every *queue-resident*
-/// event (timers, finishes, timeout guards — the ones that sit in the
-/// wheel by the million) would otherwise pay the largest
-/// variant's footprint (a 128-byte task) in storage, copies and cache
-/// misses. The assertions below keep a new variant from re-inflating
-/// the queue.
+/// A variant that carries a [`TaskInstance`] names its slot in the
+/// core's [`ParkedTasks`] slab, and [`Message`]s are boxed, so the enum
+/// stays at 24 bytes (a 40-byte wheel entry with its `(at, seq)` key):
+/// every *queue-resident* event (timers, finishes, timeout guards — the
+/// ones that sit in the wheel by the million) would otherwise pay the
+/// largest variant's footprint (a 128-byte task) in storage, copies and
+/// cache misses. The assertions below keep a new variant from
+/// re-inflating the queue.
 #[derive(Debug)]
 enum EventKind {
     TaskArrival {
         node: NodeId,
-        task: Box<TaskInstance>,
+        slot: u32,
     },
     TaskFinish {
         node: NodeId,
@@ -100,7 +100,7 @@ enum EventKind {
     /// driver for another placement.
     TaskRecover {
         node: NodeId,
-        task: Box<TaskInstance>,
+        slot: u32,
         attempt: u32,
     },
     /// Per-attempt timeout guard armed at dispatch; stale (ignored)
@@ -122,11 +122,11 @@ enum EventKind {
     /// admission decision is taken synchronously inside the submit
     /// call, but the driver only learns about it through the queue
     /// (same instant, later seq) so submits never re-enter the driver.
-    /// The task and its reason share one box, so the 16-byte `reason`
-    /// does not set the enum's size.
+    /// The reason is parked with the task, so the 16-byte `&str` does
+    /// not set the enum's size.
     NotifyShed {
         node: NodeId,
-        shed: Box<(TaskInstance, &'static str)>,
+        slot: u32,
     },
 }
 
@@ -351,6 +351,9 @@ pub struct SimCore {
     /// attempts consumed, terminal / cancelled-in-flight /
     /// timed-out-in-flight marks.
     tasks: TaskBook,
+    /// Task instances carried by queued arrival, recovery and shed
+    /// events.
+    parked: ParkedTasks,
     scrape_armed: bool,
     /// Series handles of the installed obs handle, resolved at the
     /// first scrape after [`SimCore::set_obs`].
@@ -716,7 +719,8 @@ impl SimCore {
         let id = task.id;
         self.note_dispatch(node, id);
         self.note_admitted(node, id);
-        self.push(eta, EventKind::TaskArrival { node, task: Box::new(task) });
+        let slot = self.parked.park(task, "");
+        self.push(eta, EventKind::TaskArrival { node, slot });
         self.arm_attempt(node, id);
         eta
     }
@@ -751,7 +755,8 @@ impl SimCore {
         );
         self.tasks.mark_finished(raw);
         self.tasks.clear_attempts(raw);
-        self.push(self.now, EventKind::NotifyShed { node, shed: Box::new((task, reason)) });
+        let slot = self.parked.park(task, reason);
+        self.push(self.now, EventKind::NotifyShed { node, slot });
     }
 
     /// Records a task passing admission control (policy installed only,
@@ -795,10 +800,8 @@ impl SimCore {
             self.tasks.set_attempts(raw, used + 1);
             self.recovery_outstanding += 1;
             let backoff = policy.backoff_for(used, raw);
-            self.push(
-                self.now + backoff,
-                EventKind::TaskRecover { node, task: Box::new(task), attempt: used },
-            );
+            let slot = self.parked.park(task, "");
+            self.push(self.now + backoff, EventKind::TaskRecover { node, slot, attempt: used });
         } else {
             if may_retry {
                 // Retry-storm guard: the recovery queue is full, so this
@@ -1126,9 +1129,11 @@ impl SimCore {
             self.push(now + timeout, EventKind::AttemptTimeout { node: to, task, attempt });
         }
         if mutation_double_resume() {
-            self.push(eta, EventKind::TaskArrival { node: to, task: Box::new(inst.clone()) });
+            let slot = self.parked.park(inst.clone(), "");
+            self.push(eta, EventKind::TaskArrival { node: to, slot });
         }
-        self.push(eta, EventKind::TaskArrival { node: to, task: Box::new(inst) });
+        let slot = self.parked.park(inst, "");
+        self.push(eta, EventKind::TaskArrival { node: to, slot });
         Some(eta)
     }
 
@@ -1373,8 +1378,8 @@ impl SimCore {
 
     fn dispatch<D: Driver>(&mut self, kind: EventKind, driver: &mut D) {
         match kind {
-            EventKind::TaskArrival { node, task } => {
-                let mut task = *task;
+            EventKind::TaskArrival { node, slot } => {
+                let (mut task, _) = self.parked.take(slot);
                 let now = self.now;
                 let raw = task.id.as_raw();
                 let cancelled = self.tasks.take_cancel_pending(raw);
@@ -1545,8 +1550,8 @@ impl SimCore {
                     self.push(self.now + SimDuration::from_micros(interval), EventKind::Scrape);
                 }
             }
-            EventKind::TaskRecover { node, task, attempt } => {
-                let task = *task;
+            EventKind::TaskRecover { node, slot, attempt } => {
+                let (task, _) = self.parked.take(slot);
                 // The recovery slot frees whether or not the event is
                 // stale (a completed task still consumed its slot).
                 self.recovery_outstanding = self.recovery_outstanding.saturating_sub(1);
@@ -1600,8 +1605,8 @@ impl SimCore {
             EventKind::NotifyStarted { node, task, mode } => {
                 driver.on_event(self, SimEvent::TaskStarted { node, task, mode });
             }
-            EventKind::NotifyShed { node, shed } => {
-                let (task, reason) = *shed;
+            EventKind::NotifyShed { node, slot } => {
+                let (task, reason) = self.parked.take(slot);
                 driver.on_event(self, SimEvent::TaskShed { node, task, reason });
             }
         }
@@ -2285,6 +2290,63 @@ mod tests {
             .filter(|e| matches!(e.kind, TraceKind::TaskShed { .. }))
             .count();
         assert_eq!(shed_traces, 1);
+    }
+
+    #[test]
+    fn parked_task_slots_are_reused_and_all_free_at_quiescence() {
+        let mut sim = SimCore::new();
+        let a = sim.add_node(NodeSpec::preset_edge_multicore("a"));
+        let b = sim.add_node(NodeSpec::preset_edge_multicore("b")); // 4 cores
+        sim.network_mut().add_duplex(a, b, SimDuration::from_millis(2), 10.0);
+        sim.set_retry_policy(Some(RetryPolicy {
+            base_backoff: SimDuration::from_millis(50),
+            backoff_cap: SimDuration::from_millis(200),
+            jitter_frac: 0.0,
+            recovery_queue_cap: u32::MAX,
+            ..RetryPolicy::default()
+        }));
+        sim.set_admission(Some(AdmissionPolicy {
+            max_queue_depth: 6,
+            ..AdmissionPolicy::default()
+        }));
+        let mut rec = Recorder::default();
+        let submit = |sim: &mut SimCore, n: usize| {
+            for _ in 0..n {
+                // 100 ms of work behind an 8 ms transfer; the link
+                // carries one at a time.
+                let t = TaskInstance::new(sim.fresh_task_id(), 150.0).with_io_bytes(10_000, 0);
+                sim.submit_via_network(a, b, t, Protocol::Mqtt).expect("submit");
+            }
+        };
+        const WAVES: u64 = 6;
+        for wave in 0..WAVES {
+            let t0 = SimTime::from_secs(wave);
+            // Eight network arrivals land, then four more find the run
+            // queue at 8 ≥ 6 and shed; odd waves crash the host under
+            // the running tasks, whose retries re-park them.
+            submit(&mut sim, 8);
+            sim.run_until(t0 + SimDuration::from_millis(100), &mut rec);
+            submit(&mut sim, 4);
+            if wave % 2 == 1 {
+                sim.schedule_node_down(b, t0 + SimDuration::from_millis(150));
+                sim.schedule_node_up(b, t0 + SimDuration::from_millis(180));
+            }
+            sim.run_until(t0 + SimDuration::from_secs(1), &mut rec);
+        }
+        sim.run_until(SimTime::from_secs(60), &mut rec);
+        assert_eq!(rec.shed.len(), 4 * WAVES as usize, "every late batch sheds");
+        assert!(!rec.recovered.is_empty(), "crashed attempts retry");
+        let terminal = rec.completed.len() + rec.shed.len() + rec.abandoned.len();
+        assert_eq!(terminal, 12 * WAVES as usize, "every task reaches a terminal state");
+        assert_eq!(sim.parked.occupied(), 0, "quiescent: every parked slot is free");
+        // Each task parks at least once (arrival or shed notice), each
+        // retry once more: the slab stays at one wave's worth.
+        let parks = 12 * WAVES as usize + rec.recovered.len();
+        assert!(
+            sim.parked.slot_count() <= 12,
+            "{} slots for {parks} parks: freed slots are reused",
+            sim.parked.slot_count()
+        );
     }
 
     #[test]

@@ -61,8 +61,10 @@ pub struct LinkSnapshot {
     pub utilization: f64,
 }
 
-/// Full infrastructure + telemetry report at one instant.
-#[derive(Debug, Clone, PartialEq)]
+/// Full infrastructure + telemetry report at one instant. The default
+/// is an empty report, for a caller that keeps one and
+/// [refreshes](MonitoringReport::refresh) it.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MonitoringReport {
     /// Snapshot instant.
     pub at: SimTime,
@@ -79,26 +81,51 @@ pub struct MonitoringReport {
 impl MonitoringReport {
     /// Collects a snapshot of every node and link from the core.
     pub fn collect(sim: &SimCore) -> MonitoringReport {
+        let mut report = MonitoringReport {
+            nodes: Vec::with_capacity(sim.node_count()),
+            links: Vec::with_capacity(sim.network().link_count()),
+            ..MonitoringReport::default()
+        };
+        report.refresh(sim);
+        report
+    }
+
+    /// Re-takes the snapshot in place, equal to a fresh
+    /// [`MonitoringReport::collect`]. A caller that snapshots every
+    /// round keeps one report: the vectors and the node-name strings
+    /// are reused, so a round whose topology is unchanged allocates
+    /// nothing.
+    pub fn refresh(&mut self, sim: &SimCore) {
         let horizon = sim.now().saturating_since(SimTime::ZERO);
-        // Both snapshot vectors are sized from the topology up front so
-        // large-continuum collection never re-allocates mid-walk.
-        let mut nodes = Vec::with_capacity(sim.node_count());
-        nodes.extend(sim.nodes().iter().map(|n| NodeSnapshot {
-            node: n.id(),
-            name: n.spec().name().to_string(),
-            layer: n.spec().layer(),
-            up: n.is_up(),
-            utilization: n.utilization(),
-            queue_len: n.queue_len(),
-            run_queue_depth: if n.is_up() { n.running().len() + n.queue_len() } else { 0 },
-            mem_free_mb: n.mem_free_mb(),
-            point_idx: n.point_idx(),
-            energy_j: n.energy_j(),
-            completed: n.completed(),
-            reconfigurations: n.reconfigurations(),
-        }));
-        let mut links = Vec::with_capacity(sim.network().link_count());
-        links.extend(sim.network().iter_links().map(|(id, spec, state)| LinkSnapshot {
+        self.nodes.truncate(sim.node_count());
+        for (i, n) in sim.nodes().iter().enumerate() {
+            let name = n.spec().name();
+            let snap = NodeSnapshot {
+                node: n.id(),
+                name: String::new(),
+                layer: n.spec().layer(),
+                up: n.is_up(),
+                utilization: n.utilization(),
+                queue_len: n.queue_len(),
+                run_queue_depth: if n.is_up() { n.running().len() + n.queue_len() } else { 0 },
+                mem_free_mb: n.mem_free_mb(),
+                point_idx: n.point_idx(),
+                energy_j: n.energy_j(),
+                completed: n.completed(),
+                reconfigurations: n.reconfigurations(),
+            };
+            match self.nodes.get_mut(i) {
+                Some(old) => {
+                    let mut kept = std::mem::take(&mut old.name);
+                    kept.clear();
+                    kept.push_str(name);
+                    *old = NodeSnapshot { name: kept, ..snap };
+                }
+                None => self.nodes.push(NodeSnapshot { name: name.to_string(), ..snap }),
+            }
+        }
+        self.links.clear();
+        self.links.extend(sim.network().iter_links().map(|(id, spec, state)| LinkSnapshot {
             link: id,
             from: spec.from(),
             to: spec.to(),
@@ -106,13 +133,9 @@ impl MonitoringReport {
             messages: state.messages(),
             utilization: state.utilization(horizon),
         }));
-        MonitoringReport {
-            at: sim.now(),
-            nodes,
-            links,
-            tasks_completed: sim.tasks_completed,
-            deadline_misses: sim.deadline_misses,
-        }
+        self.at = sim.now();
+        self.tasks_completed = sim.tasks_completed;
+        self.deadline_misses = sim.deadline_misses;
     }
 
     /// Aggregated energy over all nodes, joules.
@@ -178,6 +201,33 @@ mod tests {
         sim.schedule_node_down(a, SimTime::from_millis(102));
         sim.run_until(SimTime::from_millis(103), &mut NullDriver);
         assert_eq!(MonitoringReport::collect(&sim).nodes[0].run_queue_depth, 0, "down node");
+    }
+
+    #[test]
+    fn refresh_in_place_equals_a_fresh_collect() {
+        let mut sim = SimCore::new();
+        let a = sim.add_node(NodeSpec::preset_edge_multicore("a"));
+        let b = sim.add_node(NodeSpec::preset_fog_gateway("b"));
+        sim.network_mut().add_duplex(a, b, SimDuration::from_millis(1), 10.0);
+        let mut kept = MonitoringReport::collect(&sim);
+        for _ in 0..3 {
+            let t = TaskInstance::new(sim.fresh_task_id(), 1.5);
+            sim.submit_local(a, t).expect("submit");
+        }
+        sim.run_until(SimTime::from_millis(1), &mut NullDriver);
+        kept.refresh(&sim);
+        assert_eq!(kept, MonitoringReport::collect(&sim), "state moved");
+        let c = sim.add_node(NodeSpec::preset_cloud_server("c"));
+        sim.network_mut().add_duplex(b, c, SimDuration::from_millis(5), 100.0);
+        sim.run_until(SimTime::from_secs(1), &mut NullDriver);
+        kept.refresh(&sim);
+        assert_eq!(kept, MonitoringReport::collect(&sim), "topology grew");
+        // A report taken from a larger core shrinks to this one.
+        let mut small = SimCore::new();
+        small.add_node(NodeSpec::preset_edge_multicore("z"));
+        kept.refresh(&small);
+        assert_eq!(kept, MonitoringReport::collect(&small), "topology shrank");
+        assert_eq!(kept.nodes[0].name, "z");
     }
 
     #[test]

@@ -13,8 +13,14 @@
 //! (`task_book_matches_the_std_map_model`) checks all of its
 //! behaviour, page release included.
 //!
+//! `ParkedTasks` holds the task instances that queued events carry
+//! (an arrival in transfer, a backed-off recovery, a deferred shed
+//! notice): the event names a `u32` slot, and a freed slot is reused
+//! by the next park, so the per-event payload costs no allocation.
+//!
 //! [`TaskId`]: crate::ids::TaskId
 
+use crate::task::TaskInstance;
 use crate::time::SimTime;
 
 /// Per-task hot state: one 16-byte record per task, stored in
@@ -77,11 +83,6 @@ impl TaskBook {
     /// An empty book.
     pub fn new() -> Self {
         TaskBook::default()
-    }
-
-    /// Whether any state has been recorded at all.
-    pub fn is_empty(&self) -> bool {
-        self.pages.is_empty()
     }
 
     fn slot(&self, raw: u64) -> TaskSlot {
@@ -211,6 +212,65 @@ impl TaskBook {
     }
 }
 
+/// Task instances parked while the queued event that carries them
+/// waits, with a free list of vacated slots.
+///
+/// An event holds the slot index, a `u32`, instead of a boxed task, so
+/// the wheel entry stays small and parking reuses the slot the last
+/// taken task vacated: the slab grows to the most tasks parked at once,
+/// not to the number of events. A slot is taken exactly once, by the
+/// dispatch of the event that parked it.
+#[derive(Debug, Default)]
+pub(crate) struct ParkedTasks {
+    /// Parked tasks with a note (a deferred shed notice's reason, `""`
+    /// otherwise); `None` marks a free slot.
+    slots: Vec<Option<(TaskInstance, &'static str)>>,
+    /// Free slot indices, reused last-freed first.
+    free: Vec<u32>,
+}
+
+impl ParkedTasks {
+    /// Parks `task` with `note` and returns its slot.
+    pub(crate) fn park(&mut self, task: TaskInstance, note: &'static str) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                let entry = &mut self.slots[slot as usize];
+                debug_assert!(entry.is_none(), "free slot {slot} is occupied");
+                *entry = Some((task, note));
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slots.len()).expect("fewer than 2^32 parked tasks");
+                self.slots.push(Some((task, note)));
+                slot
+            }
+        }
+    }
+
+    /// Takes the task (and note) parked at `slot`, freeing the slot.
+    ///
+    /// # Panics
+    ///
+    /// When `slot` holds no task: each slot is taken once per park.
+    pub(crate) fn take(&mut self, slot: u32) -> (TaskInstance, &'static str) {
+        let parked = self.slots[slot as usize].take().expect("parked slot taken twice");
+        self.free.push(slot);
+        parked
+    }
+
+    /// Slots holding a task.
+    #[cfg(test)]
+    pub(crate) fn occupied(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+
+    /// Slots ever created: the most tasks parked at once.
+    #[cfg(test)]
+    pub(crate) fn slot_count(&self) -> usize {
+        self.slots.len()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,12 +278,33 @@ mod tests {
     #[test]
     fn task_book_stamp_round_trip() {
         let mut b = TaskBook::new();
-        assert!(b.is_empty());
         assert_eq!(b.take_queued(7), None);
         b.stamp_queued(7, SimTime::from_micros(123));
         assert_eq!(b.take_queued(7), Some(SimTime::from_micros(123)));
         assert_eq!(b.take_queued(7), None, "take clears the stamp");
-        assert!(!b.is_empty());
+    }
+
+    #[test]
+    fn parked_tasks_reuse_freed_slots() {
+        use crate::ids::TaskId;
+        let task = |raw| TaskInstance::new(TaskId::from_raw(raw), 1.0);
+        let mut p = ParkedTasks::default();
+        let (a, b) = (p.park(task(1), ""), p.park(task(2), "queue_full"));
+        assert_eq!((a, b), (0, 1));
+        assert_eq!(p.take(b).1, "queue_full");
+        assert_eq!(p.park(task(3), ""), b, "the freed slot is reused");
+        assert_eq!(p.take(a).0.id, TaskId::from_raw(1));
+        assert_eq!(p.take(b).0.id, TaskId::from_raw(3));
+        assert_eq!((p.occupied(), p.slot_count()), (0, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "parked slot taken twice")]
+    fn a_parked_slot_is_taken_once() {
+        let mut p = ParkedTasks::default();
+        let slot = p.park(TaskInstance::new(crate::ids::TaskId::from_raw(1), 1.0), "");
+        p.take(slot);
+        p.take(slot);
     }
 
     #[test]

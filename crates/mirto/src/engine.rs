@@ -24,6 +24,7 @@ use myrtus_continuum::federation::{BurstQuery, FederatedContinuum};
 use myrtus_continuum::ids::{NodeId, RegionId, TaskId};
 use myrtus_continuum::monitor::MonitoringReport;
 use myrtus_continuum::net::{PlanEstimator, Protocol, RouteCache};
+use myrtus_continuum::node::NodeState;
 use myrtus_continuum::retry::RetryPolicy;
 use myrtus_continuum::stats::Summary;
 use myrtus_continuum::task::{TaskBody, TaskInstance};
@@ -265,6 +266,9 @@ struct AppRuntime {
     /// Live requests only, by request index. Point lookups only —
     /// never iterated — so its hash order cannot reach any output.
     requests: WordMap<u32, RequestState>,
+    /// Stage-progress vectors of retired requests, reused by the next
+    /// arrivals so a request costs no allocation of its own.
+    spare_stages: Vec<Vec<StageProgress>>,
     /// Arrival timers fired so far.
     #[cfg(test)]
     arrived: u64,
@@ -285,6 +289,16 @@ struct AppRuntime {
     /// sloshes per-component queues through zero) must not disarm WAN
     /// escalation once the autoscaler has demonstrably spent its budget.
     replicas_maxed: bool,
+}
+
+impl AppRuntime {
+    /// Retires a live request that ends without completing, keeping its
+    /// stage-progress vector for reuse. Returns whether it was live.
+    fn retire(&mut self, request: u32) -> bool {
+        let Some(state) = self.requests.remove(&request) else { return false };
+        self.spare_stages.push(state.stages);
+        true
+    }
 }
 
 /// One stage of a completed request's execution trace (application
@@ -479,6 +493,10 @@ pub struct OrchestrationEngine {
     replicas: WordMap<u64, (u64, NodeId)>,
     pending_flows: WordMap<u64, (NodeId, NodeId, SimTime)>,
     pending_deploys: WordMap<u16, Application>,
+    /// The infrastructure snapshot, refreshed in place each MAPE round.
+    report: MonitoringReport,
+    /// Scratch list of the stages a completion unlocks.
+    ready: Vec<usize>,
     horizon: SimTime,
     lost_tasks: u64,
     app_point_switches: u64,
@@ -523,6 +541,8 @@ impl OrchestrationEngine {
             replicas: WordMap::default(),
             pending_flows: WordMap::default(),
             pending_deploys: WordMap::default(),
+            report: MonitoringReport::default(),
+            ready: Vec::new(),
             horizon: SimTime::ZERO,
             lost_tasks: 0,
             app_point_switches: 0,
@@ -643,9 +663,24 @@ impl OrchestrationEngine {
         self.run_scheduled(fed.continuum_mut(), scheduled, horizon)
     }
 
-    /// Per-component candidate nodes of an application: the Privacy &
-    /// Security Manager's set, restricted to the app's home region under
-    /// federated runs (unrestricted outside them).
+    /// Whether `node` may host component `comp_idx` of `app`: the
+    /// Privacy & Security Manager's test, inside `home` (the app's home
+    /// region under federated runs, `None` outside them). The one
+    /// admissibility test behind both [`Self::candidates`] and the
+    /// reallocation check, so the check cannot drift from the list.
+    fn admissible(
+        &self,
+        home: Option<&[NodeId]>,
+        app: &Application,
+        comp_idx: usize,
+        node: &NodeState,
+    ) -> bool {
+        self.sec.admits(node, &app.components[comp_idx])
+            && home.is_none_or(|h| h.binary_search(&node.id()).is_ok())
+    }
+
+    /// Per-component candidate nodes of an application, in node order:
+    /// the nodes that pass [`Self::admissible`].
     fn candidates(
         &self,
         sim: &SimCore,
@@ -653,20 +688,36 @@ impl OrchestrationEngine {
         app: &Application,
         dag: &RequestDag,
     ) -> Vec<Vec<NodeId>> {
-        let candidates = self.sec.candidates(sim, app, dag);
-        let Some(home) = self.fed.as_ref().and_then(|f| f.home_nodes(app_id)) else {
-            return candidates;
-        };
-        candidates
-            .into_iter()
-            .map(|v| v.into_iter().filter(|n| home.binary_search(n).is_ok()).collect())
+        let home = self.fed.as_ref().and_then(|f| f.home_nodes(app_id));
+        dag.nodes()
+            .iter()
+            .map(|dn| {
+                sim.nodes()
+                    .iter()
+                    .filter(|n| self.admissible(home, app, dn.component_idx, n))
+                    .map(|n| n.id())
+                    .collect()
+            })
             .collect()
     }
 
     /// WL Manager reallocation of the application at `app_pos` off
-    /// unhealthy hosts; a non-empty move set is one `wl` action.
+    /// unhealthy or no longer admissible hosts; a non-empty move set is
+    /// one `wl` action. The candidate lists and the planning context
+    /// are only built when some host fails one of the two tests: most
+    /// rounds move nothing.
     fn reallocate(&mut self, sim: &SimCore, app_pos: usize) -> Vec<Reallocation> {
         let rt = &self.apps[app_pos];
+        let home = self.fed.as_ref().and_then(|f| f.home_nodes(rt.id));
+        let admissible = |pos: usize, host: NodeId| {
+            let (Some(dn), Some(node)) = (rt.dag.nodes().get(pos), sim.node(host)) else {
+                return false;
+            };
+            self.admissible(home, &rt.app, dn.component_idx, node)
+        };
+        if !self.wl.needs_reallocation(rt.id, sim, admissible) {
+            return Vec::new();
+        }
         let candidates = self.candidates(sim, rt.id, &rt.app, &rt.dag);
         let ctx =
             plan_context(sim, &self.kb, &self.plan_cache, &self.obs, &rt.app, &rt.dag, candidates);
@@ -750,6 +801,7 @@ impl OrchestrationEngine {
             released,
             deadline,
             requests: WordMap::default(),
+            spare_stages: Vec::new(),
             #[cfg(test)]
             arrived: 0,
             #[cfg(test)]
@@ -768,8 +820,9 @@ impl OrchestrationEngine {
 
     fn finish(mut self, continuum: &Continuum) -> OrchestrationReport {
         let sim = continuum.sim();
-        let report = MonitoringReport::collect(sim);
-        self.kb.ingest_report(&report, |id| {
+        self.report.refresh(sim);
+        let report = &self.report;
+        self.kb.ingest_report(report, |id| {
             sim.node(id).map(|n| node_security_level(n.spec().kind()).tier()).unwrap_or(0)
         });
         let mut layer_energy = [0.0f64; 3];
@@ -1070,7 +1123,8 @@ impl OrchestrationEngine {
         }
         state.stages[si].finished = Some((outcome.node, outcome.at));
         // Unlock successors.
-        let mut ready = Vec::new();
+        let mut ready = std::mem::take(&mut self.ready);
+        ready.clear();
         for (j, stage) in rt.stages.iter().enumerate() {
             if stage.preds.contains(&si) {
                 state.stages[j].deps_left -= 1;
@@ -1110,20 +1164,21 @@ impl OrchestrationEngine {
                     causal_chain(&preds, &finish_us).into_iter().filter_map(span).collect();
                 rt.slowest = SlowestRequest { latency_ms: lat_ms, trace, critical_path };
             }
+            rt.spare_stages.push(state.stages);
             self.kb.record_kpi(&rt.app.name, "latency_ms", sim.now(), lat_ms);
         }
-        for j in ready {
+        for &j in &ready {
             self.submit_stage(sim, pos, tag.request, j);
         }
+        self.ready = ready;
     }
 
     /// Marks a request failed (once) and retires it — degraded, not
     /// wedged: the app's report shows the loss instead of the run
     /// hanging on it, and later events of its stages are ignored.
     fn mark_failed(&mut self, app_pos: usize, request: u32) {
-        let rt = &mut self.apps[app_pos];
-        if rt.requests.remove(&request).is_some() {
-            rt.failed += 1;
+        if self.apps[app_pos].retire(request) {
+            self.apps[app_pos].failed += 1;
         }
     }
 
@@ -1132,9 +1187,8 @@ impl OrchestrationEngine {
     /// (no further submissions) but tallied separately, because shedding
     /// is a *policy* outcome, not a fault.
     fn mark_shed(&mut self, app_pos: usize, request: u32) {
-        let rt = &mut self.apps[app_pos];
-        if rt.requests.remove(&request).is_some() {
-            rt.shed += 1;
+        if self.apps[app_pos].retire(request) {
+            self.apps[app_pos].shed += 1;
         }
     }
 
@@ -1261,8 +1315,8 @@ impl OrchestrationEngine {
         // Sense: charge the energy meters, then snapshot into the KB.
         self.obs.trace(now_us, TraceKind::MapePhase { phase: "monitor" });
         sim.refresh_energy();
-        let report = MonitoringReport::collect(sim);
-        self.kb.ingest_report(&report, |id| {
+        self.report.refresh(sim);
+        self.kb.ingest_report(&self.report, |id| {
             sim.node(id).map(|n| node_security_level(n.spec().kind()).tier()).unwrap_or(0)
         });
         // Decide + reconfigure: node operating points.
@@ -1336,9 +1390,9 @@ impl OrchestrationEngine {
                 self.obs.ts_record("app_window_miss_rate", app_label, now_us, miss_rate);
                 let history = self.kb.history_mut();
                 history.record("app_window_miss_rate", app_label, now_us, miss_rate);
-                let recent = history.last_n("app_window_miss_rate", app_label, 3);
+                let recent = history.tail("app_window_miss_rate", app_label, 3);
                 let trending = recent.len() == 3
-                    && trend_rising(&recent)
+                    && trend_rising(recent.clone())
                     && recent.last().is_some_and(|s| s.value >= 0.1);
                 let snapshot = miss_rate > 0.2;
                 if (snapshot || trending) && rt.point_idx + 1 < rt.points.len() {
@@ -1516,16 +1570,9 @@ impl OrchestrationEngine {
         let now = sim.now();
         for pos in 0..self.apps.len() {
             let app_id = self.apps[pos].id;
-            let comps: Vec<(usize, NodeId)> = match self.wl.placement(app_id) {
-                Some(p) => self.apps[pos]
-                    .dag
-                    .nodes()
-                    .iter()
-                    .map(|n| (n.component_idx, p.node_of(n.component_idx)))
-                    .collect(),
-                None => continue,
-            };
-            for (comp, host) in comps {
+            let Some(placement) = self.wl.placement(app_id) else { continue };
+            for dn in self.apps[pos].dag.nodes() {
+                let (comp, host) = (dn.component_idx, placement.node_of(dn.component_idx));
                 let Some(name) = sim.node(host).map(|n| n.spec().name()) else { continue };
                 // Peak over the last few rounds, not the latest
                 // instant: the ETA router drains hosts in waves, so a
@@ -1533,8 +1580,7 @@ impl OrchestrationEngine {
                 // zero and flaps the fleet down mid-overload.
                 let history = self.kb.history();
                 let peak = |metric: &'static str| {
-                    let recent = history.last_n(metric, name, 3);
-                    recent.iter().map(|s| s.value).fold(0.0f64, f64::max)
+                    history.tail(metric, name, 3).map(|s| s.value).fold(0.0f64, f64::max)
                 };
                 let replicas = self.proxy.as_ref().map_or(0, |p| p.replica_count(app_id, comp));
                 let signals = StageSignals {
@@ -1637,11 +1683,13 @@ impl Driver for OrchestrationEngine {
                     let Some(pos) = self.app_index(t.app) else { return };
                     let rt = &mut self.apps[pos];
                     let point_idx = if self.cfg.app_point_adaptation { rt.point_idx } else { 0 };
-                    let stages = rt
-                        .stages
-                        .iter()
-                        .map(|s| StageProgress { deps_left: s.preds.len(), finished: None })
-                        .collect();
+                    let mut stages = rt.spare_stages.pop().unwrap_or_default();
+                    stages.clear();
+                    stages.extend(
+                        rt.stages
+                            .iter()
+                            .map(|s| StageProgress { deps_left: s.preds.len(), finished: None }),
+                    );
                     rt.requests.insert(t.request, RequestState { point_idx, stages });
                     #[cfg(test)]
                     {
@@ -1731,11 +1779,11 @@ fn send(
 /// end than at the start. The Analyze phase uses this over rolling
 /// windows to react to *degradation trends* rather than single
 /// snapshots.
-fn trend_rising(samples: &[TsSample]) -> bool {
-    samples.len() >= 2
-        && samples.windows(2).all(|w| w[1].value >= w[0].value)
-        && samples.last().map(|s| s.value).unwrap_or(0.0)
-            > samples.first().map(|s| s.value).unwrap_or(0.0)
+fn trend_rising(samples: impl Iterator<Item = TsSample> + Clone) -> bool {
+    let values = samples.map(|s| s.value);
+    // Fewer than two samples cannot end strictly above their start.
+    values.clone().zip(values.clone().skip(1)).all(|(a, b)| b >= a)
+        && values.clone().last() > values.clone().next()
 }
 
 #[cfg(test)]
@@ -1752,13 +1800,13 @@ mod tests {
         let s = |vals: &[f64]| -> Vec<TsSample> {
             vals.iter().enumerate().map(|(i, &v)| TsSample { at_us: i as u64, value: v }).collect()
         };
-        assert!(trend_rising(&s(&[0.1, 0.2, 0.3])));
-        assert!(trend_rising(&s(&[0.1, 0.1, 0.3])));
-        assert!(!trend_rising(&s(&[0.3, 0.2, 0.1])));
-        assert!(!trend_rising(&s(&[0.1, 0.1, 0.1])));
-        assert!(!trend_rising(&s(&[0.1, 0.3, 0.2])));
-        assert!(!trend_rising(&s(&[0.5])));
-        assert!(!trend_rising(&[]));
+        assert!(trend_rising(s(&[0.1, 0.2, 0.3]).into_iter()));
+        assert!(trend_rising(s(&[0.1, 0.1, 0.3]).into_iter()));
+        assert!(!trend_rising(s(&[0.3, 0.2, 0.1]).into_iter()));
+        assert!(!trend_rising(s(&[0.1, 0.1, 0.1]).into_iter()));
+        assert!(!trend_rising(s(&[0.1, 0.3, 0.2]).into_iter()));
+        assert!(!trend_rising(s(&[0.5]).into_iter()));
+        assert!(!trend_rising(std::iter::empty()));
     }
 
     fn small_telerehab() -> Application {

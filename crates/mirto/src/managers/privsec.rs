@@ -10,12 +10,12 @@
 
 use myrtus_continuum::engine::SimCore;
 use myrtus_continuum::ids::NodeId;
-use myrtus_continuum::node::NodeKind;
+use myrtus_continuum::node::{NodeKind, NodeState};
 use myrtus_obs::hash::WordSet;
 use myrtus_security::suite::SecurityLevel;
 use myrtus_security::trust::{Observation, TrustModel};
 use myrtus_workload::graph::RequestDag;
-use myrtus_workload::tosca::{Application, SecurityTier};
+use myrtus_workload::tosca::{Application, Component, SecurityTier};
 
 /// The highest security level each hardware family can sustain:
 /// PQC suites need the compute of fog/cloud class machines, gateways and
@@ -80,9 +80,20 @@ impl PrivacySecurityManager {
         self.trust.observe(node, obs);
     }
 
-    /// Per-component candidate nodes: up, memory-sufficient, security-
-    /// capable and trusted. Without enforcement only liveness and memory
-    /// filter.
+    /// Whether `node` may host `comp`: up, memory-sufficient,
+    /// security-capable and trusted. Without enforcement only liveness
+    /// and memory count.
+    pub fn admits(&self, node: &NodeState, comp: &Component) -> bool {
+        node.is_up()
+            && node.spec().mem_mb() >= comp.requirements.mem_mb
+            && (!self.enforce
+                || (node_security_level(node.spec().kind())
+                    >= level_for_tier(comp.requirements.security)
+                    && self.trust.score(node.id()) >= self.min_trust))
+    }
+
+    /// Per-component candidate nodes: the nodes that pass
+    /// [`PrivacySecurityManager::admits`], in node order.
     pub fn candidates(
         &self,
         sim: &SimCore,
@@ -93,18 +104,7 @@ impl PrivacySecurityManager {
             .iter()
             .map(|dn| {
                 let comp = &app.components[dn.component_idx];
-                let need = level_for_tier(comp.requirements.security);
-                sim.nodes()
-                    .iter()
-                    .filter(|n| n.is_up())
-                    .filter(|n| n.spec().mem_mb() >= comp.requirements.mem_mb)
-                    .filter(|n| {
-                        !self.enforce
-                            || (node_security_level(n.spec().kind()) >= need
-                                && self.trust.score(n.id()) >= self.min_trust)
-                    })
-                    .map(|n| n.id())
-                    .collect()
+                sim.nodes().iter().filter(|n| self.admits(n, comp)).map(|n| n.id()).collect()
             })
             .collect()
     }

@@ -94,24 +94,40 @@ impl WlManager {
         &self.reallocations
     }
 
+    /// Whether a reallocation round for `app_id` can move anything:
+    /// some component's host fails the health test
+    /// ([`node_overloaded`]) or `admissible(position, host)`, which
+    /// must hold exactly for the nodes the round's
+    /// [`PlanContext::candidates`] would list at that position. When
+    /// this is `false`, [`WlManager::reallocate`] returns no moves and
+    /// changes nothing, so a caller may skip building its context.
+    pub fn needs_reallocation(
+        &self,
+        app_id: u16,
+        sim: &SimCore,
+        mut admissible: impl FnMut(usize, NodeId) -> bool,
+    ) -> bool {
+        let Some(placement) = self.placements.get(&app_id) else { return false };
+        (0..placement.len()).any(|i| {
+            let host = placement.node_of(i);
+            node_overloaded(sim, host, self.overload_threshold, self.queue_threshold)
+                || !admissible(i, host)
+        })
+    }
+
     /// Runtime reallocation round for one application: any component on a
-    /// down or overloaded node is greedily moved to the candidate that
-    /// minimizes the plan-time objective. Returns the moves performed.
+    /// down or overloaded node, or on a node no longer among its
+    /// candidates, is greedily moved to the candidate that minimizes the
+    /// plan-time objective. Returns the moves performed.
     pub fn reallocate(&mut self, app_id: u16, ctx: &PlanContext<'_>) -> Vec<Reallocation> {
+        let (util_th, queue_th) = (self.overload_threshold, self.queue_threshold);
         let Some(placement) = self.placements.get_mut(&app_id) else {
             return Vec::new();
         };
         let mut moves = Vec::new();
         for i in 0..placement.len() {
             let host = placement.node_of(i);
-            let unhealthy = match ctx.sim.node(host) {
-                None => true,
-                Some(st) => {
-                    !st.is_up()
-                        || (st.utilization() >= self.overload_threshold
-                            && st.queue_len() >= self.queue_threshold)
-                }
-            };
+            let unhealthy = node_overloaded(ctx.sim, host, util_th, queue_th);
             let allowed = ctx.candidates.get(i).map(|c| c.contains(&host)).unwrap_or(false);
             if !unhealthy && allowed {
                 continue;
@@ -120,19 +136,7 @@ impl WlManager {
             // placement.
             let mut best: Option<(NodeId, f64)> = None;
             for cand in ctx.candidates.get(i).into_iter().flatten().copied() {
-                if cand == host {
-                    continue;
-                }
-                let healthy = ctx
-                    .sim
-                    .node(cand)
-                    .map(|st| {
-                        st.is_up()
-                            && !(st.utilization() >= self.overload_threshold
-                                && st.queue_len() >= self.queue_threshold)
-                    })
-                    .unwrap_or(false);
-                if !healthy {
+                if cand == host || node_overloaded(ctx.sim, cand, util_th, queue_th) {
                     continue;
                 }
                 placement.reassign(i, cand);
@@ -159,8 +163,10 @@ impl WlManager {
     }
 }
 
-/// Checks node health against the manager thresholds — exposed for the
-/// engine's monitoring loop.
+/// The WL Manager's health test: whether `node` is missing, down, or
+/// overloaded (utilization at or above `util_th` with at least
+/// `queue_th` tasks waiting). A host that fails it gives its
+/// components up and a candidate that fails it receives none.
 pub fn node_overloaded(sim: &SimCore, node: NodeId, util_th: f64, queue_th: usize) -> bool {
     sim.node(node)
         .map(|st| !st.is_up() || (st.utilization() >= util_th && st.queue_len() >= queue_th))

@@ -28,6 +28,13 @@
 //!   lock and unlock, and the compiler rejects any attempt to record
 //!   from a second thread, whose interleaving would break the
 //!   byte-identical exports anyway.
+//! * **A packed trace ring.** The [`TraceBuffer`] keeps each event in a
+//!   32-byte slot (sim time, two `u64`s, a `u32`, a variant tag), with
+//!   the sequence number implicit and `&'static str` fields interned
+//!   in a small per-buffer table; a push into a full ring overwrites
+//!   its oldest slot in place. At the default capacity of 65,536 events
+//!   the ring holds 2 MiB, and [`TraceBuffer::events`] rebuilds the
+//!   typed events for readers and the export.
 //! * **Counters only from scoring.** Plan-time candidate scoring records
 //!   counter totals, never trace events, so a search that scores
 //!   thousands of candidates leaves the bounded trace ring to the

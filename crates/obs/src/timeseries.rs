@@ -172,12 +172,25 @@ impl TimeSeriesStore {
         self.last_n(name, label, usize::MAX)
     }
 
-    /// The last `n` samples of `name{label}`, oldest first. Copies only
-    /// the tail, so the cost is O(n), not O(series length).
+    /// The last `n` samples of `name{label}`, oldest first, as a
+    /// vector. Copies only the tail, so the cost is O(n), not
+    /// O(series length); a reader that only walks the samples takes
+    /// [`TimeSeriesStore::tail`], which allocates nothing.
     pub fn last_n(&self, name: &'static str, label: &str, n: usize) -> Vec<TsSample> {
+        self.tail(name, label, n).collect()
+    }
+
+    /// The last `n` samples of `name{label}`, oldest first, read in
+    /// place (empty when absent).
+    pub fn tail(
+        &self,
+        name: &'static str,
+        label: &str,
+        n: usize,
+    ) -> impl DoubleEndedIterator<Item = TsSample> + ExactSizeIterator + Clone + '_ {
         self.get(name, label)
-            .map(|s| s.range(s.len().saturating_sub(n)..).copied().collect())
-            .unwrap_or_default()
+            .map_or_else(Default::default, |s| s.range(s.len().saturating_sub(n)..))
+            .copied()
     }
 
     /// The newest sample of `name{label}`.
@@ -352,6 +365,12 @@ mod tests {
         assert_eq!(ts.last_n("x", "", 0), vec![]);
         assert_eq!(ts.last_n("x", "absent", 2), vec![]);
         assert_eq!(ts.last_n("absent", "", 2), vec![]);
+        // The borrowing reader walks the same tail, from either end.
+        let tail = ts.tail("x", "", 3);
+        assert_eq!(tail.len(), 3);
+        assert_eq!(tail.clone().map(|s| s.value).collect::<Vec<_>>(), vec![2.0, 3.0, 4.0]);
+        assert_eq!(tail.last().map(|s| s.at_us), Some(40));
+        assert_eq!(ts.tail("absent", "", 2).len(), 0);
     }
 
     #[test]
