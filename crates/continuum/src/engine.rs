@@ -134,47 +134,6 @@ const _: () = assert!(std::mem::size_of::<EventKind>() <= 24);
 // A wheel entry is `(at, seq, event)`.
 const _: () = assert!(std::mem::size_of::<(u64, u64, EventKind)>() == 40);
 
-/// Struct-of-arrays mirror of the per-node values the scrape timer
-/// samples, maintained at the engine's node-mutation sites so a scrape
-/// walks contiguous arrays instead of dereferencing every `NodeState`
-/// per sample.
-#[derive(Debug, Default)]
-struct NodeHot {
-    up: Vec<bool>,
-    running: Vec<u32>,
-    queued: Vec<u32>,
-    cores: Vec<f64>,
-    layer_idx: Vec<u8>,
-    /// Energy figures refreshed at scrape time.
-    energy: Vec<f64>,
-}
-
-impl NodeHot {
-    fn push(&mut self, spec: &NodeSpec) {
-        self.up.push(true);
-        self.running.push(0);
-        self.queued.push(0);
-        self.cores.push(spec.cores() as f64);
-        self.layer_idx.push(spec.layer().index() as u8);
-        self.energy.push(0.0);
-    }
-
-    fn reserve(&mut self, additional: usize) {
-        self.up.reserve(additional);
-        self.running.reserve(additional);
-        self.queued.reserve(additional);
-        self.cores.reserve(additional);
-        self.layer_idx.reserve(additional);
-        self.energy.reserve(additional);
-    }
-
-    fn sync(&mut self, idx: usize, st: &NodeState) {
-        self.up[idx] = st.is_up();
-        self.running[idx] = st.running().len() as u32;
-        self.queued[idx] = st.queue_len() as u32;
-    }
-}
-
 /// Notifications surfaced to the [`Driver`].
 #[derive(Debug)]
 pub enum SimEvent {
@@ -334,8 +293,6 @@ pub struct SimCore {
     queue: TimingWheel<EventKind>,
     seq: u64,
     nodes: Vec<NodeState>,
-    /// SoA mirror of the per-node values the scrape path samples.
-    hot: NodeHot,
     network: Network,
     next_task: u64,
     next_msg: u64,
@@ -417,7 +374,7 @@ fn isa_of(kind: NodeKind) -> IsaClass {
 #[derive(Debug)]
 struct VmRuntime {
     programs: Vec<Program>,
-    /// Per-program op-class census ([`Program::seed_free_counts`]),
+    /// Per-program op-class census ([`Program::census`]),
     /// filled at the program's first fresh boot; `Some(None)` marks a
     /// program whose cost depends on its seed.
     census: Vec<OnceCell<Option<OpCounts>>>,
@@ -431,9 +388,10 @@ struct VmRuntime {
     /// Final step tallies of completed bodied tasks, kept so
     /// step-conservation invariants stay checkable after completion.
     retired_steps: WordMap<u64, u64>,
-    /// Steps actually interpreted: census runs, scratch runs to halt
-    /// and the advances of evicted images. Host-cost accounting only;
-    /// it feeds no decision and no export.
+    /// Steps actually interpreted: census runs (a census read off the
+    /// op list runs none), scratch runs to halt and the advances of
+    /// evicted images. Host-cost accounting only; it feeds no decision
+    /// and no export.
     interpreted: u64,
 }
 
@@ -530,7 +488,6 @@ impl SimCore {
     /// builders know their counts up front).
     pub fn reserve_nodes(&mut self, additional: usize) {
         self.nodes.reserve(additional);
-        self.hot.reserve(additional);
     }
 
     /// Pre-sizes the event queue for `additional` more in-flight
@@ -603,7 +560,6 @@ impl SimCore {
     /// Adds a node and returns its id.
     pub fn add_node(&mut self, spec: NodeSpec) -> NodeId {
         let id = NodeId::from_raw(self.nodes.len() as u32);
-        self.hot.push(&spec);
         self.nodes.push(NodeState::new(id, spec));
         id
     }
@@ -895,10 +851,10 @@ impl SimCore {
 
     /// Interpreter steps the runtime has executed to price and advance
     /// bodies (0 without a VM runtime). Unlike `vm_steps_total`, which
-    /// counts the modeled work retired, this is host work: each census
-    /// run that answers, each scratch run to halt and each advance of
-    /// an evicted image. A census that declines stops at its first
-    /// seed-steered branch, and those steps are not counted.
+    /// counts the modeled work retired, this is host work: the steps of
+    /// each census run (up to its first seed-steered branch when it
+    /// declines; none when the op list answered it), each scratch run
+    /// to halt and each advance of an evicted image.
     pub fn vm_interpreted_steps(&self) -> u64 {
         self.vm.as_ref().map_or(0, |vm| vm.interpreted)
     }
@@ -958,9 +914,9 @@ impl SimCore {
             None => {
                 let interpreted = &mut vm.interpreted;
                 let census = vm.census[body.program as usize].get_or_init(|| {
-                    let census = program.seed_free_counts();
-                    *interpreted += census.map_or(0, |c| c.steps);
-                    census
+                    let census = program.census();
+                    *interpreted += census.interpreted;
+                    census.counts
                 });
                 (VmState::new(program, body.seed), *census)
             }
@@ -1143,7 +1099,6 @@ impl SimCore {
     #[inline]
     fn take_off(&mut self, node: NodeId, task: TaskId) -> Option<(TaskInstance, Option<Started>)> {
         let taken = self.nodes.get_mut(node.index())?.cancel(self.now, task)?;
-        self.sync_hot(node);
         self.tasks.take_queued(task.as_raw());
         Some(taken)
     }
@@ -1175,13 +1130,6 @@ impl SimCore {
         let Some(next @ (task, _, _, mode)) = next else { return };
         self.start_in_slot(node, next, true);
         self.push(self.now, EventKind::NotifyStarted { node, task, mode });
-    }
-
-    /// Re-mirrors a node's hot state after a mutation (see [`NodeHot`]).
-    fn sync_hot(&mut self, node: NodeId) {
-        if let Some(st) = self.nodes.get(node.index()) {
-            self.hot.sync(node.index(), st);
-        }
     }
 
     /// Records a task submission in the observability layer.
@@ -1422,7 +1370,6 @@ impl SimCore {
                 }
                 let Some(st) = self.nodes.get_mut(node.index()) else { return };
                 let started = st.admit(now, task);
-                self.sync_hot(node);
                 if let Some((epoch, service, mode)) = started {
                     let started = self.start_in_slot(node, (tid, epoch, service, mode), false);
                     driver.on_event(self, started);
@@ -1434,7 +1381,6 @@ impl SimCore {
                 let now = self.now;
                 let Some(st) = self.nodes.get_mut(node.index()) else { return };
                 let Some((done, next)) = st.finish(now, task, epoch) else { return };
-                self.sync_hot(node);
                 // A bodied task ran its program exactly to halt: count
                 // the tail steps and retire the image.
                 self.vm_finalize(task.as_raw());
@@ -1499,7 +1445,6 @@ impl SimCore {
                 }
                 let Some(st) = self.nodes.get_mut(node.index()) else { return };
                 let lost = st.set_up(now, false);
-                self.sync_hot(node);
                 self.obs.counter_inc("node_crashes", "");
                 self.obs.trace(now.as_micros(), TraceKind::NodeCrash { node: node.as_raw() });
                 if !lost.is_empty() {
@@ -1523,7 +1468,6 @@ impl SimCore {
                 let now = self.now;
                 let Some(st) = self.nodes.get_mut(node.index()) else { return };
                 st.set_up(now, true);
-                self.sync_hot(node);
                 self.obs.counter_inc("node_recoveries", "");
                 self.obs.trace(now.as_micros(), TraceKind::NodeRecover { node: node.as_raw() });
                 driver.on_event(self, SimEvent::NodeRestored(node));
@@ -1634,35 +1578,32 @@ impl SimCore {
         let mut layer_util = [0.0f64; 3];
         let mut layer_nodes = [0u32; 3];
         let mut layer_queue = [0u64; 3];
-        // Energy is metered lazily inside each NodeState and read here
-        // without charging the meter, so scraping never moves the
-        // integration points; everything else the scrape samples comes
-        // from the contiguous SoA mirror.
-        for (n, e) in self.nodes.iter().zip(self.hot.energy.iter_mut()) {
-            *e = n.energy_j_at(now);
-        }
         let ids = self.scrape_ids.get_or_insert_with(|| ScrapeIds::new(&self.obs));
         for n in &self.nodes[ids.nodes.len()..] {
             let label = format!("{}/{}", n.spec().layer().label(), n.spec().name());
             ids.nodes.push(NODE_SERIES.map(|name| series_id(&self.obs, name, &label)));
         }
-        let hot = &self.hot;
-        for (i, &[util_id, queue_id, depth_id, energy_id, up_id]) in ids.nodes.iter().enumerate() {
-            let up = hot.up[i];
-            // Same expression as `NodeState::utilization` (bit-exact).
-            let util = if up { hot.running[i] as f64 / hot.cores[i] } else { 0.0 };
+        for (st, &[util_id, queue_id, depth_id, energy_id, up_id]) in
+            self.nodes.iter().zip(&ids.nodes)
+        {
+            let up = st.is_up();
+            let (running, queued) = (st.running().len(), st.queue_len());
+            let util = if up { st.utilization() } else { 0.0 };
             self.obs.ts_record_id(util_id, at, util);
-            self.obs.ts_record_id(queue_id, at, hot.queued[i] as f64);
-            let depth = if up { hot.running[i] + hot.queued[i] } else { 0 };
+            self.obs.ts_record_id(queue_id, at, queued as f64);
+            let depth = if up { running + queued } else { 0 };
             self.obs.ts_record_id(depth_id, at, depth as f64);
-            self.obs.ts_record_id(energy_id, at, hot.energy[i]);
+            // Energy is metered lazily inside each NodeState and read
+            // without charging the meter, so scraping never moves the
+            // integration points.
+            self.obs.ts_record_id(energy_id, at, st.energy_j_at(now));
             self.obs.ts_record_id(up_id, at, if up { 1.0 } else { 0.0 });
-            let li = hot.layer_idx[i] as usize;
+            let li = st.spec().layer().index();
             if up {
                 layer_util[li] += util;
                 layer_nodes[li] += 1;
             }
-            layer_queue[li] += hot.queued[i] as u64;
+            layer_queue[li] += queued as u64;
         }
         for (li, &[util_id, queue_id]) in ids.layers.iter().enumerate() {
             let mean =
@@ -2728,8 +2669,9 @@ mod tests {
 
     /// A census-priced body hops ARM → RISC-V → server while running.
     /// Each resume is priced exactly like a scratch run to halt on its
-    /// new host, yet interprets nothing: after the census, the
-    /// interpreted-step counter moves only by the evictions' advances.
+    /// new host, yet interprets nothing: the census is read off the op
+    /// list, and the interpreted-step counter moves only by the
+    /// evictions' advances.
     #[test]
     fn census_priced_resumes_cross_isas_without_interpreting() {
         use crate::task::TaskBody;
@@ -2750,7 +2692,8 @@ mod tests {
         sim.submit_local(hosts[0], t).expect("submit");
         let mut rec = Recorder::default();
         sim.run_until(SimTime::from_millis(10), &mut rec);
-        assert_eq!(sim.vm_interpreted_steps(), census.steps, "only the census ran");
+        assert_eq!(program.census().interpreted, 0, "the op list answers the census");
+        assert_eq!(sim.vm_interpreted_steps(), 0, "nothing ran before the first eviction");
         for pair in hosts.windows(2) {
             let (from, to) = (pair[0], pair[1]);
             let (arrival_steps, interpreted) = (sim.vm_steps_of(id), sim.vm_interpreted_steps());
@@ -2789,17 +2732,45 @@ mod tests {
         let mut rec = Recorder::default();
         sim.run_until(SimTime::from_millis(10), &mut rec);
         let full = program.full_cost(7, &host_table(&sim, edge)).0;
-        assert_eq!(sim.vm_interpreted_steps(), full, "the fresh boot ran to halt once");
+        let declined = program.census().interpreted;
+        assert_eq!(sim.vm_interpreted_steps(), declined + full, "the fresh boot ran to halt once");
         let eta = sim.migrate_task(edge, cloud, id, Protocol::Mqtt, true).expect("migratable");
         let (cp, left) = in_transit(&sim, id);
         assert_eq!(left, None, "no census, no ops-left tally");
         let interpreted = sim.vm_interpreted_steps();
-        assert_eq!(interpreted, full + cp.steps);
+        assert_eq!(interpreted, declined + full + cp.steps);
         let scratch = VmState::from_checkpoint(&cp, &program).expect("valid");
         let (steps, cycles) = scratch.cost_to_halt(&program, &host_table(&sim, cloud));
         sim.run_until(eta, &mut rec);
         assert_eq!(work_at(&sim, cloud, id), cycles as f64 / 1e6);
         assert_eq!(sim.vm_interpreted_steps(), interpreted + steps, "the resume ran to halt");
+    }
+
+    /// A census that declines has still run up to its steered branch:
+    /// those steps are interpreted work and are counted, once per
+    /// program, beside each arrival's scratch run to halt.
+    #[test]
+    fn declined_census_steps_are_counted() {
+        use crate::task::TaskBody;
+        let program = vm_seeded_program(2_000);
+        let census = program.census();
+        assert_eq!(census.counts, None, "the census declines a seed-steered program");
+        // Push, Store, then Input, Push, And: the run stops before the Jz.
+        assert_eq!(census.interpreted, 5);
+        let (mut sim, node) = one_node_sim();
+        sim.set_vm(VmConfig::new(vec![program.clone()]));
+        let seeds = [1u64, 2];
+        for seed in seeds {
+            let id = sim.fresh_task_id();
+            sim.submit_local(node, TaskInstance::new(id, 1.0).with_body(TaskBody::new(0, seed)))
+                .expect("submit");
+        }
+        let mut rec = Recorder::default();
+        sim.run_until(SimTime::from_secs(60), &mut rec);
+        assert_eq!(rec.completed.len(), seeds.len());
+        let table = host_table(&sim, node);
+        let runs: u64 = seeds.iter().map(|&seed| program.full_cost(seed, &table).0).sum();
+        assert_eq!(sim.vm_interpreted_steps(), census.interpreted + runs);
     }
 
     #[test]

@@ -23,11 +23,16 @@
 //! ([`Program::seed_free_counts`]), which prices it on any host with a
 //! dot product. A paused run of such a program is priced the same
 //! way: the ops it has left are the census minus the ops it already
-//! executed, which [`VmState::advance_tallied`] counts by class. What
-//! still needs the interpreter is the census run itself, scratch runs
-//! of seed-steered programs ([`VmState::cost_to_halt`]) and advancing
-//! an image to a cut point; all of them go through one budgeted loop
-//! that offers each op to a per-caller hook before executing it.
+//! executed, which [`VmState::advance_tallied`] counts by class.
+//!
+//! The census of a branch-free loop program is read off its op list
+//! without running it ([`Program::static_counts`], O(ops)); only a
+//! program with a `Jz`, a `Jmp` or a loop that pass cannot summarise
+//! has its census run ([`Program::taint_census`], O(steps)). What
+//! still needs the interpreter is that census run, scratch runs of
+//! seed-steered programs ([`VmState::cost_to_halt`]) and advancing an
+//! image to a cut point; all of them go through one budgeted loop that
+//! offers each op to a per-caller hook before executing it.
 //!
 //! ## Determinism rules
 //!
@@ -327,18 +332,153 @@ impl Program {
 
     /// The op-class census of a run from [`VmState::new`], if it is the
     /// same for every seed; `None` when seeded input may steer control
-    /// flow.
+    /// flow. When it answers, it prices any seed's full run:
+    /// `(c.steps, c.cycles(t))` equals [`Program::full_cost`]`(seed, t)`.
     ///
-    /// One run tracks a taint bit per stack slot and local: [`Op::Input`]
+    /// This is [`Program::census`] without its interpreter work count.
+    pub fn seed_free_counts(&self) -> Option<OpCounts> {
+        self.census().counts
+    }
+
+    /// The seed-free census and the interpreter steps taken to find it.
+    /// A branch-free loop program is answered by
+    /// [`Program::static_counts`] without interpreting anything; every
+    /// other program, or one whose loops that pass cannot summarise, by
+    /// one [`Program::taint_census`] run.
+    pub fn census(&self) -> Census {
+        match self.static_counts() {
+            Some(counts) => Census { counts: Some(counts), interpreted: 0 },
+            None => self.taint_census(),
+        }
+    }
+
+    /// The census read off the op list in O(ops), or `None` when this
+    /// pass cannot tell (the program may still have a census; see
+    /// [`Program::taint_census`]).
+    ///
+    /// The pass walks the ops in order with an exact stack depth and a
+    /// known constant or "unknown" per stack slot and local. A value is
+    /// known only when it comes through `Push`, `Dup`, `Swap`, `Load`
+    /// or `Store` (or an empty-stack pop's 0); `STACK_MAX` drops apply
+    /// as in the interpreter. A backward `LoopDec(i, head)` whose
+    /// counter is a known `c ≥ 2` repeats its body `[head, pc)` `c`
+    /// times in all, and the pass adds the `c − 1` trips after the one
+    /// it walked in one step, provided every trip runs the same ops
+    /// from the same depth: the body holds no `Jz`, `Jmp`, `LoopDec`,
+    /// `Halt` or `Store(i)`, and its walk popped no empty stack,
+    /// dropped no push and ended at the depth it started from. After
+    /// the loop `i` is 0, and the body's stored locals and the whole
+    /// stack are unknown. Any `Jz` or `Jmp`, an unknown counter, a loop
+    /// it cannot summarise, a count that overflows and a run cut short
+    /// by [`Program::max_steps`] all give `None`.
+    pub fn static_counts(&self) -> Option<OpCounts> {
+        let ops = &self.ops;
+        let mut stack = ConstStack::default();
+        let mut locals = vec![Some(0); self.locals as usize];
+        let mut counts = OpCounts::default();
+        // The walk's state as it first reaches each op. Ops are walked
+        // in order and a summarised loop resumes past its back-edge, so
+        // each op is reached once and `marks[pc]` belongs to op `pc`.
+        let mut marks = Vec::with_capacity(ops.len());
+        for (pc, &op) in ops.iter().enumerate() {
+            marks.push((stack.slots.len(), stack.clamps, counts));
+            counts.steps += 1;
+            counts.by_class[op.class().index()] += 1;
+            match op {
+                Op::Push(v) => stack.push(Some(v)),
+                Op::Pop | Op::Out => {
+                    stack.pop();
+                }
+                Op::Dup => stack.push(stack.slots.last().copied().unwrap_or(Some(0))),
+                Op::Swap => {
+                    let b = stack.pop();
+                    let a = stack.pop();
+                    stack.push(b);
+                    stack.push(a);
+                }
+                Op::Add
+                | Op::Sub
+                | Op::Mul
+                | Op::And
+                | Op::Or
+                | Op::Xor
+                | Op::Shl
+                | Op::Shr
+                | Op::Eq
+                | Op::Lt => {
+                    stack.pop();
+                    stack.pop();
+                    stack.push(None);
+                }
+                Op::Not | Op::Mix => {
+                    stack.pop();
+                    stack.push(None);
+                }
+                Op::Load(i) => stack.push(locals[i as usize]),
+                Op::Store(i) => locals[i as usize] = stack.pop(),
+                Op::Input => stack.push(None),
+                Op::Jmp(_) | Op::Jz(_) => return None,
+                Op::Halt => return Some(counts),
+                Op::LoopDec(i, head) => {
+                    let c = locals[i as usize]?;
+                    let left = c.wrapping_sub(1);
+                    locals[i as usize] = Some(left);
+                    if left > 0 {
+                        // The back-edge is taken: summarise the loop. A
+                        // `Jz`, `Jmp` or `Halt` would have ended the walk.
+                        let head = head as usize;
+                        let body = ops.get(head..pc)?;
+                        let (depth, clamps, at_head) = marks[head];
+                        let steady = c >= 2
+                            && stack.clamps == clamps
+                            && stack.slots.len() == depth
+                            && !body
+                                .iter()
+                                .any(|&op| matches!(op, Op::LoopDec(..)) || op == Op::Store(i));
+                        if !steady {
+                            return None;
+                        }
+                        // One trip: the body walked once plus this back-edge.
+                        let more = c as u64 - 1;
+                        counts.steps = (counts.steps - at_head.steps)
+                            .checked_mul(more)?
+                            .checked_add(counts.steps)?;
+                        for (n, was) in counts.by_class.iter_mut().zip(at_head.by_class) {
+                            *n = (*n - was).checked_mul(more)?.checked_add(*n)?;
+                        }
+                        locals[i as usize] = Some(0);
+                        for &op in body {
+                            if let Op::Store(j) = op {
+                                locals[j as usize] = None;
+                            }
+                        }
+                        stack.slots.fill(None);
+                    }
+                }
+            }
+            // The interpreter halts at the step bound; a run cut there
+            // is left to the taint run.
+            if counts.steps >= self.max_steps {
+                return None;
+            }
+        }
+        Some(counts)
+    }
+
+    /// The census by one interpreted run from [`VmState::new`], with the
+    /// steps it ran: [`Program::census`] for programs
+    /// [`Program::static_counts`] cannot answer.
+    ///
+    /// The run tracks a taint bit per stack slot and local: [`Op::Input`]
     /// pushes a tainted value, and every op that moves or combines
     /// values carries taint along. Halting depends only on control flow
     /// (pc, the step bound, `Halt`), and so does the stack depth that
     /// decides `STACK_MAX` drops and empty-stack pops. So if no `Jz`
     /// pops a tainted value and no `LoopDec` counts down a tainted
-    /// local, every seed executes the same op sequence, and the census
-    /// prices any seed's full run: `(c.steps, c.cycles(t))` equals
-    /// [`Program::full_cost`]`(seed, t)`.
-    pub fn seed_free_counts(&self) -> Option<OpCounts> {
+    /// local, every seed executes the same op sequence, and the run's
+    /// counts are the census. Otherwise the run stops before that
+    /// branch, and the steps it ran are still reported.
+    pub fn taint_census(&self) -> Census {
         // Prices are irrelevant here; only the op sequence is recorded.
         let free = CostTable { cycles: [0; 6] };
         let mut vm = VmState::new(self, 0);
@@ -397,11 +537,47 @@ impl Program {
             true
         });
         // Only a steered branch stops the run short of halting.
-        if !vm.halted {
-            return None;
+        let counts = vm.halted.then_some(OpCounts { steps: vm.steps, by_class });
+        debug_assert!(!vm.halted || stack.len() == vm.stack.len(), "shadow tracks the real stack");
+        Census { counts, interpreted: vm.steps }
+    }
+}
+
+/// The outcome of [`Program::census`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Census {
+    /// The seed-free op census, `None` when seeded input may steer
+    /// control flow.
+    pub counts: Option<OpCounts>,
+    /// Interpreter steps run to find it: 0 when the op list answered,
+    /// else the steps of the census run, up to a steered branch when it
+    /// declined.
+    pub interpreted: u64,
+}
+
+/// The stack of [`Program::static_counts`]: the exact depth, each slot
+/// a known constant or unknown (`None`), and how many pops so far found
+/// the stack empty plus how many pushes were dropped at [`STACK_MAX`].
+#[derive(Default)]
+struct ConstStack {
+    slots: Vec<Option<i64>>,
+    clamps: u64,
+}
+
+impl ConstStack {
+    fn pop(&mut self) -> Option<i64> {
+        self.slots.pop().unwrap_or_else(|| {
+            self.clamps += 1;
+            Some(0)
+        })
+    }
+
+    fn push(&mut self, v: Option<i64>) {
+        if self.slots.len() < STACK_MAX {
+            self.slots.push(v);
+        } else {
+            self.clamps += 1;
         }
-        debug_assert_eq!(stack.len(), vm.stack.len(), "shadow stack tracks the real one");
-        Some(OpCounts { steps: vm.steps, by_class })
     }
 }
 

@@ -5,7 +5,7 @@
 //! uninterrupted run.
 
 use myrtus_vm::{
-    Checkpoint, CostTable, IsaClass, Op, OpCounts, Program, SliceResult, VmState, STACK_MAX,
+    Census, Checkpoint, CostTable, IsaClass, Op, OpCounts, Program, SliceResult, VmState, STACK_MAX,
 };
 use proptest::prelude::*;
 
@@ -459,4 +459,358 @@ proptest! {
             prop_assert_eq!((left.steps, left.cycles(&dt)), vm.cost_to_halt(&p, &dt));
         }
     }
+}
+
+/// Asserts that wherever [`Program::static_counts`] answers, it equals
+/// the census run and prices every seed like an interpreted run.
+/// Returns whether it answered.
+fn static_pass_is_exact(p: &Program, seeds: impl IntoIterator<Item = u64>) -> bool {
+    let Some(counts) = p.static_counts() else { return false };
+    assert_eq!(p.taint_census().counts, Some(counts), "static pass equals the census run");
+    assert_eq!(p.census(), Census { counts: Some(counts), interpreted: 0 });
+    census_matches_full_cost(p, seeds);
+    true
+}
+
+/// One counted loop of [`gen_loops`]: its raw counter (see
+/// [`counter_of`]), the ops before its head and the raw ops of its body.
+type RawLoop = ((u8, i64), Vec<(u8, i64)>, Vec<(u8, i64)>);
+
+/// The op that loads a loop's counter: mostly a small constant,
+/// sometimes `i64::MIN` or `i64::MAX`, sometimes whatever local 1
+/// holds (a constant, an input word, or a value an earlier loop's body
+/// stored there), sometimes none, so the loop counts on from what the
+/// loop before left in local 0.
+fn counter_of((pick, c): (u8, i64)) -> Option<Op> {
+    match pick {
+        0 => Some(Op::Push(i64::MIN)),
+        1 => Some(Op::Push(i64::MAX)),
+        2 => Some(Op::Load(1)),
+        3 => None,
+        _ => Some(Op::Push(c)),
+    }
+}
+
+/// Branch-free programs of counted loops run one after another, each
+/// counting down local 0 from its own counter. Prefix ops may leave
+/// any depth or empty-stack pops behind; body ops are chosen so the
+/// body never pops below its head's depth and ends at it, and stores
+/// only to locals 1 and 2. So the static pass can summarise every
+/// loop whose counter is a constant other than `i64::MIN` and whose
+/// run fits the step bound.
+fn gen_loops(loops: &[RawLoop], max_steps: u64) -> Program {
+    let op_of = |code: u8, v: i64, depth: usize| -> Op {
+        let ops = [
+            Op::Push(v % 8),
+            Op::Input,
+            Op::Load(v.rem_euclid(3) as u8),
+            Op::Dup,
+            Op::Pop,
+            Op::Out,
+            Op::Store(1 + v.rem_euclid(2) as u8),
+            Op::Mix,
+            Op::Not,
+            Op::Swap,
+            Op::Add,
+            Op::Xor,
+            Op::Mul,
+        ];
+        let op = ops[code as usize % ops.len()];
+        // How deep below the top the op reaches.
+        let reach = match op {
+            Op::Pop | Op::Out | Op::Store(_) | Op::Mix | Op::Not => 1,
+            Op::Swap | Op::Add | Op::Xor | Op::Mul => 2,
+            _ => 0,
+        };
+        if reach <= depth {
+            op
+        } else {
+            Op::Push(v % 8)
+        }
+    };
+    let mut ops = Vec::new();
+    for &(counter, ref prefix, ref body) in loops {
+        ops.extend(prefix.iter().map(|&(code, v)| op_of(code, v, usize::MAX)));
+        if let Some(load) = counter_of(counter) {
+            ops.extend([load, Op::Store(0)]);
+        }
+        let head = ops.len() as u16;
+        let mut depth = 0;
+        for &(code, v) in body {
+            let op = op_of(code, v, depth);
+            depth = match op {
+                Op::Push(_) | Op::Input | Op::Load(_) | Op::Dup => depth + 1,
+                Op::Pop | Op::Out | Op::Store(_) | Op::Add | Op::Xor | Op::Mul => depth - 1,
+                _ => depth,
+            };
+            ops.push(op);
+        }
+        ops.extend(std::iter::repeat_n(Op::Out, depth));
+        ops.push(Op::LoopDec(0, head));
+    }
+    ops.push(Op::Halt);
+    Program::with_max_steps(ops, 3, max_steps).expect("generated program validates")
+}
+
+fn raw_ops(max: usize) -> impl Strategy<Value = Vec<(u8, i64)>> {
+    proptest::collection::vec((any::<u8>(), any::<i64>()), 0..max)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Counted loops: the static pass equals the census run and
+    /// `census_matches_full_cost` holds wherever it answers, and it
+    /// answers every program whose counters are constants other than
+    /// `i64::MIN` (or what an earlier loop left) and whose run ends
+    /// before the step bound.
+    #[test]
+    fn static_census_answers_counted_loops_exactly(
+        loops in proptest::collection::vec(((0u8..10, -3i64..60), raw_ops(3), raw_ops(10)), 1..4),
+        (bounded, bound) in (any::<bool>(), 1u64..400),
+        seeds in proptest::collection::vec(any::<u64>(), 2),
+    ) {
+        let max_steps = if bounded { bound } else { myrtus_vm::DEFAULT_MAX_STEPS };
+        let p = gen_loops(&loops, max_steps);
+        let answered = static_pass_is_exact(&p, seeds);
+        let run = p.taint_census().counts.expect("no branch reads input");
+        let constant = |l: &RawLoop| match counter_of(l.0) {
+            Some(Op::Push(c)) => c != i64::MIN,
+            load => load.is_none(),
+        };
+        if loops.iter().all(constant) && run.steps < max_steps {
+            prop_assert!(answered, "a summarisable program falls back");
+        }
+    }
+
+    /// Arbitrary programs and the generated loops: wherever the static
+    /// pass answers, it is exact.
+    #[test]
+    fn static_census_is_exact_whenever_it_answers(
+        raw in proptest::collection::vec((any::<u8>(), any::<i64>()), 1..24),
+        locals in 1u8..4,
+        max_steps in 1u64..3_000,
+        iters in 1i64..40,
+        imm in -1000i64..1000,
+        seeds in proptest::collection::vec(any::<u64>(), 2),
+    ) {
+        static_pass_is_exact(&gen_any(&raw, locals, max_steps), seeds.clone());
+        static_pass_is_exact(&gen_program(iters, imm, 9, iters % 2 == 0), seeds);
+    }
+}
+
+/// `Push(c) Store(0)`, then a balanced `Input, Mix, Out` loop on local
+/// 0, then `Halt`, bounded at `max_steps`.
+fn counted(c: i64, max_steps: u64) -> Program {
+    let ops =
+        vec![Op::Push(c), Op::Store(0), Op::Input, Op::Mix, Op::Out, Op::LoopDec(0, 2), Op::Halt];
+    Program::with_max_steps(ops, 1, max_steps).expect("valid")
+}
+
+#[test]
+fn counters_below_two_run_the_body_once() {
+    // The first back-edge falls through, so the walk needs no summary.
+    for c in [1, 0, -1, -7, i64::MIN + 1] {
+        let p = counted(c, 1_000);
+        assert!(static_pass_is_exact(&p, 0..4), "counter {c}");
+        assert_eq!(p.static_counts().map(|n| n.steps), Some(7), "counter {c}");
+    }
+    assert!(static_pass_is_exact(&counted(2, 1_000), 0..4));
+}
+
+#[test]
+fn a_wrapping_counter_falls_back_to_the_census_run() {
+    // `i64::MIN - 1` wraps to `i64::MAX`: the loop runs to the bound.
+    let p = counted(i64::MIN, 2_000);
+    assert_eq!(p.static_counts(), None);
+    census_matches_full_cost(&p, 0..4);
+    assert_eq!(p.census().interpreted, 2_000, "the census run is counted");
+}
+
+#[test]
+fn a_run_cut_at_the_step_bound_falls_back() {
+    // 100 trips of 4 ops would take 403 steps.
+    let cut = counted(100, 300);
+    assert_eq!(cut.static_counts(), None);
+    census_matches_full_cost(&cut, 0..4);
+    assert_eq!(cut.seed_free_counts().map(|c| c.steps), Some(300));
+    // A bound reached at the last back-edge stops the run before its
+    // Halt; one step more is not a cut.
+    let at_back_edge = counted(100, 402);
+    assert_eq!(at_back_edge.static_counts(), None);
+    assert_eq!(at_back_edge.seed_free_counts().map(|c| c.steps), Some(402));
+    assert!(static_pass_is_exact(&counted(100, 403), 0..4));
+    // The same in straight-line code: the bound falls on the op before
+    // the Halt.
+    let p = Program::with_max_steps(vec![Op::Push(1), Op::Pop, Op::Halt], 0, 2).expect("valid");
+    assert_eq!(p.static_counts(), None);
+    assert_eq!(p.seed_free_counts().map(|c| c.steps), Some(2));
+}
+
+#[test]
+fn a_nested_loop_falls_back() {
+    let p = Program::new(
+        vec![
+            Op::Push(5),
+            Op::Store(0),
+            Op::Push(3), // outer head = 2
+            Op::Store(1),
+            Op::Input, // inner head = 4
+            Op::Out,
+            Op::LoopDec(1, 4),
+            Op::LoopDec(0, 2),
+            Op::Halt,
+        ],
+        2,
+    )
+    .expect("valid");
+    assert_eq!(p.static_counts(), None);
+    census_matches_full_cost(&p, 0..4);
+    assert_eq!(p.seed_free_counts().map(|c| c.steps), Some(2 + 5 * (2 + 3 * 3 + 1) + 1));
+}
+
+#[test]
+fn a_body_storing_its_counter_falls_back() {
+    // The body re-arms its own counter, so only the step bound ends it.
+    let p = Program::with_max_steps(
+        vec![Op::Push(4), Op::Store(0), Op::Push(3), Op::Store(0), Op::LoopDec(0, 2), Op::Halt],
+        1,
+        1_000,
+    )
+    .expect("valid");
+    assert_eq!(p.static_counts(), None);
+    census_matches_full_cost(&p, 0..4);
+    assert_eq!(p.seed_free_counts().map(|c| c.steps), Some(1_000));
+}
+
+#[test]
+fn a_stack_max_clamp_in_the_body_falls_back() {
+    // A full stack at the head: the body's Push is dropped, so it ends
+    // at the head's depth without being the same trip at another depth.
+    let mut ops = vec![Op::Push(7); STACK_MAX];
+    ops.extend([Op::Store(0), Op::Push(1)]); // counter 7, depth STACK_MAX
+    let head = ops.len() as u16;
+    ops.extend([Op::Push(5), Op::Pop, Op::Push(6), Op::LoopDec(0, head), Op::Halt]);
+    let p = Program::new(ops, 1).expect("valid");
+    assert_eq!(p.static_counts(), None);
+    census_matches_full_cost(&p, 0..4);
+    // Without the clamp (one slot of room) the same loop is summarised.
+    let mut ops = vec![Op::Push(7); STACK_MAX - 1];
+    ops.extend([Op::Store(0), Op::Push(1)]);
+    let head = ops.len() as u16;
+    ops.extend([Op::Push(5), Op::Pop, Op::Push(6), Op::Pop, Op::LoopDec(0, head), Op::Halt]);
+    assert!(static_pass_is_exact(&Program::new(ops, 1).expect("valid"), 0..2));
+}
+
+#[test]
+fn a_loop_that_moves_the_stack_falls_back() {
+    // Each trip leaves a 5 behind, so after 3 trips the Pop leaves two
+    // of them and the Store takes a 5, not an empty-stack 0.
+    let p = Program::new(
+        vec![
+            Op::Push(3),
+            Op::Store(0),
+            Op::Push(5), // head = 2
+            Op::LoopDec(0, 2),
+            Op::Pop,
+            Op::Store(0),
+            Op::Input, // head = 6
+            Op::Out,
+            Op::LoopDec(0, 6),
+            Op::Halt,
+        ],
+        1,
+    )
+    .expect("valid");
+    assert_eq!(p.static_counts(), None);
+    census_matches_full_cost(&p, 0..4);
+    assert_eq!(p.seed_free_counts().map(|c| c.steps), Some(2 + 3 * 2 + 2 + 5 * 3 + 1));
+}
+
+#[test]
+fn stack_values_a_loop_body_moves_are_unknown_after_it() {
+    // Two trips of a Swap leave [4, 6] as they found it; the walked
+    // trip saw [6, 4], so the second counter is not the 4 it saw.
+    let p = Program::new(
+        vec![
+            Op::Push(4),
+            Op::Push(6),
+            Op::Push(2),
+            Op::Store(0),
+            Op::Swap, // head = 4
+            Op::LoopDec(0, 4),
+            Op::Store(0),
+            Op::Input, // head = 7
+            Op::Out,
+            Op::LoopDec(0, 7),
+            Op::Halt,
+        ],
+        1,
+    )
+    .expect("valid");
+    assert_eq!(p.static_counts(), None);
+    census_matches_full_cost(&p, 0..4);
+    assert_eq!(p.seed_free_counts().map(|c| c.steps), Some(4 + 2 * 2 + 1 + 6 * 3 + 1));
+}
+
+#[test]
+fn locals_a_loop_body_stores_are_unknown_after_it() {
+    // The first trip stores the old local 2 (9) into local 1, every
+    // later trip the 2 the body left in local 2: after the loop local 1
+    // is 2, not the 9 the walked trip saw, so the pass cannot take it
+    // as the second loop's counter.
+    let p = Program::new(
+        vec![
+            Op::Push(9),
+            Op::Store(2),
+            Op::Push(3),
+            Op::Store(0),
+            Op::Load(2), // head = 4
+            Op::Store(1),
+            Op::Push(2),
+            Op::Store(2),
+            Op::LoopDec(0, 4),
+            Op::Load(1),
+            Op::Store(0),
+            Op::Input, // head = 11
+            Op::Out,
+            Op::LoopDec(0, 11),
+            Op::Halt,
+        ],
+        3,
+    )
+    .expect("valid");
+    assert_eq!(p.static_counts(), None);
+    census_matches_full_cost(&p, 0..4);
+    assert_eq!(p.seed_free_counts().map(|c| c.steps), Some(4 + 3 * 5 + 2 + 2 * 3 + 1));
+}
+
+#[test]
+fn counters_carried_through_stack_moves_are_summarised() {
+    // [3, 5] → Swap → [5, 3]: local 1 = 3; Dup, Store: local 0 = 5.
+    let p = Program::new(
+        vec![
+            Op::Push(3),
+            Op::Push(5),
+            Op::Swap,
+            Op::Store(1),
+            Op::Dup,
+            Op::Store(0),
+            Op::Pop,
+            Op::Input, // head = 7
+            Op::Out,
+            Op::LoopDec(0, 7),
+            Op::Load(1),
+            Op::Store(0),
+            Op::Input, // head = 12
+            Op::Mix,
+            Op::Out,
+            Op::LoopDec(0, 12),
+            Op::Halt,
+        ],
+        2,
+    )
+    .expect("valid");
+    assert!(static_pass_is_exact(&p, 0..4));
+    assert_eq!(p.static_counts().map(|c| c.steps), Some(7 + 5 * 3 + 2 + 3 * 4 + 1));
 }

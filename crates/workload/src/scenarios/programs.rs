@@ -210,6 +210,26 @@ mod tests {
         }
     }
 
+    /// Compute and io bodies are branch-free loops, so their census is
+    /// read off the op list; the branch body's `Jz` needs the census run.
+    #[test]
+    fn straight_line_mixes_are_priced_without_running() {
+        for seed in 0..16 {
+            for target_mc in [0.01, 1.0, 10.0, BATCH_WORK_MC] {
+                for mix in Mix::ALL {
+                    let p = program_for(mix, seed, target_mc);
+                    let census = p.census();
+                    let run = p.taint_census();
+                    assert_eq!(census.counts, run.counts, "{mix:?} seed {seed} @{target_mc}");
+                    assert!(census.counts.is_some(), "{mix:?}: no branch reads input");
+                    let interpreted = if mix == Mix::Branch { run.interpreted } else { 0 };
+                    assert_eq!(census.interpreted, interpreted, "{mix:?} seed {seed}");
+                    assert_eq!(p.static_counts().is_some(), mix != Mix::Branch, "{mix:?}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn bodied_mix_tags_batch_crunch_only() {
         let (mix, lib) = bodied_region_mix(7, 3, SimTime::from_secs(4), 0, 2.0);
