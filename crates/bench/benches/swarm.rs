@@ -3,6 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use myrtus::continuum::ids::NodeId;
+use myrtus::continuum::net::RouteCache;
 use myrtus::continuum::topology::{Continuum, ContinuumBuilder};
 use myrtus::kb::KnowledgeBase;
 use myrtus::mirto::placement::PlanContext;
@@ -28,15 +29,9 @@ fn bench_placement(c: &mut Criterion) {
     let app = scenarios::telerehab();
     let dag = RequestDag::from_application(&app).expect("valid");
     let all: Vec<NodeId> = continuum.all_nodes();
-    let ctx = PlanContext {
-        sim: continuum.sim(),
-        kb: &kb,
-        app: &app,
-        dag: &dag,
-        candidates: vec![all; dag.nodes().len()],
-        estimator: None,
-        obs: myrtus::obs::Obs::disabled(),
-    };
+    let cache = RouteCache::new();
+    let ctx =
+        PlanContext::new(continuum.sim(), &kb, &app, &dag, vec![all; dag.nodes().len()], &cache);
 
     let mut group = c.benchmark_group("placement-22-nodes");
     group.sample_size(10);

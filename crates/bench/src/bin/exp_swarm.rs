@@ -2,6 +2,7 @@
 //! greedy, random restarts and (on small spaces) the exhaustive optimum.
 
 use myrtus::continuum::ids::NodeId;
+use myrtus::continuum::net::RouteCache;
 use myrtus::continuum::topology::ContinuumBuilder;
 use myrtus::kb::KnowledgeBase;
 use myrtus::mirto::placement::{evaluate, PlanContext};
@@ -28,15 +29,9 @@ fn main() {
     ] {
         let dag = RequestDag::from_application(&app).expect("valid");
         let all: Vec<NodeId> = continuum.all_nodes();
-        let ctx = PlanContext {
-            sim: continuum.sim(),
-            kb: &kb,
-            app: &app,
-            dag: &dag,
-            candidates: vec![all; dag.nodes().len()],
-            estimator: None,
-            obs: myrtus::obs::Obs::disabled(),
-        };
+        let cache = RouteCache::new();
+        let cands = vec![all; dag.nodes().len()];
+        let ctx = PlanContext::new(continuum.sim(), &kb, &app, &dag, cands, &cache);
         let score = |p: &myrtus::mirto::placement::Placement| evaluate(&ctx, p).objective(0.0);
 
         let mut rows = Vec::new();
@@ -93,15 +88,8 @@ fn main() {
     let app = scenarios::telerehab();
     let dag = RequestDag::from_application(&app).expect("valid");
     let pool = vec![small.edge()[0], small.edge()[4], small.fmdcs()[0], small.cloud()[0]];
-    let ctx = PlanContext {
-        sim: small.sim(),
-        kb: &kb,
-        app: &app,
-        dag: &dag,
-        candidates: vec![pool; dag.nodes().len()],
-        estimator: None,
-        obs: myrtus::obs::Obs::disabled(),
-    };
+    let cache = RouteCache::new();
+    let ctx = PlanContext::new(small.sim(), &kb, &app, &dag, vec![pool; dag.nodes().len()], &cache);
     let (_, optimal) = exhaustive_best(&ctx, 0.0).expect("small space");
     let mut rows = Vec::new();
     for seed in [1u64, 2, 3, 4, 5] {

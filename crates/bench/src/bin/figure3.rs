@@ -5,6 +5,7 @@
 //! inter-agent negotiation and one MAPE-K round.
 
 use myrtus::continuum::monitor::MonitoringReport;
+use myrtus::continuum::net::{PlanEstimator, RouteCache};
 use myrtus::continuum::time::SimTime;
 use myrtus::continuum::topology::ContinuumBuilder;
 use myrtus::kb::KnowledgeBase;
@@ -61,22 +62,15 @@ fn main() {
     // [MIRTO Manager] — the four drivers.
     let dag = RequestDag::from_application(&application).expect("valid");
     let sec = PrivacySecurityManager::new(true);
-    let candidates = sec.candidates(continuum.sim(), &application, &dag);
+    let candidates = sec.candidates(continuum.sim(), &application, &dag, None);
     println!(
         "[privsec-manager] candidate nodes per component: {:?}",
         candidates.iter().map(Vec::len).collect::<Vec<_>>()
     );
     let mut wl = WlManager::new(Box::new(GreedyBestFit::new()));
+    let cache = RouteCache::new();
     let placement = {
-        let ctx = PlanContext {
-            sim: continuum.sim(),
-            kb: &kb,
-            app: &application,
-            dag: &dag,
-            candidates,
-            estimator: None,
-            obs: myrtus::obs::Obs::disabled(),
-        };
+        let ctx = PlanContext::new(continuum.sim(), &kb, &application, &dag, candidates, &cache);
         wl.deploy(0, &ctx).expect("placeable")
     };
     for n in dag.nodes().iter() {
@@ -91,9 +85,11 @@ fn main() {
     // [Deployment proxy / negotiation] — inter-agent auction for an
     // offloadable stage.
     let agents = layer_agents(&continuum);
+    let sim = continuum.sim();
     let win = auction(
         &agents,
-        continuum.sim(),
+        sim,
+        &PlanEstimator::new(sim.network(), sim.now(), &cache),
         &OffloadQuery {
             data_at: continuum.edge()[0],
             work_mc: 9.0,

@@ -155,11 +155,6 @@ impl Cluster {
         self.alloc.get(&node).map_or(0, |a| a.cpu_millis)
     }
 
-    /// Memory MiB requested on `node` by bound pods.
-    pub fn requested_mem_mb(&self, node: NodeId) -> u64 {
-        self.alloc.get(&node).map_or(0, |a| a.mem_mb)
-    }
-
     fn allocatable_cpu_millis(sim: &SimCore, node: NodeId) -> u32 {
         sim.node(node).map_or(0, |n| n.spec().cores() * 1_000)
     }

@@ -61,11 +61,6 @@ impl OperatingPoint {
     pub fn idle_w(&self) -> f64 {
         self.idle_w
     }
-
-    /// Energy in joules consumed by `busy` time at this point.
-    pub fn busy_energy_j(&self, busy: SimDuration) -> f64 {
-        self.active_w * busy.as_secs_f64()
-    }
 }
 
 /// An indexed set of operating points; index 0 is the default.

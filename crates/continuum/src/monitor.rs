@@ -12,7 +12,7 @@ use crate::engine::SimCore;
 use crate::ids::{LinkId, NodeId};
 use crate::node::Layer;
 use crate::stats::OnlineStats;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// Infrastructure-monitor snapshot of one node.
 #[derive(Debug, Clone, PartialEq)]
@@ -153,17 +153,13 @@ impl MonitoringReport {
     }
 }
 
-/// Duration helper: observation horizon between two report instants.
-pub fn horizon_between(a: &MonitoringReport, b: &MonitoringReport) -> SimDuration {
-    b.at.saturating_since(a.at)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{NullDriver, SimCore};
     use crate::node::NodeSpec;
     use crate::task::TaskInstance;
+    use crate::time::SimDuration;
 
     #[test]
     fn report_covers_every_node_and_link() {

@@ -685,6 +685,12 @@ impl<'a> PlanEstimator<'a> {
         self.net
     }
 
+    /// The observability handle of the bound cache (see
+    /// [`RouteCache::with_obs`]).
+    pub fn obs(&self) -> &'a myrtus_obs::Obs {
+        &self.cache.obs
+    }
+
     /// Memoized shortest path.
     ///
     /// # Errors

@@ -80,11 +80,6 @@ impl NodeKind {
             NodeKind::CloudServer => Layer::Cloud,
         }
     }
-
-    /// Whether the hardware family carries reconfigurable accelerator fabric.
-    pub fn is_reconfigurable(self) -> bool {
-        matches!(self, NodeKind::EdgeHmpsoc | NodeKind::EdgeRiscv)
-    }
 }
 
 impl std::fmt::Display for NodeKind {

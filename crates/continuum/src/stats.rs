@@ -62,11 +62,6 @@ impl OnlineStats {
         }
     }
 
-    /// Standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Smallest sample (`None` when empty).
     pub fn min(&self) -> Option<f64> {
         (self.n > 0).then_some(self.min)

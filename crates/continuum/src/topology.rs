@@ -46,11 +46,6 @@ impl Continuum {
         &mut self.sim
     }
 
-    /// Consumes the continuum, returning the core.
-    pub fn into_sim(self) -> SimCore {
-        self.sim
-    }
-
     /// Edge-layer node ids.
     pub fn edge(&self) -> &[NodeId] {
         &self.edge
@@ -186,18 +181,6 @@ impl ContinuumBuilder {
     /// Edge ↔ fog hop parameters.
     pub fn edge_fog_hop(mut self, hop: HopSpec) -> Self {
         self.edge_fog = hop;
-        self
-    }
-
-    /// Fog ↔ fog hop parameters.
-    pub fn fog_fog_hop(mut self, hop: HopSpec) -> Self {
-        self.fog_fog = hop;
-        self
-    }
-
-    /// Fog ↔ cloud hop parameters.
-    pub fn fog_cloud_hop(mut self, hop: HopSpec) -> Self {
-        self.fog_cloud = hop;
         self
     }
 

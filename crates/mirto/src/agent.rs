@@ -11,11 +11,11 @@
 
 use myrtus_continuum::engine::SimCore;
 use myrtus_continuum::ids::NodeId;
+use myrtus_continuum::net::{PlanEstimator, Protocol};
 use myrtus_continuum::node::Layer;
 use myrtus_continuum::time::{SimDuration, SimTime};
 
 use crate::managers::privsec::node_security_level;
-use crate::placement::transfer_estimate_us;
 use myrtus_security::suite::SecurityLevel;
 
 /// Requirements of the stage being auctioned.
@@ -77,8 +77,10 @@ impl MirtoAgent {
     }
 
     /// Answers an offload query with this agent's best bid, or `None`
-    /// when no managed node qualifies.
-    pub fn bid(&self, sim: &SimCore, query: &OffloadQuery) -> Option<Bid> {
+    /// when no managed node qualifies. Input transfers are priced
+    /// through `est`, which must be bound to `sim`'s network at
+    /// `sim.now()`.
+    pub fn bid(&self, sim: &SimCore, est: &PlanEstimator, query: &OffloadQuery) -> Option<Bid> {
         let mut best: Option<Bid> = None;
         for &id in &self.nodes {
             let Some(state) = sim.node(id) else { continue };
@@ -88,7 +90,7 @@ impl MirtoAgent {
             {
                 continue;
             }
-            let transfer_us = transfer_estimate_us(sim, query.data_at, id, query.input_bytes);
+            let transfer_us = est.transfer_us(query.data_at, id, query.input_bytes, Protocol::Mqtt);
             if !transfer_us.is_finite() {
                 continue;
             }
@@ -110,9 +112,15 @@ impl MirtoAgent {
 }
 
 /// Runs a sealed-bid auction across agents; returns the winning bid
-/// (earliest estimated completion; energy breaks ties).
-pub fn auction(agents: &[MirtoAgent], sim: &SimCore, query: &OffloadQuery) -> Option<Bid> {
-    agents.iter().filter_map(|a| a.bid(sim, query)).min_by(|a, b| {
+/// (earliest estimated completion; energy breaks ties). Every bid
+/// prices its transfers through `est` (see [`MirtoAgent::bid`]).
+pub fn auction(
+    agents: &[MirtoAgent],
+    sim: &SimCore,
+    est: &PlanEstimator,
+    query: &OffloadQuery,
+) -> Option<Bid> {
+    agents.iter().filter_map(|a| a.bid(sim, est, query)).min_by(|a, b| {
         a.est_completion
             .cmp(&b.est_completion)
             .then_with(|| {
@@ -125,7 +133,8 @@ pub fn auction(agents: &[MirtoAgent], sim: &SimCore, query: &OffloadQuery) -> Op
 /// A placement policy driven entirely by inter-agent negotiation: every
 /// component is auctioned in topological order, with the data source set
 /// to its predecessor's winner — the "agents negotiate the usage of
-/// resources" flavor of MIRTO (paper Sect. IV).
+/// resources" flavor of MIRTO (paper Sect. IV). Bids price their
+/// transfers through the context's route cache.
 #[derive(Debug, Default)]
 pub struct AuctionPlacement;
 
@@ -196,7 +205,7 @@ impl crate::policies::PlacementPolicy for AuctionPlacement {
                 mem_mb: comp.requirements.mem_mb,
                 min_level,
             };
-            let win = auction(&agents, ctx.sim, &query)
+            let win = auction(&agents, ctx.sim, &ctx.estimator, &query)
                 .ok_or(crate::policies::PlaceError::NoCandidate { component: i })?;
             assignment[i] = win.node;
         }
@@ -217,28 +226,34 @@ pub fn layer_agents(continuum: &myrtus_continuum::topology::Continuum) -> Vec<Mi
 mod tests {
     use super::*;
     use myrtus_continuum::engine::NullDriver;
+    use myrtus_continuum::net::RouteCache;
     use myrtus_continuum::task::TaskInstance;
-    use myrtus_continuum::topology::ContinuumBuilder;
+    use myrtus_continuum::topology::{Continuum, ContinuumBuilder};
 
     fn query(data_at: NodeId, work_mc: f64, input_bytes: u64) -> OffloadQuery {
         OffloadQuery { data_at, work_mc, input_bytes, mem_mb: 16, min_level: SecurityLevel::Low }
     }
 
+    /// Runs the layer agents' auction over `c` at its current instant.
+    fn run_auction(c: &Continuum, q: &OffloadQuery) -> Option<Bid> {
+        let cache = RouteCache::new();
+        let est = PlanEstimator::new(c.sim().network(), c.sim().now(), &cache);
+        auction(&layer_agents(c), c.sim(), &est, q)
+    }
+
     #[test]
     fn small_local_work_stays_at_the_edge() {
         let c = ContinuumBuilder::new().build();
-        let agents = layer_agents(&c);
         let src = c.edge()[0];
-        let win = auction(&agents, c.sim(), &query(src, 1.0, 500_000)).expect("some bid");
+        let win = run_auction(&c, &query(src, 1.0, 500_000)).expect("some bid");
         assert_eq!(win.layer, Layer::Edge, "big data + tiny work stays local: {win:?}");
     }
 
     #[test]
     fn heavy_work_with_small_data_goes_up_the_continuum() {
         let c = ContinuumBuilder::new().build();
-        let agents = layer_agents(&c);
         let src = c.edge()[0];
-        let win = auction(&agents, c.sim(), &query(src, 100_000.0, 1_000)).expect("some bid");
+        let win = run_auction(&c, &query(src, 100_000.0, 1_000)).expect("some bid");
         assert_ne!(win.layer, Layer::Edge, "compute-heavy work offloads: {win:?}");
     }
 
@@ -247,8 +262,13 @@ mod tests {
         let mut c = ContinuumBuilder::new().build();
         let src = c.edge()[0];
         let q = query(src, 10.0, 0);
-        let agents = [MirtoAgent::new("edge", Layer::Edge, vec![src])];
-        let idle_bid = agents[0].bid(c.sim(), &q).expect("bids");
+        let agent = MirtoAgent::new("edge", Layer::Edge, vec![src]);
+        let cache = RouteCache::new();
+        let bid = |c: &Continuum| {
+            let est = PlanEstimator::new(c.sim().network(), c.sim().now(), &cache);
+            agent.bid(c.sim(), &est, &q).expect("bids")
+        };
+        let idle_bid = bid(&c);
         {
             let sim = c.sim_mut();
             for _ in 0..16 {
@@ -257,18 +277,17 @@ mod tests {
             }
             sim.run_until(SimTime::from_millis(1), &mut NullDriver);
         }
-        let busy_bid = agents[0].bid(c.sim(), &q).expect("bids");
+        let busy_bid = bid(&c);
         assert!(busy_bid.est_completion > idle_bid.est_completion);
     }
 
     #[test]
     fn security_level_filters_bidders() {
         let c = ContinuumBuilder::new().build();
-        let agents = layer_agents(&c);
         let src = c.edge()[0];
         let mut q = query(src, 10.0, 1_000);
         q.min_level = SecurityLevel::High;
-        let win = auction(&agents, c.sim(), &q).expect("fog/cloud can bid");
+        let win = run_auction(&c, &q).expect("fog/cloud can bid");
         let kind = c.sim().node(win.node).expect("exists").spec().kind();
         assert_eq!(node_security_level(kind), SecurityLevel::High);
     }
@@ -279,7 +298,7 @@ mod tests {
         let src = c.edge()[0];
         let mut q = query(src, 1.0, 0);
         q.mem_mb = u64::MAX;
-        assert!(auction(&layer_agents(&c), c.sim(), &q).is_none());
+        assert!(run_auction(&c, &q).is_none());
     }
 
     #[test]
@@ -289,17 +308,9 @@ mod tests {
         let c = ContinuumBuilder::new().build();
         let app = myrtus_workload::scenarios::telerehab();
         let dag = myrtus_workload::graph::RequestDag::from_application(&app).expect("valid");
-        let kb = myrtus_kb::KnowledgeBase::new();
+        let (kb, cache) = (myrtus_kb::KnowledgeBase::new(), RouteCache::new());
         let all: Vec<NodeId> = c.all_nodes();
-        let ctx = PlanContext {
-            sim: c.sim(),
-            kb: &kb,
-            app: &app,
-            dag: &dag,
-            candidates: vec![all; dag.nodes().len()],
-            estimator: None,
-            obs: myrtus_obs::Obs::disabled(),
-        };
+        let ctx = PlanContext::new(c.sim(), &kb, &app, &dag, vec![all; dag.nodes().len()], &cache);
         let mut policy = AuctionPlacement::new();
         assert_eq!(policy.name(), "agent-auction");
         assert!(policy.adaptive());
@@ -323,23 +334,33 @@ mod tests {
         let c = ContinuumBuilder::new().build();
         let app = myrtus_workload::scenarios::telerehab();
         let dag = myrtus_workload::graph::RequestDag::from_application(&app).expect("valid");
-        let kb = myrtus_kb::KnowledgeBase::new();
+        let (kb, cache) = (myrtus_kb::KnowledgeBase::new(), RouteCache::new());
         let mgr = crate::managers::privsec::PrivacySecurityManager::new(true);
-        let candidates = mgr.candidates(c.sim(), &app, &dag);
-        let ctx = PlanContext {
-            sim: c.sim(),
-            kb: &kb,
-            app: &app,
-            dag: &dag,
-            candidates,
-            estimator: None,
-            obs: myrtus_obs::Obs::disabled(),
-        };
+        let candidates = mgr.candidates(c.sim(), &app, &dag, None);
+        let ctx = PlanContext::new(c.sim(), &kb, &app, &dag, candidates, &cache);
         let placement = AuctionPlacement::new().place(&ctx).expect("auctions settle");
         // The High-tier session-store must sit on a High-capable node.
         let store = dag.nodes().iter().position(|n| n.name == "session-store").expect("exists");
         let kind = c.sim().node(placement.node_of(store)).expect("exists").spec().kind();
         assert_eq!(crate::managers::privsec::node_security_level(kind), SecurityLevel::High);
+    }
+
+    #[test]
+    fn auction_policy_bids_through_the_plan_cache() {
+        use crate::placement::PlanContext;
+        use crate::policies::PlacementPolicy;
+        let c = ContinuumBuilder::new().build();
+        let app = myrtus_workload::scenarios::telerehab();
+        let dag = myrtus_workload::graph::RequestDag::from_application(&app).expect("valid");
+        let (kb, cache) = (myrtus_kb::KnowledgeBase::new(), RouteCache::new());
+        let all: Vec<NodeId> = c.all_nodes();
+        let ctx = PlanContext::new(c.sim(), &kb, &app, &dag, vec![all; dag.nodes().len()], &cache);
+        let first = AuctionPlacement::new().place(&ctx).expect("auctions settle");
+        let misses = cache.stats().route_misses;
+        assert!(misses > 0, "bids fill the context's route cache");
+        let second = AuctionPlacement::new().place(&ctx).expect("auctions settle");
+        assert_eq!(cache.stats().route_misses, misses, "a re-run is served from the memo");
+        assert_eq!(first, second);
     }
 
     #[test]

@@ -24,7 +24,6 @@ use myrtus_continuum::federation::{BurstQuery, FederatedContinuum};
 use myrtus_continuum::ids::{NodeId, RegionId, TaskId};
 use myrtus_continuum::monitor::MonitoringReport;
 use myrtus_continuum::net::{PlanEstimator, Protocol, RouteCache};
-use myrtus_continuum::node::NodeState;
 use myrtus_continuum::retry::RetryPolicy;
 use myrtus_continuum::stats::Summary;
 use myrtus_continuum::task::{TaskBody, TaskInstance};
@@ -663,42 +662,11 @@ impl OrchestrationEngine {
         self.run_scheduled(fed.continuum_mut(), scheduled, horizon)
     }
 
-    /// Whether `node` may host component `comp_idx` of `app`: the
-    /// Privacy & Security Manager's test, inside `home` (the app's home
-    /// region under federated runs, `None` outside them). The one
-    /// admissibility test behind both [`Self::candidates`] and the
-    /// reallocation check, so the check cannot drift from the list.
-    fn admissible(
-        &self,
-        home: Option<&[NodeId]>,
-        app: &Application,
-        comp_idx: usize,
-        node: &NodeState,
-    ) -> bool {
-        self.sec.admits(node, &app.components[comp_idx])
-            && home.is_none_or(|h| h.binary_search(&node.id()).is_ok())
-    }
-
-    /// Per-component candidate nodes of an application, in node order:
-    /// the nodes that pass [`Self::admissible`].
-    fn candidates(
-        &self,
-        sim: &SimCore,
-        app_id: u16,
-        app: &Application,
-        dag: &RequestDag,
-    ) -> Vec<Vec<NodeId>> {
-        let home = self.fed.as_ref().and_then(|f| f.home_nodes(app_id));
-        dag.nodes()
-            .iter()
-            .map(|dn| {
-                sim.nodes()
-                    .iter()
-                    .filter(|n| self.admissible(home, app, dn.component_idx, n))
-                    .map(|n| n.id())
-                    .collect()
-            })
-            .collect()
+    /// The home region of application `app_id` under federated runs
+    /// (`None` outside them): the Privacy & Security Manager admits only
+    /// its nodes.
+    fn home(&self, app_id: u16) -> Option<&[NodeId]> {
+        self.fed.as_ref().and_then(|f| f.home_nodes(app_id))
     }
 
     /// WL Manager reallocation of the application at `app_pos` off
@@ -708,19 +676,18 @@ impl OrchestrationEngine {
     /// rounds move nothing.
     fn reallocate(&mut self, sim: &SimCore, app_pos: usize) -> Vec<Reallocation> {
         let rt = &self.apps[app_pos];
-        let home = self.fed.as_ref().and_then(|f| f.home_nodes(rt.id));
+        let home = self.home(rt.id);
         let admissible = |pos: usize, host: NodeId| {
             let (Some(dn), Some(node)) = (rt.dag.nodes().get(pos), sim.node(host)) else {
                 return false;
             };
-            self.admissible(home, &rt.app, dn.component_idx, node)
+            self.sec.admits(node, &rt.app.components[dn.component_idx], home)
         };
         if !self.wl.needs_reallocation(rt.id, sim, admissible) {
             return Vec::new();
         }
-        let candidates = self.candidates(sim, rt.id, &rt.app, &rt.dag);
-        let ctx =
-            plan_context(sim, &self.kb, &self.plan_cache, &self.obs, &rt.app, &rt.dag, candidates);
+        let candidates = self.sec.candidates(sim, &rt.app, &rt.dag, home);
+        let ctx = PlanContext::new(sim, &self.kb, &rt.app, &rt.dag, candidates, &self.plan_cache);
         let moves = self.wl.reallocate(rt.id, &ctx);
         if !moves.is_empty() {
             note_action(&self.obs, sim.now().as_micros(), "wl", "reallocate", rt.id as u64);
@@ -766,9 +733,8 @@ impl OrchestrationEngine {
         let deadline = stages.iter().filter_map(|s| s.max_latency).min();
         let priority = u8::from(deadline.is_some());
         {
-            let candidates = self.candidates(sim, app_id, &app, &dag);
-            let ctx =
-                plan_context(sim, &self.kb, &self.plan_cache, &self.obs, &app, &dag, candidates);
+            let candidates = self.sec.candidates(sim, &app, &dag, self.home(app_id));
+            let ctx = PlanContext::new(sim, &self.kb, &app, &dag, candidates, &self.plan_cache);
             let placement = self.wl.deploy(app_id, &ctx)?;
             // Execute the decision on the low-level layer (LIQO path).
             if let Some(proxy) = self.proxy.as_mut() {
@@ -1069,13 +1035,9 @@ impl OrchestrationEngine {
         src: Option<NodeId>,
     ) {
         let rt = &self.apps[app_pos];
-        let Some(dag_pos) = rt.dag.nodes().iter().position(|n| n.component_idx == component_idx)
-        else {
-            return;
-        };
-        let candidates = self.candidates(sim, rt.id, &rt.app, &rt.dag);
-        let ups = candidates.get(dag_pos).map(Vec::as_slice).unwrap_or(&[]);
-        let Some(twin_node) = replica_target(primary_node, ups) else { return };
+        let comp = &rt.app.components[component_idx];
+        let ups: Vec<NodeId> = self.sec.eligible(sim, comp, self.home(rt.id)).collect();
+        let Some(twin_node) = replica_target(primary_node, &ups) else { return };
         twin.id = sim.fresh_task_id();
         let twin_id = twin.id;
         if send(sim, src, twin_node, twin).is_ok() {
@@ -1259,18 +1221,15 @@ impl OrchestrationEngine {
             .iter()
             .filter_map(|&p| st.stages[p].finished.map(|(node, _)| node))
             .next_back();
-        let comp_idx = stage.component_idx;
         let target = {
-            let candidates = self.candidates(sim, rt.id, &rt.app, &rt.dag);
-            let dag_pos =
-                rt.dag.nodes().iter().position(|n| n.component_idx == comp_idx).unwrap_or(0);
             // Prefer a host other than the one that failed the
             // attempt, but don't insist on it: after a *timeout* the
             // node is still alive (crashed hosts are already dropped
             // by the candidate filter), and for a stage with a single
             // eligible host the right move is to retry in place, not
             // to give up.
-            let eligible: Vec<NodeId> = candidates.get(dag_pos).cloned().unwrap_or_default();
+            let comp = &rt.app.components[stage.component_idx];
+            let eligible: Vec<NodeId> = self.sec.eligible(sim, comp, self.home(rt.id)).collect();
             let others: Vec<NodeId> = eligible.iter().copied().filter(|&n| n != failed).collect();
             let ups = if others.is_empty() { eligible } else { others };
             match src {
@@ -1595,14 +1554,7 @@ impl OrchestrationEngine {
                         // security-eligible survivor not already hosting
                         // this component (ties on node id).
                         let target = {
-                            let rt = &self.apps[pos];
-                            let candidates = self.candidates(sim, app_id, &rt.app, &rt.dag);
-                            let dag_pos = rt
-                                .dag
-                                .nodes()
-                                .iter()
-                                .position(|n| n.component_idx == comp)
-                                .unwrap_or(0);
+                            let component = &self.apps[pos].app.components[comp];
                             let occupied: Vec<NodeId> = std::iter::once(host)
                                 .chain(
                                     self.proxy
@@ -1611,12 +1563,8 @@ impl OrchestrationEngine {
                                         .flat_map(|p| p.replica_nodes(app_id, comp)),
                                 )
                                 .collect();
-                            candidates
-                                .get(dag_pos)
-                                .map(Vec::as_slice)
-                                .unwrap_or(&[])
-                                .iter()
-                                .copied()
+                            self.sec
+                                .eligible(sim, component, self.home(app_id))
                                 .filter(|n| !occupied.contains(n))
                                 .min_by_key(|&n| {
                                     let backlog = sim
@@ -1742,22 +1690,6 @@ pub fn run_orchestration(
 fn note_action(obs: &Obs, at_us: u64, manager: &'static str, action: &'static str, subject: u64) {
     obs.counter_inc("manager_actions", manager);
     obs.trace(at_us, TraceKind::ManagerAction { manager, action, subject });
-}
-
-/// The WL Manager's planning view of one application at the current
-/// instant, estimating transfers through the shared plan-time route
-/// cache.
-fn plan_context<'a>(
-    sim: &'a SimCore,
-    kb: &'a KnowledgeBase,
-    plan_cache: &'a RouteCache,
-    obs: &Obs,
-    app: &'a Application,
-    dag: &'a RequestDag,
-    candidates: Vec<Vec<NodeId>>,
-) -> PlanContext<'a> {
-    let estimator = PlanEstimator::new(sim.network(), sim.now(), plan_cache);
-    PlanContext { sim, kb, app, dag, candidates, estimator: Some(estimator), obs: obs.clone() }
 }
 
 /// Submits `task` to `dst`, shipping its input from `src` over the

@@ -80,32 +80,44 @@ impl PrivacySecurityManager {
         self.trust.observe(node, obs);
     }
 
-    /// Whether `node` may host `comp`: up, memory-sufficient,
-    /// security-capable and trusted. Without enforcement only liveness
-    /// and memory count.
-    pub fn admits(&self, node: &NodeState, comp: &Component) -> bool {
+    /// Whether `node` may host `comp` inside `home` (the application's
+    /// home region, sorted, under federated runs; `None` outside them):
+    /// up, memory-sufficient, security-capable and trusted. Without
+    /// enforcement only liveness, memory and the home region count.
+    pub fn admits(&self, node: &NodeState, comp: &Component, home: Option<&[NodeId]>) -> bool {
         node.is_up()
             && node.spec().mem_mb() >= comp.requirements.mem_mb
             && (!self.enforce
                 || (node_security_level(node.spec().kind())
                     >= level_for_tier(comp.requirements.security)
                     && self.trust.score(node.id()) >= self.min_trust))
+            && home.is_none_or(|h| h.binary_search(&node.id()).is_ok())
     }
 
-    /// Per-component candidate nodes: the nodes that pass
-    /// [`PrivacySecurityManager::admits`], in node order.
+    /// The nodes that may host `comp` inside `home`, in node order: one
+    /// row of [`PrivacySecurityManager::candidates`].
+    pub fn eligible<'a>(
+        &'a self,
+        sim: &'a SimCore,
+        comp: &'a Component,
+        home: Option<&'a [NodeId]>,
+    ) -> impl Iterator<Item = NodeId> + 'a {
+        sim.nodes().iter().filter(move |n| self.admits(n, comp, home)).map(|n| n.id())
+    }
+
+    /// Per-component candidate nodes, one row per DAG node: the nodes
+    /// that pass [`PrivacySecurityManager::admits`] inside `home`, in
+    /// node order. The one candidate builder behind every plan.
     pub fn candidates(
         &self,
         sim: &SimCore,
         app: &Application,
         dag: &RequestDag,
+        home: Option<&[NodeId]>,
     ) -> Vec<Vec<NodeId>> {
         dag.nodes()
             .iter()
-            .map(|dn| {
-                let comp = &app.components[dn.component_idx];
-                sim.nodes().iter().filter(|n| self.admits(n, comp)).map(|n| n.id()).collect()
-            })
+            .map(|dn| self.eligible(sim, &app.components[dn.component_idx], home).collect())
             .collect()
     }
 
@@ -176,7 +188,7 @@ mod tests {
         let app = scenarios::telerehab(); // session-store requires High
         let dag = RequestDag::from_application(&app).expect("valid");
         let mgr = PrivacySecurityManager::new(true);
-        let cands = mgr.candidates(c.sim(), &app, &dag);
+        let cands = mgr.candidates(c.sim(), &app, &dag, None);
         // Find the session-store stage (last in the chain).
         let store_stage =
             dag.nodes().iter().position(|n| n.name == "session-store").expect("exists");
@@ -185,7 +197,7 @@ mod tests {
             assert_eq!(node_security_level(kind), SecurityLevel::High, "{kind}");
         }
         // Without enforcement every up node qualifies (memory permitting).
-        let open = PrivacySecurityManager::new(false).candidates(c.sim(), &app, &dag);
+        let open = PrivacySecurityManager::new(false).candidates(c.sim(), &app, &dag, None);
         assert!(open[store_stage].len() > cands[store_stage].len());
     }
 
@@ -195,7 +207,7 @@ mod tests {
         let mut app = scenarios::telerehab();
         app.components[2].requirements.mem_mb = 100_000; // pose needs 100 GB
         let dag = RequestDag::from_application(&app).expect("valid");
-        let cands = PrivacySecurityManager::new(false).candidates(c.sim(), &app, &dag);
+        let cands = PrivacySecurityManager::new(false).candidates(c.sim(), &app, &dag, None);
         for n in &cands[2] {
             assert!(c.sim().node(*n).expect("exists").spec().mem_mb() >= 100_000);
         }
@@ -211,10 +223,31 @@ mod tests {
         for _ in 0..5 {
             mgr.observe(victim, Observation::SecurityIncident);
         }
-        let cands = mgr.candidates(c.sim(), &app, &dag);
+        let cands = mgr.candidates(c.sim(), &app, &dag, None);
         for per_comp in &cands {
             assert!(!per_comp.contains(&victim), "incident-ridden node excluded");
         }
+    }
+
+    #[test]
+    fn home_region_filters_candidates_in_node_order() {
+        let c = ContinuumBuilder::new().build();
+        let app = scenarios::telerehab();
+        let dag = RequestDag::from_application(&app).expect("valid");
+        let mgr = PrivacySecurityManager::new(true);
+        let all = mgr.candidates(c.sim(), &app, &dag, None);
+        let mut home: Vec<NodeId> = c.all_nodes().into_iter().step_by(2).collect();
+        home.sort_unstable();
+        let homed = mgr.candidates(c.sim(), &app, &dag, Some(&home));
+        for (row, full) in homed.iter().zip(&all) {
+            let expect: Vec<NodeId> = full.iter().copied().filter(|n| home.contains(n)).collect();
+            assert_eq!(row, &expect, "home nodes only, in node order");
+        }
+        assert!(homed.iter().zip(&all).any(|(h, a)| h.len() < a.len()), "the filter bites");
+        // No home region is the same as a home spanning every node.
+        let mut everywhere = c.all_nodes();
+        everywhere.sort_unstable();
+        assert_eq!(mgr.candidates(c.sim(), &app, &dag, Some(&everywhere)), all);
     }
 
     #[test]

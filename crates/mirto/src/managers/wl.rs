@@ -178,6 +178,7 @@ mod tests {
     use super::*;
     use crate::policies::GreedyBestFit;
     use myrtus_continuum::engine::NullDriver;
+    use myrtus_continuum::net::RouteCache;
     use myrtus_continuum::task::TaskInstance;
     use myrtus_continuum::time::SimTime;
     use myrtus_continuum::topology::ContinuumBuilder;
@@ -190,6 +191,7 @@ mod tests {
         app: myrtus_workload::tosca::Application,
         dag: RequestDag,
         kb: KnowledgeBase,
+        cache: RouteCache,
     }
 
     impl Fixture {
@@ -197,20 +199,20 @@ mod tests {
             let continuum = ContinuumBuilder::new().build();
             let app = scenarios::telerehab();
             let dag = RequestDag::from_application(&app).expect("valid");
-            Fixture { continuum, app, dag, kb: KnowledgeBase::new() }
+            Fixture { continuum, app, dag, kb: KnowledgeBase::new(), cache: RouteCache::new() }
         }
 
         fn ctx(&self) -> PlanContext<'_> {
             let all: Vec<NodeId> = self.continuum.all_nodes();
-            PlanContext {
-                sim: self.continuum.sim(),
-                kb: &self.kb,
-                app: &self.app,
-                dag: &self.dag,
-                candidates: vec![all; self.dag.nodes().len()],
-                estimator: None,
-                obs: myrtus_obs::Obs::disabled(),
-            }
+            let candidates = vec![all; self.dag.nodes().len()];
+            PlanContext::new(
+                self.continuum.sim(),
+                &self.kb,
+                &self.app,
+                &self.dag,
+                candidates,
+                &self.cache,
+            )
         }
     }
 

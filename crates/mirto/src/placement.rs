@@ -9,7 +9,7 @@
 
 use myrtus_continuum::engine::SimCore;
 use myrtus_continuum::ids::NodeId;
-use myrtus_continuum::net::{PlanEstimator, Protocol};
+use myrtus_continuum::net::{PlanEstimator, Protocol, RouteCache};
 use myrtus_continuum::time::SimDuration;
 use myrtus_kb::KnowledgeBase;
 use myrtus_workload::graph::RequestDag;
@@ -76,26 +76,35 @@ pub struct PlanContext<'a> {
     /// Per-component candidate nodes (already security/capacity filtered
     /// by the Privacy & Security Manager).
     pub candidates: Vec<Vec<NodeId>>,
-    /// Memoizing route/transfer estimator for the plan sweep; `None`
-    /// falls back to uncached per-call network estimates. Cached and
-    /// uncached paths return bit-identical values for the same snapshot.
-    pub estimator: Option<PlanEstimator<'a>>,
-    /// Observability handle: [`evaluate`] counts rejected (infeasible)
-    /// candidates through it, labelled by rejection reason. Scoring
-    /// emits counters only, never trace events, so a search that scores
-    /// thousands of candidates adds nothing to the trace ring. Disabled
-    /// by default.
-    pub obs: myrtus_obs::Obs,
+    /// Memoizing route/transfer estimator bound to `sim`'s network at
+    /// `sim.now()`: every plan-time transfer estimate goes through it.
+    /// [`evaluate`] counts rejected (infeasible) candidates through the
+    /// observability handle of its cache, labelled by rejection reason;
+    /// scoring emits counters only, never trace events, so a search that
+    /// scores thousands of candidates adds nothing to the trace ring.
+    pub estimator: PlanEstimator<'a>,
 }
 
-impl PlanContext<'_> {
-    /// Plan-time transfer estimate in µs between two nodes, through the
-    /// attached [`PlanEstimator`] when present.
+impl<'a> PlanContext<'a> {
+    /// The planning view of `app` at `sim`'s current instant, estimating
+    /// transfers through `cache`.
+    pub fn new(
+        sim: &'a SimCore,
+        kb: &'a KnowledgeBase,
+        app: &'a Application,
+        dag: &'a RequestDag,
+        candidates: Vec<Vec<NodeId>>,
+        cache: &'a RouteCache,
+    ) -> Self {
+        let estimator = PlanEstimator::new(sim.network(), sim.now(), cache);
+        PlanContext { sim, kb, app, dag, candidates, estimator }
+    }
+
+    /// Plan-time transfer estimate in µs between two nodes: `0` when
+    /// co-located or the payload is empty, `+∞` when unreachable (an
+    /// unreachable required edge makes a placement infeasible).
     pub fn transfer_us(&self, from: NodeId, to: NodeId, bytes: u64) -> f64 {
-        match &self.estimator {
-            Some(est) => est.transfer_us(from, to, bytes, Protocol::Mqtt),
-            None => transfer_estimate_us(self.sim, from, to, bytes),
-        }
+        self.estimator.transfer_us(from, to, bytes, Protocol::Mqtt)
     }
 }
 
@@ -194,8 +203,9 @@ pub fn evaluate(ctx: &PlanContext<'_>, placement: &Placement) -> PlacementScore 
 /// the unlabelled `placement_rejected_total`) and returns the canonical
 /// infeasible score.
 fn reject(ctx: &PlanContext<'_>, reason: &'static str) -> PlacementScore {
-    ctx.obs.counter_inc("placement_rejected", reason);
-    ctx.obs.counter_inc("placement_rejected_total", "");
+    let obs = ctx.estimator.obs();
+    obs.counter_inc("placement_rejected", reason);
+    obs.counter_inc("placement_rejected_total", "");
     PlacementScore::INFEASIBLE
 }
 
@@ -206,28 +216,6 @@ fn reject(ctx: &PlanContext<'_>, reason: &'static str) -> PlacementScore {
 /// Returns `None` when no distinct candidate exists.
 pub fn replica_target(avoid: NodeId, candidates: &[NodeId]) -> Option<NodeId> {
     candidates.iter().copied().filter(|&n| n != avoid).min()
-}
-
-/// Network transfer estimate in µs between two nodes: `0` when
-/// co-located or the payload is empty, `+∞` when unreachable (callers
-/// treat an unreachable required edge as an infeasible placement).
-pub fn transfer_estimate_us(sim: &SimCore, from: NodeId, to: NodeId, bytes: u64) -> f64 {
-    if from == to || bytes == 0 {
-        return 0.0;
-    }
-    match sim.network().route(from, to) {
-        Ok(path) => {
-            let start = sim.now();
-            let eta = sim.network().estimate_transfer(
-                start,
-                &path,
-                bytes,
-                myrtus_continuum::net::Protocol::Mqtt,
-            );
-            eta.saturating_since(start).as_micros() as f64
-        }
-        Err(_) => f64::INFINITY,
-    }
 }
 
 #[cfg(test)]
@@ -244,17 +232,16 @@ mod tests {
     fn colocated_beats_scattered_for_chatty_chains() {
         let (c, app) = fixture();
         let dag = RequestDag::from_application(&app).expect("valid");
-        let kb = KnowledgeBase::new();
+        let (kb, cache) = (KnowledgeBase::new(), RouteCache::new());
         let all: Vec<NodeId> = c.all_nodes();
-        let ctx = PlanContext {
-            sim: c.sim(),
-            kb: &kb,
-            app: &app,
-            dag: &dag,
-            candidates: vec![all.clone(); dag.nodes().len()],
-            estimator: None,
-            obs: myrtus_obs::Obs::disabled(),
-        };
+        let ctx = PlanContext::new(
+            c.sim(),
+            &kb,
+            &app,
+            &dag,
+            vec![all.clone(); dag.nodes().len()],
+            &cache,
+        );
         let edge = c.edge()[0];
         let colocated = Placement::new(vec![edge; dag.nodes().len()]);
         // Scatter across edge nodes (per-hop transfers of a camera frame).
@@ -270,16 +257,15 @@ mod tests {
     fn infeasible_when_outside_candidates() {
         let (c, app) = fixture();
         let dag = RequestDag::from_application(&app).expect("valid");
-        let kb = KnowledgeBase::new();
-        let ctx = PlanContext {
-            sim: c.sim(),
-            kb: &kb,
-            app: &app,
-            dag: &dag,
-            candidates: vec![vec![c.cloud()[0]]; dag.nodes().len()],
-            estimator: None,
-            obs: myrtus_obs::Obs::disabled(),
-        };
+        let (kb, cache) = (KnowledgeBase::new(), RouteCache::new());
+        let ctx = PlanContext::new(
+            c.sim(),
+            &kb,
+            &app,
+            &dag,
+            vec![vec![c.cloud()[0]]; dag.nodes().len()],
+            &cache,
+        );
         let p = Placement::new(vec![c.edge()[0]; dag.nodes().len()]);
         let s = evaluate(&ctx, &p);
         assert!(!s.feasible);
@@ -288,10 +274,9 @@ mod tests {
 
     #[test]
     fn unreachable_hop_is_infeasible() {
-        use myrtus_continuum::net::RouteCache;
         let (mut c, app) = fixture();
         let dag = RequestDag::from_application(&app).expect("valid");
-        let kb = KnowledgeBase::new();
+        let (kb, cache) = (KnowledgeBase::new(), RouteCache::new());
         let cloud = c.cloud()[0];
         let edge = c.edge()[0];
         // Sever the cloud node from the rest of the continuum.
@@ -307,44 +292,23 @@ mod tests {
             }
         }
         let all: Vec<NodeId> = c.all_nodes();
-        let cache = RouteCache::new();
         let mut hosts = vec![cloud; dag.nodes().len()];
         hosts[0] = edge; // first hop now crosses the severed cut
-        let p = Placement::new(hosts);
-        for use_cache in [false, true] {
-            let ctx = PlanContext {
-                sim: c.sim(),
-                kb: &kb,
-                app: &app,
-                dag: &dag,
-                candidates: vec![all.clone(); dag.nodes().len()],
-                estimator: use_cache
-                    .then(|| PlanEstimator::new(c.sim().network(), c.sim().now(), &cache)),
-                obs: myrtus_obs::Obs::disabled(),
-            };
-            let s = evaluate(&ctx, &p);
-            assert!(!s.feasible, "unreachable hop must falsify feasibility");
-            assert_eq!(s.objective(0.0), f64::INFINITY);
-            // Short-circuit: no partial latency/energy accumulates.
-            assert_eq!(s.est_energy_j, 0.0);
-        }
+        let ctx = PlanContext::new(c.sim(), &kb, &app, &dag, vec![all; dag.nodes().len()], &cache);
+        let s = evaluate(&ctx, &Placement::new(hosts));
+        assert!(!s.feasible, "unreachable hop must falsify feasibility");
+        assert_eq!(s.objective(0.0), f64::INFINITY);
+        // Short-circuit: no partial latency/energy accumulates.
+        assert_eq!(s.est_energy_j, 0.0);
     }
 
     #[test]
     fn cloud_compute_is_faster_but_transfer_dominates_big_frames() {
         let (c, app) = fixture();
         let dag = RequestDag::from_application(&app).expect("valid");
-        let kb = KnowledgeBase::new();
+        let (kb, cache) = (KnowledgeBase::new(), RouteCache::new());
         let all: Vec<NodeId> = c.all_nodes();
-        let ctx = PlanContext {
-            sim: c.sim(),
-            kb: &kb,
-            app: &app,
-            dag: &dag,
-            candidates: vec![all; dag.nodes().len()],
-            estimator: None,
-            obs: myrtus_obs::Obs::disabled(),
-        };
+        let ctx = PlanContext::new(c.sim(), &kb, &app, &dag, vec![all; dag.nodes().len()], &cache);
         // Sensor at the edge, everything else in the cloud: pays the
         // camera-frame upload.
         let edge = c.edge()[0];
@@ -374,15 +338,9 @@ mod tests {
         let dag = RequestDag::from_application(&app).expect("valid");
         let kb = KnowledgeBase::new();
         let obs = myrtus_obs::Obs::new(myrtus_obs::ObsConfig::on());
-        let ctx = PlanContext {
-            sim: c.sim(),
-            kb: &kb,
-            app: &app,
-            dag: &dag,
-            candidates: vec![vec![c.cloud()[0]]; dag.nodes().len()],
-            estimator: None,
-            obs: obs.clone(),
-        };
+        let cache = RouteCache::with_obs(obs.clone());
+        let cands = vec![vec![c.cloud()[0]]; dag.nodes().len()];
+        let ctx = PlanContext::new(c.sim(), &kb, &app, &dag, cands, &cache);
         // One arity mismatch, two forbidden candidates, one feasible.
         let batch = [
             Placement::new(vec![c.cloud()[0]]),
@@ -414,8 +372,10 @@ mod tests {
     #[test]
     fn transfer_estimate_zero_for_local() {
         let (c, _) = fixture();
+        let cache = RouteCache::new();
+        let est = PlanEstimator::new(c.sim().network(), c.sim().now(), &cache);
         let n = c.edge()[0];
-        assert_eq!(transfer_estimate_us(c.sim(), n, n, 1_000_000), 0.0);
-        assert!(transfer_estimate_us(c.sim(), c.edge()[0], c.cloud()[0], 1_000) > 0.0);
+        assert_eq!(est.transfer_us(n, n, 1_000_000, Protocol::Mqtt), 0.0);
+        assert!(est.transfer_us(c.edge()[0], c.cloud()[0], 1_000, Protocol::Mqtt) > 0.0);
     }
 }

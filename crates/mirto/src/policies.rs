@@ -273,6 +273,7 @@ impl PlacementPolicy for KubeLike {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use myrtus_continuum::net::RouteCache;
     use myrtus_continuum::topology::ContinuumBuilder;
     use myrtus_kb::KnowledgeBase;
     use myrtus_workload::graph::RequestDag;
@@ -283,6 +284,7 @@ mod tests {
         app: myrtus_workload::tosca::Application,
         dag: RequestDag,
         kb: KnowledgeBase,
+        cache: RouteCache,
     }
 
     impl Fixture {
@@ -290,20 +292,20 @@ mod tests {
             let continuum = ContinuumBuilder::new().build();
             let app = scenarios::telerehab();
             let dag = RequestDag::from_application(&app).expect("valid");
-            Fixture { continuum, app, dag, kb: KnowledgeBase::new() }
+            Fixture { continuum, app, dag, kb: KnowledgeBase::new(), cache: RouteCache::new() }
         }
 
         fn ctx(&self) -> PlanContext<'_> {
             let all: Vec<NodeId> = self.continuum.all_nodes();
-            PlanContext {
-                sim: self.continuum.sim(),
-                kb: &self.kb,
-                app: &self.app,
-                dag: &self.dag,
-                candidates: vec![all; self.dag.nodes().len()],
-                estimator: None,
-                obs: myrtus_obs::Obs::disabled(),
-            }
+            let candidates = vec![all; self.dag.nodes().len()];
+            PlanContext::new(
+                self.continuum.sim(),
+                &self.kb,
+                &self.app,
+                &self.dag,
+                candidates,
+                &self.cache,
+            )
         }
     }
 

@@ -244,12 +244,6 @@ impl AcoPlacement {
         }
     }
 
-    /// Sets colony size.
-    pub fn with_ants(mut self, n: usize) -> Self {
-        self.ants = n.max(1);
-        self
-    }
-
     /// Sets iteration budget.
     pub fn with_iterations(mut self, n: usize) -> Self {
         self.iterations = n.max(1);
@@ -392,6 +386,7 @@ pub fn exhaustive_best(ctx: &PlanContext<'_>, energy_weight: f64) -> Option<(Pla
 #[cfg(test)]
 mod tests {
     use super::*;
+    use myrtus_continuum::net::RouteCache;
     use myrtus_continuum::topology::ContinuumBuilder;
     use myrtus_kb::KnowledgeBase;
     use myrtus_workload::graph::RequestDag;
@@ -402,6 +397,7 @@ mod tests {
         app: myrtus_workload::tosca::Application,
         dag: RequestDag,
         kb: KnowledgeBase,
+        cache: RouteCache,
     }
 
     impl Fixture {
@@ -409,20 +405,20 @@ mod tests {
             let continuum = ContinuumBuilder::new().build();
             let app = scenarios::telerehab();
             let dag = RequestDag::from_application(&app).expect("valid");
-            Fixture { continuum, app, dag, kb: KnowledgeBase::new() }
+            Fixture { continuum, app, dag, kb: KnowledgeBase::new(), cache: RouteCache::new() }
         }
 
         fn ctx(&self) -> PlanContext<'_> {
             let all: Vec<NodeId> = self.continuum.all_nodes();
-            PlanContext {
-                sim: self.continuum.sim(),
-                kb: &self.kb,
-                app: &self.app,
-                dag: &self.dag,
-                candidates: vec![all; self.dag.nodes().len()],
-                estimator: None,
-                obs: myrtus_obs::Obs::disabled(),
-            }
+            let candidates = vec![all; self.dag.nodes().len()];
+            PlanContext::new(
+                self.continuum.sim(),
+                &self.kb,
+                &self.app,
+                &self.dag,
+                candidates,
+                &self.cache,
+            )
         }
     }
 

@@ -32,11 +32,6 @@ impl fmt::Display for Esc<'_> {
     }
 }
 
-/// Escapes a string for embedding inside a JSON string literal.
-pub(crate) fn esc(s: &str) -> String {
-    Esc(s).to_string()
-}
-
 /// Appends one trace event to `out` as a single JSON object (no
 /// newline). Key order is fixed: `seq`, `at_us`, `type`, then payload
 /// fields in declaration order.
@@ -551,6 +546,7 @@ mod tests {
 
     #[test]
     fn escaping_handles_specials() {
+        let esc = |s: &str| Esc(s).to_string();
         assert_eq!(esc("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(esc("\u{1}"), "\\u0001");
         assert_eq!(esc("é\"ü\u{1f}"), "é\\\"ü\\u001f", "multi-byte text around escapes");

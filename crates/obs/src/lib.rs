@@ -316,11 +316,6 @@ impl Obs {
         self.0.as_ref().map_or_else(String::new, |i| i.timeseries.borrow().export_csv())
     }
 
-    /// All time series as deterministic JSON Lines.
-    pub fn export_timeseries_jsonl(&self) -> String {
-        self.0.as_ref().map_or_else(String::new, |i| i.timeseries.borrow().export_jsonl())
-    }
-
     /// A copy of the retained trace events, oldest first.
     pub fn trace_events(&self) -> Vec<TraceEvent> {
         self.0.as_ref().map_or_else(Vec::new, |i| i.traces.borrow().events())
@@ -425,7 +420,6 @@ mod tests {
         assert_eq!(obs.ts_last_n("util", "edge", 1)[0].value, 0.5);
         assert_eq!(obs.ts_sample_count(), 2);
         assert!(obs.export_timeseries_csv().starts_with("series,label,at_us,value\n"));
-        assert!(obs.export_timeseries_jsonl().contains("\"series\":\"util\""));
     }
 
     #[test]

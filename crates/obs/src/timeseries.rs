@@ -6,7 +6,7 @@
 //! labels are *owned* strings, so one series per node/link/application
 //! can be recorded without a static label table. Samples are stamped
 //! with simulated time only and retained in insertion order, so the CSV
-//! and JSONL exports are byte-reproducible across identical-seed runs.
+//! export is byte-reproducible across identical-seed runs.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
@@ -215,22 +215,6 @@ impl TimeSeriesStore {
             }
             for smp in samples {
                 let _ = writeln!(out, "{name},{label},{},{}", smp.at_us, smp.value);
-            }
-        }
-        out
-    }
-
-    /// The whole store as JSON Lines, one sample per line.
-    pub fn export_jsonl(&self) -> String {
-        let mut out = String::new();
-        for (name, label, samples) in self.sorted() {
-            let (name, label) = (crate::export::esc(name), crate::export::esc(label));
-            for smp in samples {
-                let _ = writeln!(
-                    out,
-                    "{{\"series\":\"{name}\",\"label\":\"{label}\",\"at_us\":{},\"value\":{}}}",
-                    smp.at_us, smp.value
-                );
             }
         }
         out
@@ -469,18 +453,12 @@ mod tests {
         ts.record("q\"s", "a\\b", 7, 0.1);
         ts.record("util", "", 5, 2.0);
         assert_eq!(ts.export_csv(), "series,label,at_us,value\nq\"s,a\\b,7,0.1\nutil,,5,2\n");
-        assert_eq!(
-            ts.export_jsonl(),
-            "{\"series\":\"q\\\"s\",\"label\":\"a\\\\b\",\"at_us\":7,\"value\":0.1}\n\
-             {\"series\":\"util\",\"label\":\"\",\"at_us\":5,\"value\":2}\n"
-        );
     }
 
     #[test]
     fn empty_store_exports_nothing() {
         let ts = unbounded();
         assert!(ts.export_csv().is_empty());
-        assert!(ts.export_jsonl().is_empty());
         assert!(parse_timeseries_csv("").is_empty());
     }
 
@@ -490,7 +468,7 @@ mod tests {
             let mut ts = unbounded();
             ts.record("z", "", 5, 1.0);
             ts.record("m", "q", 1, 2.0);
-            ts.export_csv() + &ts.export_jsonl()
+            ts.export_csv()
         };
         assert_eq!(build(), build());
     }

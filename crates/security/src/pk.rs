@@ -43,21 +43,6 @@ impl PkScheme {
     pub fn sign_time(&self, mhz: f64) -> SimDuration {
         Self::time_at(self.sign_cycles, mhz)
     }
-
-    /// Signature verification time at `mhz`.
-    pub fn verify_time(&self, mhz: f64) -> SimDuration {
-        Self::time_at(self.verify_cycles, mhz)
-    }
-
-    /// Encapsulation time at `mhz`.
-    pub fn encap_time(&self, mhz: f64) -> SimDuration {
-        Self::time_at(self.encap_cycles, mhz)
-    }
-
-    /// Decapsulation time at `mhz`.
-    pub fn decap_time(&self, mhz: f64) -> SimDuration {
-        Self::time_at(self.decap_cycles, mhz)
-    }
 }
 
 /// RSA-2048 (sign/verify and legacy KEM roles) — ref \[10\].

@@ -11,8 +11,6 @@
 //! public-key operations, so experiments measure genuine relative
 //! overhead between the levels.
 
-use myrtus_continuum::time::SimDuration;
-
 use crate::aes::{Aes, AesVariant};
 use crate::ascon::{ascon128_open, ascon128_seal, ascon_hash, AuthError};
 use crate::pk::{PkScheme, DILITHIUM2, ECDSA_P256, KYBER_768, RSA_2048};
@@ -161,13 +159,6 @@ pub struct HandshakeCost {
     pub responder_cycles: u64,
     /// Extra bytes exchanged on the wire.
     pub wire_bytes: u64,
-}
-
-impl HandshakeCost {
-    /// Initiator wall time at `mhz`.
-    pub fn initiator_time(&self, mhz: f64) -> SimDuration {
-        PkScheme::time_at(self.initiator_cycles, mhz)
-    }
 }
 
 /// A bound Table II suite with real symmetric/hash operations and

@@ -97,13 +97,6 @@ impl RequestDag {
         self.nodes.iter().enumerate().filter(|(_, n)| n.preds.is_empty()).map(|(i, _)| i).collect()
     }
 
-    /// Predecessor lists per node, in declaration order — the adjacency
-    /// shape consumed by `myrtus_obs::span::causal_chain` for measured
-    /// critical-path extraction.
-    pub fn preds_table(&self) -> Vec<Vec<usize>> {
-        self.nodes.iter().map(|n| n.preds.clone()).collect()
-    }
-
     /// Exit nodes (no successors).
     pub fn sinks(&self) -> Vec<usize> {
         self.nodes.iter().enumerate().filter(|(_, n)| n.succs.is_empty()).map(|(i, _)| i).collect()

@@ -44,7 +44,7 @@ fn high_security_components_only_land_on_capable_nodes() {
     let app = scenarios::telerehab();
     let dag = RequestDag::from_application(&app).expect("valid");
     let mgr = PrivacySecurityManager::new(true);
-    let candidates = mgr.candidates(continuum.sim(), &app, &dag);
+    let candidates = mgr.candidates(continuum.sim(), &app, &dag, None);
     for (i, dn) in dag.nodes().iter().enumerate() {
         let need = app.components[dn.component_idx].requirements.security;
         for node in &candidates[i] {
